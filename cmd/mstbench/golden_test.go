@@ -73,7 +73,7 @@ func TestCompareBenchDetectsRegression(t *testing.T) {
 	}
 
 	bad := &BenchResult{Cells: append([]BenchCell(nil), old.Cells...)}
-	bad.Cells[0].WallNsPerRun *= 1.5  // beyond 10% tolerance
+	bad.Cells[0].WallNsPerRun *= 1.5 // beyond 10% tolerance
 	bad.Cells[1].AwakeMaxMean = 20.5 // deterministic metric: any increase
 	bad.Cells = bad.Cells[:2]
 	regs := CompareBench(old, bad)

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"encoding/json"
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sleepmst/internal/core"

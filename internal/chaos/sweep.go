@@ -128,12 +128,12 @@ type Cell struct {
 
 // SweepResult is the machine-readable product of a chaos sweep.
 type SweepResult struct {
-	N        int     `json:"n"`
-	M        int     `json:"m"`
-	Fault    string  `json:"fault"`
-	Seeds    int     `json:"seeds"`
-	BaseSeed int64   `json:"base_seed"`
-	Cells    []Cell  `json:"cells"`
+	N        int    `json:"n"`
+	M        int    `json:"m"`
+	Fault    string `json:"fault"`
+	Seeds    int    `json:"seeds"`
+	BaseSeed int64  `json:"base_seed"`
+	Cells    []Cell `json:"cells"`
 }
 
 // RunSweep runs Seeds runs for every (runner, rate) pair and

@@ -186,126 +186,7 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 		return true
 	}
 	owner := c.isMOEOwner(&ph.moe)
-
-	// Announce the fragment MOE on its edge; learn which incident edges
-	// are incoming MOEs from other fragments.
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
-		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
-	}
-	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
-	var incomingPorts []int
-	incFrag := make(map[int]int64)
-	for p := 0; p < c.nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
-			continue
-		}
-		msg := raw.(taMOEMsg)
-		if msg.isMOE && msg.fragID != c.st.FragID {
-			incomingPorts = append(incomingPorts, p)
-			incFrag[p] = msg.fragID
-		}
-	}
-	sort.Ints(incomingPorts)
-
-	// Select at most MaxValidIncomingMOEs incoming MOEs fragment-wide:
-	// count per subtree, then distribute tokens top-down.
-	childCount := make(map[int]int64)
-	total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			sum := int64(own.(intPayload))
-			for port, v := range fromChildren {
-				cnt := int64(v.(intPayload))
-				childCount[port] = cnt
-				sum += cnt
-			}
-			return intPayload(sum)
-		})
-	budget := int64(total.(intPayload))
-	if budget > c.acceptBudget {
-		budget = c.acceptBudget
-	}
-	validIn := make(map[int]bool, len(incomingPorts))
-	ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-		func(received interface{}) map[int]interface{} {
-			var b int64
-			if received != nil {
-				b = int64(received.(intPayload))
-			}
-			for _, p := range incomingPorts {
-				if b == 0 {
-					break
-				}
-				validIn[p] = true
-				b--
-			}
-			outs := make(map[int]interface{})
-			for _, child := range c.st.Children {
-				if b == 0 {
-					break
-				}
-				give := childCount[child]
-				if give > b {
-					give = b
-				}
-				if give > 0 {
-					outs[child] = intPayload(give)
-					b -= give
-				}
-			}
-			return outs
-		})
-
-	// Tell each incoming-MOE sender whether its MOE was accepted; the
-	// fragment's own MOE owner learns its edge's fate the same way.
-	taOut := make(sim.Outbox, len(incomingPorts))
-	for _, p := range incomingPorts {
-		taOut[p] = validMsg{accepted: validIn[p]}
-	}
-	var myEntries []nbrEntry
-	if len(taOut) > 0 || owner {
-		vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
-		if owner {
-			if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
-				myEntries = append(myEntries, nbrEntry{
-					fragID:   c.nbrFragID[ph.moe.ownerPort],
-					hostID:   c.nd.ID(),
-					hostPort: ph.moe.ownerPort,
-				})
-			}
-		}
-	}
-	for _, p := range incomingPorts {
-		if validIn[p] {
-			myEntries = append(myEntries, nbrEntry{fragID: incFrag[p], hostID: c.nd.ID(), hostPort: p})
-		}
-	}
-	c.stepDone(trace.StepValidate)
-
-	// Collect the fragment's supergraph adjacency (NBR-INFO) at the
-	// root and broadcast it to every member.
-	agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			lists := [][]nbrEntry{own.(nbrList)}
-			for _, v := range fromChildren {
-				if v != nil {
-					lists = append(lists, v.(nbrList))
-				}
-			}
-			return mergeEntries(lists...)
-		})
-	var bcastPayload interface{}
-	if c.st.IsRoot() {
-		bcastPayload = agg.(nbrList)
-	}
-	nbrInfo := ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
-	if c.st.IsRoot() {
-		c.nd.EmitNbrs(c.phase, len(nbrInfo))
-	}
-	c.stepDone(trace.StepNbrInfo)
+	nbrInfo := c.sparsify(bs, ph, owner).nbrInfo
 
 	// --- Step (ii): Fast-Awake-Coloring over N ID stages ----------------
 	myColor, _ := c.fastAwakeColoring(bs, nbrInfo)
@@ -314,16 +195,12 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	// Pass 1: Blue fragments with supergraph neighbors merge into an
 	// arbitrary (non-Blue) neighbor.
 	mergeBase := int64(dbColorBase) + stageBlocks*maxID
-	var cmdPayload interface{}
-	if c.st.IsRoot() {
-		cmd := mergeCmd{}
-		if myColor == Blue && len(nbrInfo) > 0 {
-			e := nbrInfo[0] // deterministic arbitrary choice
-			cmd = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
-		}
-		cmdPayload = cmd
+	var cmdPayload mergeCmd
+	if c.st.IsRoot() && myColor == Blue && len(nbrInfo) > 0 {
+		e := nbrInfo[0] // deterministic arbitrary choice
+		cmdPayload = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
 	}
-	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase+postColor1), cmdPayload).(mergeCmd)
+	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase+postColor1), cmdPayload)
 	c.stepDone(trace.StepDecide)
 	dec := ldt.NoMerge
 	if cmd.merging {
@@ -347,6 +224,120 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+postColorM2), dec)
 	c.stepDone(trace.StepMerge)
 	return false
+}
+
+// sparsified is what the sparsification blocks (dbTAMOE through
+// dbBcastNbr) leave at a node: the fragment's NBR-INFO, plus the MOE
+// owner's view of its own edge that the log* orientation needs.
+type sparsified struct {
+	nbrInfo nbrList
+	// outAccepted: the target fragment accepted this owner's MOE;
+	// mutualMOE: the MOE edge is also the target fragment's MOE;
+	// inAccepted: this fragment accepted that reverse direction.
+	outAccepted, mutualMOE, inAccepted bool
+}
+
+// sparsify runs blocks dbTAMOE..dbBcastNbr of a deterministic phase:
+// mark the fragment MOE on its edge, accept at most acceptBudget
+// incoming MOEs fragment-wide (count per subtree, then hand out tokens
+// top-down), tell each incoming-MOE sender whether it was accepted,
+// and gather the accepted supergraph edges (NBR-INFO) at the root and
+// broadcast them. owner reports whether this node owns the MOE in ph.
+func (c *nodeCtx) sparsify(bs func(int64) int64, ph bcastMOEMsg, owner bool) sparsified {
+	var s sparsified
+	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
+	out := c.nd.Outbox()
+	mark := interface{}(taMOEMsg{fragID: c.st.FragID})
+	for p := range out {
+		out[p] = mark
+	}
+	if owner {
+		out[ph.moe.ownerPort] = taMOEMsg{fragID: c.st.FragID, isMOE: true}
+	}
+	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
+	c.stepDone(trace.StepMarkMOE)
+	var incoming []int  // ports carrying another fragment's MOE, ascending
+	var incFrag []int64 // the sending fragment of each incoming port
+	for p, raw := range in {
+		if raw == nil {
+			continue
+		}
+		msg := raw.(taMOEMsg)
+		if msg.isMOE && msg.fragID != c.st.FragID {
+			incoming = append(incoming, p)
+			incFrag = append(incFrag, msg.fragID)
+			if owner && p == ph.moe.ownerPort {
+				s.mutualMOE = true
+			}
+		}
+	}
+
+	childCount := make([]int64, c.nd.Degree())
+	total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incoming)),
+		func(sum intPayload, child int, v intPayload) intPayload {
+			childCount[child] = int64(v)
+			return sum + v
+		})
+	budget := min(int64(total), c.acceptBudget)
+	accepted := 0 // incoming[:accepted] won a token
+	ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
+		func(received intPayload, send func(int, intPayload)) {
+			b := int64(received)
+			for accepted < len(incoming) && b != 0 {
+				accepted++
+				b--
+			}
+			for _, child := range c.st.Children {
+				if b == 0 {
+					break
+				}
+				if give := min(childCount[child], b); give > 0 {
+					send(child, intPayload(give))
+					b -= give
+				}
+			}
+		})
+
+	// Only MOE endpoints take part in the accept/reject exchange: the
+	// hosts of incoming MOEs send a notice, the owner expects one.
+	var myEntries []nbrEntry
+	if len(incoming) > 0 || owner {
+		out := c.nd.Outbox()
+		for i, p := range incoming {
+			out[p] = validMsg{accepted: i < accepted}
+		}
+		vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), out)
+		if owner {
+			if raw := vin[ph.moe.ownerPort]; raw != nil && raw.(validMsg).accepted {
+				s.outAccepted = true
+				myEntries = append(myEntries, nbrEntry{
+					fragID:   c.nbrFragID[ph.moe.ownerPort],
+					hostID:   c.nd.ID(),
+					hostPort: ph.moe.ownerPort,
+				})
+			}
+		}
+	}
+	for i, p := range incoming[:accepted] {
+		myEntries = append(myEntries, nbrEntry{fragID: incFrag[i], hostID: c.nd.ID(), hostPort: p})
+		if owner && p == ph.moe.ownerPort {
+			s.inAccepted = true
+		}
+	}
+	c.stepDone(trace.StepValidate)
+
+	agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), mergeEntries(myEntries),
+		func(acc nbrList, _ int, v nbrList) nbrList { return mergeEntries(acc, v) })
+	var root nbrList
+	if c.st.IsRoot() {
+		root = agg
+	}
+	s.nbrInfo = ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), root)
+	if c.st.IsRoot() {
+		c.nd.EmitNbrs(c.phase, len(s.nbrInfo))
+	}
+	c.stepDone(trace.StepNbrInfo)
+	return s
 }
 
 // fastAwakeColoring runs the N-stage coloring (§2.3): in stage i, the
@@ -381,7 +372,7 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 	for _, s := range stages {
 		if s.member {
 			// Block 0: the root picks the color; Fragment-Broadcast.
-			var payload interface{}
+			var payload colorMsg
 			if c.st.IsRoot() {
 				used := make(map[Color]bool, len(nbrInfo))
 				for _, e := range nbrInfo {
@@ -401,16 +392,18 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 				}
 				payload = colorMsg{fragID: c.st.FragID, color: pick}
 			}
-			cm := ldt.Broadcast(c.nd, c.st, stageStart(s.id, 0), payload).(colorMsg)
-			myColor = cm.color
+			myColor = ldt.Broadcast(c.nd, c.st, stageStart(s.id, 0), payload).color
 			// Block 1: hosts push the color across supergraph edges.
-			hostOut := make(sim.Outbox)
+			hostOut := c.nd.Outbox()
+			announce := interface{}(colorMsg{fragID: c.st.FragID, color: myColor})
+			host := false
 			for _, e := range nbrInfo {
 				if e.hostID == c.nd.ID() {
-					hostOut[e.hostPort] = colorMsg{fragID: c.st.FragID, color: myColor}
+					hostOut[e.hostPort] = announce
+					host = true
 				}
 			}
-			if len(hostOut) > 0 {
+			if host {
 				ldt.TransmitAdjacent(c.nd, stageStart(s.id, 1), hostOut)
 			}
 			// Blocks 2-3 belong to the neighboring fragments.
@@ -428,7 +421,7 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 		if len(hostPorts) > 0 {
 			in := ldt.TransmitAdjacent(c.nd, stageStart(s.id, 1), nil)
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					got = raw.(colorMsg)
 				}
 			}
@@ -436,14 +429,14 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 		// Block 2: upcast the color to this fragment's root
 		// (Neighbor-Awareness); block 3: broadcast it down.
 		res := c.upcastFirst(stageStart(s.id, 2), got)
-		var payload interface{}
+		var payload colorMsg
 		if c.st.IsRoot() {
-			if res == nil {
-				res = colorMsg{fragID: s.id, color: ColorNone}
+			payload = colorMsg{fragID: s.id, color: ColorNone}
+			if res != nil {
+				payload = res.(colorMsg)
 			}
-			payload = res
 		}
-		cm := ldt.Broadcast(c.nd, c.st, stageStart(s.id, 3), payload).(colorMsg)
+		cm := ldt.Broadcast(c.nd, c.st, stageStart(s.id, 3), payload)
 		if cm.color != ColorNone {
 			nbrColors[cm.fragID] = cm.color
 		}

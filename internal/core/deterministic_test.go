@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"sleepmst/internal/graph"
+	"sleepmst/internal/ldt"
+	"sleepmst/internal/trace"
 )
 
 func TestDeterministicMSTPath(t *testing.T) {
@@ -151,6 +153,59 @@ func TestColorString(t *testing.T) {
 	for c, want := range map[Color]string{Blue: "blue", Red: "red", Orange: "orange", Black: "black", Green: "green", ColorNone: "none"} {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), want)
+		}
+	}
+}
+
+// TestValidateBlockWakesOnlyMOEEndpoints: in the accept/reject
+// Transmit-Adjacent block (dbTAValid) of the deterministic algorithms
+// only MOE endpoints may wake — the hosts of incoming MOEs, which send
+// a notice, and MOE owners, which receive one. A port-indexed outbox
+// always has length Degree(), so a wake test on its length instead of
+// its contents would wake every node.
+func TestValidateBlockWakesOnlyMOEEndpoints(t *testing.T) {
+	g := graph.RandomConnected(64, 192, graph.GenConfig{Seed: 64})
+	blk := ldt.BlockLen(g.N())
+	side := int64(dbTAValid)*blk + int64(g.N()) // offset of the block's side round in a phase
+	for _, tc := range []struct {
+		name        string
+		run         func(*graph.Graph, Options) (*Outcome, error)
+		phaseBlocks int64
+	}{
+		{"deterministic", RunDeterministic, detPhaseBlocks(g.MaxID())},
+		{"logstar", RunLogStar, logStarBlocks(g.MaxID())},
+	} {
+		rec := trace.NewRecorder(1 << 21)
+		if _, err := tc.run(g, Options{Seed: 1, Trace: rec}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rec.Dropped() > 0 {
+			t.Fatalf("%s: recorder dropped %d events", tc.name, rec.Dropped())
+		}
+		phaseLen := tc.phaseBlocks * blk
+		type at struct {
+			round int64
+			node  int32
+		}
+		talked := map[at]bool{}
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.KindSend || ev.Kind == trace.KindDeliver {
+				talked[at{ev.Round, ev.Node}] = true
+			}
+		}
+		woke := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind != trace.KindAwake || (ev.Round-1)%phaseLen != side {
+				continue
+			}
+			woke++
+			if !talked[at{ev.Round, ev.Node}] {
+				t.Errorf("%s: node %d woke for the validate block in round %d but neither sent nor received",
+					tc.name, ev.Node, ev.Round)
+			}
+		}
+		if woke == 0 {
+			t.Errorf("%s: no node woke in a validate block; the check saw nothing", tc.name)
 		}
 	}
 }

@@ -73,27 +73,33 @@ func (m ghsNewFrag) Bits() int { return ldt.FieldBits(m.fragID) }
 
 // ghsNode is the per-node state of the classic algorithm.
 type ghsNode struct {
-	nd       *sim.Node
-	fragID   int64
-	parent   int          // port toward the current root, -1 at root
-	branch   map[int]bool // ports that are tree (MST) edges
-	nbrFrag  []int64
-	deferred sim.Outbox // sends staged for the next exchange
+	nd      *sim.Node
+	fragID  int64
+	parent  int          // port toward the current root, -1 at root
+	branch  map[int]bool // ports that are tree (MST) edges
+	nbrFrag []int64
+	// deferred holds the sends staged for the next step. It is the
+	// node's own buffer, not Node.Outbox's: staged sends outlive the
+	// fragment-ID exchange that opens every phase.
+	deferred sim.Outbox
+	staged   bool
 }
 
 func (gn *ghsNode) stage(port int, msg interface{}) {
-	if gn.deferred == nil {
-		gn.deferred = make(sim.Outbox, 2)
-	}
 	gn.deferred[port] = msg
+	gn.staged = true
 }
 
 // step exchanges the staged outbox and returns the inbox; the node is
 // awake every round, as the traditional model prescribes.
 func (gn *ghsNode) step() sim.Inbox {
-	out := gn.deferred
-	gn.deferred = nil
-	return gn.nd.Exchange(out)
+	if !gn.staged {
+		return gn.nd.Exchange(nil)
+	}
+	in := gn.nd.Exchange(gn.deferred)
+	clear(gn.deferred)
+	gn.staged = false
+	return in
 }
 
 // treePorts returns the current branch ports, sorted.
@@ -156,11 +162,12 @@ func RunClassicGHS(g *graph.Graph, opts Options) (*Outcome, error) {
 
 	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
 		gn := &ghsNode{
-			nd:      nd,
-			fragID:  nd.ID(),
-			parent:  -1,
-			branch:  make(map[int]bool),
-			nbrFrag: make([]int64, nd.Degree()),
+			nd:       nd,
+			fragID:   nd.ID(),
+			parent:   -1,
+			branch:   make(map[int]bool),
+			nbrFrag:  make([]int64, nd.Degree()),
+			deferred: make(sim.Outbox, nd.Degree()),
 		}
 		for phase := 0; phase < maxPhases; phase++ {
 			halted, err := gn.phase(1+int64(phase)*phaseLen, window)
@@ -211,14 +218,14 @@ func (gn *ghsNode) phase(start, window int64) (bool, error) {
 	// the local MOE candidate.
 	gn.nd.SleepUntil(start)
 	deg := gn.nd.Degree()
-	fout := make(sim.Outbox, deg)
-	for p := 0; p < deg; p++ {
-		fout[p] = ghsFragMsg{fragID: gn.fragID}
+	fout := gn.nd.Outbox()
+	frag := interface{}(ghsFragMsg{fragID: gn.fragID})
+	for p := range fout {
+		fout[p] = frag
 	}
-	in := gn.nd.Exchange(fout)
-	for p := 0; p < deg; p++ {
+	for p, raw := range gn.nd.Exchange(fout) {
 		gn.nbrFrag[p] = -1
-		if raw, ok := in[p]; ok {
+		if raw != nil {
 			gn.nbrFrag[p] = raw.(ghsFragMsg).fragID
 		}
 	}
@@ -268,6 +275,9 @@ func (gn *ghsNode) waveA(wave, window int64, st *ghsPhaseState) error {
 	for r := wave; r < wave+window; r++ {
 		in := gn.step()
 		for p, raw := range in {
+			if raw == nil {
+				continue
+			}
 			switch msg := raw.(type) {
 			case ghsInitiate:
 				if p == gn.parent && !initiated {
@@ -331,6 +341,9 @@ func (gn *ghsNode) waveB(wave, window int64, st *ghsPhaseState) error {
 		}
 		in := gn.step()
 		for p, raw := range in {
+			if raw == nil {
+				continue
+			}
 			switch msg := raw.(type) {
 			case ghsRootChange:
 				if st.srcChild < 0 {
@@ -383,6 +396,9 @@ func (gn *ghsNode) waveC(wave, window int64, st *ghsPhaseState) error {
 	for r := wave; r < wave+window; r++ {
 		in := gn.step()
 		for p, raw := range in {
+			if raw == nil {
+				continue
+			}
 			switch msg := raw.(type) {
 			case ghsNewFrag:
 				if got {

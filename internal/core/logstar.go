@@ -114,14 +114,10 @@ func logStarBlocks(maxID int64) int64 {
 }
 
 // logStarColoring produces the 5-color priority palette for this
-// node's fragment using CV + 8 mini-stages. mutualMOE reports whether
-// the fragment's outgoing MOE edge is also the target's MOE (known at
-// the owner from the dbTAMOE exchange), outAccepted whether the
-// outgoing direction was accepted by the target, and inAccepted
-// whether this fragment itself accepted the reverse direction of that
-// same edge; all three are meaningful only at the owner.
-func (c *nodeCtx) logStarColoring(bs func(int64) int64, nbrInfo nbrList,
-	owner bool, ownerPort int, outAccepted, mutualMOE, inAccepted bool) Color {
+// node's fragment using CV + 8 mini-stages, from the sparsification
+// result sp; its per-edge flags are meaningful only at the MOE owner.
+func (c *nodeCtx) logStarColoring(bs func(int64) int64, sp sparsified, owner bool, ownerPort int) Color {
+	nbrInfo := sp.nbrInfo
 	if len(nbrInfo) == 0 {
 		// Isolated in G': Blue by the priority rule (no used colors).
 		return Blue
@@ -139,9 +135,9 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, nbrInfo nbrList,
 	var mine interface{}
 	if owner {
 		pi := parentInfo{}
-		if outAccepted {
+		if sp.outAccepted {
 			target := c.nbrFragID[ownerPort]
-			bothAccepted := mutualMOE && inAccepted
+			bothAccepted := sp.mutualMOE && sp.inAccepted
 			if !bothAccepted || target < c.st.FragID {
 				pi = parentInfo{hasParent: true, fragID: target}
 			}
@@ -149,14 +145,11 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, nbrInfo nbrList,
 		mine = pi
 	}
 	rootGot := c.upcastFirst(bs(9), mine)
-	var payload interface{}
-	if c.st.IsRoot() {
-		if rootGot == nil {
-			rootGot = parentInfo{}
-		}
-		payload = rootGot
+	var payload parentInfo
+	if c.st.IsRoot() && rootGot != nil {
+		payload = rootGot.(parentInfo)
 	}
-	parent := ldt.Broadcast(c.nd, c.st, bs(10), payload).(parentInfo)
+	parent := ldt.Broadcast(c.nd, c.st, bs(10), payload)
 
 	// Hosts of G' edges, for the per-iteration color exchange.
 	hostPorts := make([]int, 0, 4)
@@ -175,33 +168,28 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, nbrInfo nbrList,
 		// TA: hosts exchange current colors with all G' neighbors.
 		var got []cvColorMsg
 		if len(hostPorts) > 0 {
-			out := make(sim.Outbox, len(hostPorts))
+			out := c.nd.Outbox()
+			own := interface{}(cvColorMsg{fragID: c.st.FragID, color: cvColor})
 			for _, p := range hostPorts {
-				out[p] = cvColorMsg{fragID: c.st.FragID, color: cvColor}
+				out[p] = own
 			}
 			in := ldt.TransmitAdjacent(c.nd, bs(ib), out)
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					got = append(got, raw.(cvColorMsg))
 				}
 			}
 		}
 		// Up + Broadcast: all members learn the neighbors' colors.
-		agg := ldt.Up(c.nd, c.st, bs(ib+1), cvColorList(got),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
-				merged := append(cvColorList(nil), own.(cvColorList)...)
-				for _, v := range fromChildren {
-					if v != nil {
-						merged = append(merged, v.(cvColorList)...)
-					}
-				}
-				return dedupeCV(merged)
+		agg := ldt.Up(c.nd, c.st, bs(ib+1), dedupeCV(got),
+			func(acc cvColorList, _ int, v cvColorList) cvColorList {
+				return dedupeCV(append(acc, v...))
 			})
-		var bc interface{}
+		var bc cvColorList
 		if c.st.IsRoot() {
-			bc = agg.(cvColorList)
+			bc = agg
 		}
-		nbrCV := ldt.Broadcast(c.nd, c.st, bs(ib+2), bc).(cvColorList)
+		nbrCV := ldt.Broadcast(c.nd, c.st, bs(ib+2), bc)
 
 		// Local lockstep update.
 		if parent.hasParent {
@@ -257,7 +245,7 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 		sb := func(b int64) int64 { return bs(stageBase + 4*class + b) }
 		if myCV == class {
 			// Member: pick color, broadcast, push to neighbors.
-			var payload interface{}
+			var payload colorMsg
 			if c.st.IsRoot() {
 				used := make(map[Color]bool, len(nbrInfo))
 				for _, e := range nbrInfo {
@@ -277,12 +265,12 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 				}
 				payload = colorMsg{fragID: c.st.FragID, color: pick}
 			}
-			cm := ldt.Broadcast(c.nd, c.st, sb(0), payload).(colorMsg)
-			myColor = cm.color
+			myColor = ldt.Broadcast(c.nd, c.st, sb(0), payload).color
 			if len(hostPorts) > 0 {
-				out := make(sim.Outbox, len(hostPorts))
+				out := c.nd.Outbox()
+				announce := interface{}(colorMsg{fragID: c.st.FragID, color: myColor})
 				for _, p := range hostPorts {
-					out[p] = colorMsg{fragID: c.st.FragID, color: myColor}
+					out[p] = announce
 				}
 				ldt.TransmitAdjacent(c.nd, sb(1), out)
 			}
@@ -294,7 +282,7 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 			in := ldt.TransmitAdjacent(c.nd, sb(1), nil)
 			var lm []colorMsg
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					lm = append(lm, raw.(colorMsg))
 				}
 			}
@@ -302,30 +290,20 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 				got = colorMsgList(lm)
 			}
 		}
+		// The wave stays untyped: a subtree with nothing to report
+		// sends an empty envelope, not an empty list.
 		agg := ldt.Up(c.nd, c.st, sb(2), got,
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
-				var merged colorMsgList
-				if own != nil {
-					merged = append(merged, own.(colorMsgList)...)
+			func(acc interface{}, _ int, v interface{}) interface{} {
+				if acc == nil {
+					return v
 				}
-				for _, v := range fromChildren {
-					if v != nil {
-						merged = append(merged, v.(colorMsgList)...)
-					}
-				}
-				if len(merged) == 0 {
-					return nil
-				}
-				return merged
+				return append(append(colorMsgList(nil), acc.(colorMsgList)...), v.(colorMsgList)...)
 			})
-		var bc interface{}
-		if c.st.IsRoot() {
-			if agg == nil {
-				agg = colorMsgList{}
-			}
-			bc = agg
+		var bc colorMsgList
+		if c.st.IsRoot() && agg != nil {
+			bc = agg.(colorMsgList)
 		}
-		res := ldt.Broadcast(c.nd, c.st, sb(3), bc).(colorMsgList)
+		res := ldt.Broadcast(c.nd, c.st, sb(3), bc)
 		for _, m := range res {
 			nbrColors[m.fragID] = m.color
 		}
@@ -367,145 +345,24 @@ func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
 		return true
 	}
 	owner := c.isMOEOwner(&ph.moe)
-
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
-		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
-	}
-	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
-	var incomingPorts []int
-	incFrag := make(map[int]int64)
-	mutualMOE := false
-	for p := 0; p < c.nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
-			continue
-		}
-		msg := raw.(taMOEMsg)
-		if msg.isMOE && msg.fragID != c.st.FragID {
-			incomingPorts = append(incomingPorts, p)
-			incFrag[p] = msg.fragID
-			if owner && p == ph.moe.ownerPort {
-				mutualMOE = true
-			}
-		}
-	}
-	sort.Ints(incomingPorts)
-
-	childCount := make(map[int]int64)
-	total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			sum := int64(own.(intPayload))
-			for port, v := range fromChildren {
-				cnt := int64(v.(intPayload))
-				childCount[port] = cnt
-				sum += cnt
-			}
-			return intPayload(sum)
-		})
-	budget := int64(total.(intPayload))
-	if budget > c.acceptBudget {
-		budget = c.acceptBudget
-	}
-	validIn := make(map[int]bool, len(incomingPorts))
-	ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-		func(received interface{}) map[int]interface{} {
-			var b int64
-			if received != nil {
-				b = int64(received.(intPayload))
-			}
-			for _, p := range incomingPorts {
-				if b == 0 {
-					break
-				}
-				validIn[p] = true
-				b--
-			}
-			outs := make(map[int]interface{})
-			for _, child := range c.st.Children {
-				if b == 0 {
-					break
-				}
-				give := childCount[child]
-				if give > b {
-					give = b
-				}
-				if give > 0 {
-					outs[child] = intPayload(give)
-					b -= give
-				}
-			}
-			return outs
-		})
-
-	taOut := make(sim.Outbox, len(incomingPorts))
-	for _, p := range incomingPorts {
-		taOut[p] = validMsg{accepted: validIn[p]}
-	}
-	outAccepted := false
-	var myEntries []nbrEntry
-	if len(taOut) > 0 || owner {
-		vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
-		if owner {
-			if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
-				outAccepted = true
-				myEntries = append(myEntries, nbrEntry{
-					fragID:   c.nbrFragID[ph.moe.ownerPort],
-					hostID:   c.nd.ID(),
-					hostPort: ph.moe.ownerPort,
-				})
-			}
-		}
-	}
-	for _, p := range incomingPorts {
-		if validIn[p] {
-			myEntries = append(myEntries, nbrEntry{fragID: incFrag[p], hostID: c.nd.ID(), hostPort: p})
-		}
-	}
-	c.stepDone(trace.StepValidate)
-	agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			lists := [][]nbrEntry{own.(nbrList)}
-			for _, v := range fromChildren {
-				if v != nil {
-					lists = append(lists, v.(nbrList))
-				}
-			}
-			return mergeEntries(lists...)
-		})
-	var bcastPayload interface{}
-	if c.st.IsRoot() {
-		bcastPayload = agg.(nbrList)
-	}
-	nbrInfo := ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
-	if c.st.IsRoot() {
-		c.nd.EmitNbrs(c.phase, len(nbrInfo))
-	}
-	c.stepDone(trace.StepNbrInfo)
+	sp := c.sparsify(bs, ph, owner)
+	nbrInfo := sp.nbrInfo
 
 	// --- Step (ii): log* coloring + merging -----------------------------
 	ownerPort := -1
-	inAccepted := false
 	if owner {
 		ownerPort = ph.moe.ownerPort
-		inAccepted = validIn[ownerPort]
 	}
-	myColor := c.logStarColoring(bs, nbrInfo, owner, ownerPort, outAccepted, mutualMOE, inAccepted)
+	myColor := c.logStarColoring(bs, sp, owner, ownerPort)
 	c.stepDone(trace.StepColoring)
 
 	mergeBase := logStarBlocks(c.nd.MaxID()) - 7
-	var cmdPayload interface{}
-	if c.st.IsRoot() {
-		cmd := mergeCmd{}
-		if myColor == Blue && len(nbrInfo) > 0 {
-			e := nbrInfo[0]
-			cmd = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
-		}
-		cmdPayload = cmd
+	var cmdPayload mergeCmd
+	if c.st.IsRoot() && myColor == Blue && len(nbrInfo) > 0 {
+		e := nbrInfo[0]
+		cmdPayload = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
 	}
-	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase), cmdPayload).(mergeCmd)
+	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase), cmdPayload)
 	c.stepDone(trace.StepDecide)
 	dec := ldt.NoMerge
 	if cmd.merging {

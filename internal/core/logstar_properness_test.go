@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"sleepmst/internal/graph"
@@ -44,123 +43,15 @@ func TestLogStarColoringProperness(t *testing.T) {
 			return nil
 		}
 		owner := c.isMOEOwner(&ph.moe)
-		out := make(sim.Outbox, c.nd.Degree())
-		for p := 0; p < c.nd.Degree(); p++ {
-			out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
-		}
-		in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-		var incomingPorts []int
-		incFrag := make(map[int]int64)
-		mutualMOE := false
-		for p := 0; p < c.nd.Degree(); p++ {
-			raw, ok := in[p]
-			if !ok {
-				continue
-			}
-			msg := raw.(taMOEMsg)
-			if msg.isMOE && msg.fragID != c.st.FragID {
-				incomingPorts = append(incomingPorts, p)
-				incFrag[p] = msg.fragID
-				if owner && p == ph.moe.ownerPort {
-					mutualMOE = true
-				}
-			}
-		}
-		sort.Ints(incomingPorts)
-		childCount := make(map[int]int64)
-		total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
-				sum := int64(own.(intPayload))
-				for port, v := range fromChildren {
-					cnt := int64(v.(intPayload))
-					childCount[port] = cnt
-					sum += cnt
-				}
-				return intPayload(sum)
-			})
-		budget := int64(total.(intPayload))
-		if budget > MaxValidIncomingMOEs {
-			budget = MaxValidIncomingMOEs
-		}
-		validIn := make(map[int]bool, len(incomingPorts))
-		ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-			func(received interface{}) map[int]interface{} {
-				var b int64
-				if received != nil {
-					b = int64(received.(intPayload))
-				}
-				for _, p := range incomingPorts {
-					if b == 0 {
-						break
-					}
-					validIn[p] = true
-					b--
-				}
-				outs := make(map[int]interface{})
-				for _, child := range c.st.Children {
-					if b == 0 {
-						break
-					}
-					give := childCount[child]
-					if give > b {
-						give = b
-					}
-					if give > 0 {
-						outs[child] = intPayload(give)
-						b -= give
-					}
-				}
-				return outs
-			})
-		taOut := make(sim.Outbox, len(incomingPorts))
-		for _, p := range incomingPorts {
-			taOut[p] = validMsg{accepted: validIn[p]}
-		}
-		outAccepted := false
-		var myEntries []nbrEntry
-		if len(taOut) > 0 || owner {
-			vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
-			if owner {
-				if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
-					outAccepted = true
-					myEntries = append(myEntries, nbrEntry{
-						fragID:   c.nbrFragID[ph.moe.ownerPort],
-						hostID:   c.nd.ID(),
-						hostPort: ph.moe.ownerPort,
-					})
-				}
-			}
-		}
-		for _, p := range incomingPorts {
-			if validIn[p] {
-				myEntries = append(myEntries, nbrEntry{fragID: incFrag[p], hostID: c.nd.ID(), hostPort: p})
-			}
-		}
-		agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
-				lists := [][]nbrEntry{own.(nbrList)}
-				for _, v := range fromChildren {
-					if v != nil {
-						lists = append(lists, v.(nbrList))
-					}
-				}
-				return mergeEntries(lists...)
-			})
-		var bcastPayload interface{}
-		if c.st.IsRoot() {
-			bcastPayload = agg.(nbrList)
-		}
-		nbrInfo := ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
+		sp := c.sparsify(bs, ph, owner)
+		nbrInfo := sp.nbrInfo
 		ownerPort := -1
 		if owner {
 			ownerPort = ph.moe.ownerPort
+			orients[nd.Index()] = orient{owner: true, outAcc: sp.outAccepted, mutual: sp.mutualMOE,
+				target: c.nbrFragID[ownerPort]}
 		}
-		if owner {
-			orients[nd.Index()] = orient{owner: true, outAcc: outAccepted, mutual: mutualMOE,
-				target: c.nbrFragID[ph.moe.ownerPort]}
-		}
-		inAccepted := owner && validIn[ownerPort]
-		col := c.logStarColoring(bs, nbrInfo, owner, ownerPort, outAccepted, mutualMOE, inAccepted)
+		col := c.logStarColoring(bs, sp, owner, ownerPort)
 		colors[nd.Index()] = col
 		nbrs[nd.Index()] = nbrInfo
 		return nil

@@ -93,13 +93,13 @@ func (taFragMsg) MsgKind() string { return "ta-frag" }
 // taFragment runs one Transmit-Adjacent block in which every node
 // refreshes its per-port neighbor knowledge.
 func (c *nodeCtx) taFragment(start int64) {
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
-		out[p] = taFragMsg{id: c.nd.ID(), fragID: c.st.FragID, level: c.st.Level}
+	out := c.nd.Outbox()
+	msg := interface{}(taFragMsg{id: c.nd.ID(), fragID: c.st.FragID, level: c.st.Level})
+	for p := range out {
+		out[p] = msg
 	}
-	in := ldt.TransmitAdjacent(c.nd, start, out)
-	for p := 0; p < c.nd.Degree(); p++ {
-		if raw, ok := in[p]; ok {
+	for p, raw := range ldt.TransmitAdjacent(c.nd, start, out) {
+		if raw != nil {
 			msg := raw.(taFragMsg)
 			c.nbrFragID[p] = msg.fragID
 			c.nbrLevel[p] = msg.level
@@ -186,12 +186,11 @@ func (bcastMOEMsg) MsgKind() string { return "bcast-moe" }
 // broadcastMOE distributes the root's MOE knowledge (and coin) to the
 // whole fragment.
 func (c *nodeCtx) broadcastMOE(start int64, rootMsg *bcastMOEMsg) bcastMOEMsg {
-	var payload interface{}
+	var payload bcastMOEMsg
 	if c.st.IsRoot() {
 		payload = *rootMsg
 	}
-	got := ldt.Broadcast(c.nd, c.st, start, payload)
-	return got.(bcastMOEMsg)
+	return ldt.Broadcast(c.nd, c.st, start, payload)
 }
 
 // isMOEOwner reports whether this node owns the fragment MOE described
@@ -210,15 +209,10 @@ func (boolPayload) MsgKind() string { return "bool" }
 // upcastFirst runs an Up block that propagates the first non-nil value
 // toward the root (used for single-owner facts such as MOE validity).
 func (c *nodeCtx) upcastFirst(start int64, mine interface{}) interface{} {
-	return ldt.Up(c.nd, c.st, start, mine, func(own interface{}, fromChildren map[int]interface{}) interface{} {
-		if own != nil {
-			return own
+	return ldt.Up(c.nd, c.st, start, mine, func(first interface{}, _ int, v interface{}) interface{} {
+		if first != nil {
+			return first
 		}
-		for _, child := range c.st.Children {
-			if v, ok := fromChildren[child]; ok && v != nil {
-				return v
-			}
-		}
-		return nil
+		return v
 	})
 }

@@ -113,11 +113,11 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 		epi := 1 + int64(donePhase+1)*blkPerPhase
 		mine := &ldt.MinItem{Key: graph.WeightKey{W: values[nd.Index()]}, Payload: intPayload(values[nd.Index()])}
 		rootMin := ldt.UpcastMin(c.nd, c.st, epi, mine)
-		var payload interface{}
+		var payload intPayload
 		if c.st.IsRoot() {
 			payload = intPayload(rootMin.Key.W)
 		}
-		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload).(intPayload)
+		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload)
 		perNode[nd.Index()] = int64(got)
 		return nil
 	})
@@ -171,14 +171,14 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 			mine = intPayload(value)
 		}
 		rootGot := c.upcastFirst(epi, mine)
-		var payload interface{}
+		var payload intPayload
 		if c.st.IsRoot() {
 			if rootGot == nil {
 				return errors.New("source value never reached the root")
 			}
-			payload = rootGot
+			payload = rootGot.(intPayload)
 		}
-		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload).(intPayload)
+		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload)
 		perNode[nd.Index()] = int64(got)
 		return nil
 	})

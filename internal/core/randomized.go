@@ -60,13 +60,13 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 
 	// Restrict to valid MOEs: only tails -> heads edges survive.
 	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
-		out[p] = taMOEMsg{
-			fragID: c.st.FragID,
-			coin:   ph.coin,
-			isMOE:  owner && p == ph.moe.ownerPort,
-		}
+	out := c.nd.Outbox()
+	mark := interface{}(taMOEMsg{fragID: c.st.FragID, coin: ph.coin})
+	for p := range out {
+		out[p] = mark
+	}
+	if owner {
+		out[ph.moe.ownerPort] = taMOEMsg{fragID: c.st.FragID, coin: ph.coin, isMOE: true}
 	}
 	in := ldt.TransmitAdjacent(c.nd, bs(rbTAMOE), out)
 	c.stepDone(trace.StepMarkMOE)
@@ -74,7 +74,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 	var validUp interface{}
 	if owner {
 		valid := false
-		if raw, ok := in[ph.moe.ownerPort]; ok {
+		if raw := in[ph.moe.ownerPort]; raw != nil {
 			target := raw.(taMOEMsg)
 			valid = !ph.coin && target.coin // we are tails, target heads
 		}
@@ -83,12 +83,11 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 	rootValid := c.upcastFirst(bs(rbUpValid), validUp)
 	c.stepDone(trace.StepValidate)
 
-	var mergePayload interface{}
+	var mergePayload boolPayload
 	if c.st.IsRoot() {
-		merging := rootValid != nil && bool(rootValid.(boolPayload))
-		mergePayload = boolPayload(merging)
+		mergePayload = boolPayload(rootValid != nil && bool(rootValid.(boolPayload)))
 	}
-	merging := bool(ldt.Broadcast(c.nd, c.st, bs(rbBcastMerge), mergePayload).(boolPayload))
+	merging := bool(ldt.Broadcast(c.nd, c.st, bs(rbBcastMerge), mergePayload))
 	c.stepDone(trace.StepDecide)
 
 	// Step (ii): merge along valid MOEs.

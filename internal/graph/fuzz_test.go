@@ -31,9 +31,9 @@ func FuzzNew(f *testing.F) {
 	f.Add(0, []byte{})
 	f.Add(-3, []byte{1, 0, 2, 0, 5, 0})
 	f.Add(3, []byte{0, 0, 1, 0, 5, 0, 1, 0, 2, 0, 7, 0})
-	f.Add(2, []byte{0, 0, 0, 0, 1, 0})       // self-loop
+	f.Add(2, []byte{0, 0, 0, 0, 1, 0})                   // self-loop
 	f.Add(2, []byte{0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0}) // duplicate edge
-	f.Add(4, []byte{0, 0, 9, 0, 1, 0})       // endpoint out of range
+	f.Add(4, []byte{0, 0, 9, 0, 1, 0})                   // endpoint out of range
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
 		if n > 1<<12 {
 			n %= 1 << 12 // keep allocations bounded, negatives pass through

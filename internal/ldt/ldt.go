@@ -16,6 +16,8 @@ package ldt
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/sim"
@@ -135,39 +137,82 @@ func (m wireMsg) Bits() int { return sim.MessageBits(m.payload) + 2 }
 // tallies distinguish e.g. wave-carried colors from direct exchanges.
 func (m wireMsg) MsgKind() string {
 	if k, ok := m.payload.(sim.Kinded); ok {
-		return "wave-" + k.MsgKind()
+		return waveKind(k.MsgKind())
 	}
 	return "wave"
 }
 
-// Down runs one top-down wave over the fragment tree within the block
-// starting at round start. The root's incoming value is rootVal; every
-// other node receives the value forwarded by its parent (nil if the
-// parent forwarded nothing to it). split maps the received value to
-// per-child-port messages; a nil return forwards nothing. Down returns
-// the node's received value.
-//
-// Cost: at most 2 awake rounds (Down-Receive and Down-Send); leaves and
-// nodes that forward nothing skip the Down-Send round.
-func Down(nd *sim.Node, st *State, start int64, rootVal interface{},
-	split func(received interface{}) map[int]interface{}) interface{} {
-	sched := ScheduleFor(start, st.Level, nd.N())
-	var received interface{}
-	if st.IsRoot() {
-		received = rootVal
-	} else {
-		nd.SleepUntil(sched.DownReceive)
-		in := nd.Exchange(nil)
-		if raw, ok := in[st.ParentPort]; ok {
-			received = raw.(wireMsg).payload
+// waveKinds memoizes "wave-"+kind per payload kind, so tallying a
+// delivered wave allocates nothing. Readers load the map without
+// locking; the first sighting of a kind copies it under waveKindsMu.
+var (
+	waveKinds   atomic.Pointer[map[string]string]
+	waveKindsMu sync.Mutex
+)
+
+// waveKind returns "wave-"+kind.
+func waveKind(kind string) string {
+	if m := waveKinds.Load(); m != nil {
+		if s, ok := (*m)[kind]; ok {
+			return s
 		}
 	}
-	outs := split(received)
-	if len(outs) > 0 {
-		out := make(sim.Outbox, len(outs))
-		for port, msg := range outs {
-			out[port] = wireMsg{payload: msg}
+	waveKindsMu.Lock()
+	defer waveKindsMu.Unlock()
+	next := map[string]string{}
+	if m := waveKinds.Load(); m != nil {
+		if s, ok := (*m)[kind]; ok {
+			return s
 		}
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	s := "wave-" + kind
+	next[kind] = s
+	waveKinds.Store(&next)
+	return s
+}
+
+// unwrap extracts the payload of a wave envelope taken from an inbox
+// slot. ok is false when nothing arrived or the envelope is empty; a
+// payload of another type than T panics like any protocol violation.
+func unwrap[T any](raw interface{}) (v T, ok bool) {
+	if raw == nil {
+		return v, false
+	}
+	p := raw.(wireMsg).payload
+	if p == nil {
+		return v, false
+	}
+	return p.(T), true
+}
+
+// Down runs one top-down wave over the fragment tree within the block
+// starting at round start. The root's incoming value is rootVal; every
+// other node receives the value its parent forwarded to it (the zero
+// value if the parent forwarded nothing). split sees the received value
+// and calls send once per child port that gets a value; a node that
+// sends nothing skips its Down-Send round. Down returns the received
+// value.
+//
+// Cost: at most 2 awake rounds (Down-Receive and Down-Send).
+func Down[T any](nd *sim.Node, st *State, start int64, rootVal T,
+	split func(received T, send func(child int, v T))) T {
+	sched := ScheduleFor(start, st.Level, nd.N())
+	received := rootVal
+	if !st.IsRoot() {
+		nd.SleepUntil(sched.DownReceive)
+		received, _ = unwrap[T](nd.Exchange(nil)[st.ParentPort])
+	}
+	var out sim.Outbox
+	split(received, func(child int, v T) {
+		if out == nil {
+			out = nd.Outbox()
+		}
+		out[child] = wireMsg{payload: v}
+	})
+	if out != nil {
 		nd.SleepUntil(sched.DownSend)
 		nd.Exchange(out)
 	}
@@ -176,47 +221,66 @@ func Down(nd *sim.Node, st *State, start int64, rootVal interface{},
 
 // Broadcast implements the paper's Fragment-Broadcast: the root's msg
 // reaches every node of the fragment; every node returns the message
-// (the root returns its own). Cost: one block, <= 2 awake rounds.
-func Broadcast(nd *sim.Node, st *State, start int64, msg interface{}) interface{} {
-	return Down(nd, st, start, msg, func(received interface{}) map[int]interface{} {
-		if received == nil || len(st.Children) == 0 {
-			return nil
-		}
-		out := make(map[int]interface{}, len(st.Children))
+// (the root returns its own). The root boxes the envelope once and
+// every node forwards the envelope it received unchanged to all its
+// children. Cost: one block, <= 2 awake rounds.
+//
+// A node whose parent forwarded nothing — possible only under faults —
+// forwards nothing and panics: the fragment-wide value its caller
+// needs never arrived.
+func Broadcast[T any](nd *sim.Node, st *State, start int64, msg T) T {
+	sched := ScheduleFor(start, st.Level, nd.N())
+	var env interface{}
+	if st.IsRoot() {
+		env = wireMsg{payload: msg}
+	} else {
+		nd.SleepUntil(sched.DownReceive)
+		env = nd.Exchange(nil)[st.ParentPort]
+	}
+	got, ok := unwrap[T](env)
+	if !ok {
+		panic(fmt.Sprintf("ldt: node %d: no broadcast value from its parent", nd.Index()))
+	}
+	if len(st.Children) > 0 {
+		out := nd.Outbox()
 		for _, c := range st.Children {
-			out[c] = received
+			out[c] = env
 		}
-		return out
-	})
+		nd.SleepUntil(sched.DownSend)
+		nd.Exchange(out)
+	}
+	return got
 }
 
 // Up runs one bottom-up wave (convergecast) within the block starting
-// at round start. Each node combines its own value with the values
-// received from its children and forwards the result to its parent;
-// the root's combined value is the fragment-wide result. Up returns
-// the node's combined value.
+// at round start. Each node folds the values its children sent into
+// its own, in st.Children order — acc = fold(acc, child, v), starting
+// from own; children that sent nothing or an empty envelope are
+// skipped — and forwards the result to its parent; the root's result
+// is the fragment-wide value. Up returns the node's folded value.
 //
 // Cost: at most 2 awake rounds (Up-Receive for non-leaves, Up-Send for
 // non-roots).
-func Up(nd *sim.Node, st *State, start int64, own interface{},
-	combine func(own interface{}, fromChildren map[int]interface{}) interface{}) interface{} {
+func Up[T any](nd *sim.Node, st *State, start int64, own T,
+	fold func(acc T, child int, v T) T) T {
 	sched := ScheduleFor(start, st.Level, nd.N())
-	fromChildren := make(map[int]interface{})
+	acc := own
 	if len(st.Children) > 0 {
 		nd.SleepUntil(sched.UpReceive)
 		in := nd.Exchange(nil)
 		for _, c := range st.Children {
-			if raw, ok := in[c]; ok {
-				fromChildren[c] = raw.(wireMsg).payload
+			if v, ok := unwrap[T](in[c]); ok {
+				acc = fold(acc, c, v)
 			}
 		}
 	}
-	combined := combine(own, fromChildren)
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.UpSend)
-		nd.Exchange(sim.Outbox{st.ParentPort: wireMsg{payload: combined}})
+		out := nd.Outbox()
+		out[st.ParentPort] = wireMsg{payload: acc}
+		nd.Exchange(out)
 	}
-	return combined
+	return acc
 }
 
 // FieldBits returns the number of bits needed to encode x (sign
@@ -251,27 +315,21 @@ func (MinItem) MsgKind() string { return "upcast-min" }
 // held by any node of the fragment reaches the root. Nodes with no
 // item pass nil. Every node returns the minimum over its subtree; the
 // root's return value is the fragment-wide minimum (nil if no node
-// held an item).
+// held an item). A subtree minimum travels in the box it arrived in.
 func UpcastMin(nd *sim.Node, st *State, start int64, mine *MinItem) *MinItem {
-	res := Up(nd, st, start, mine, func(own interface{}, fromChildren map[int]interface{}) interface{} {
-		best := own.(*MinItem)
-		for _, v := range fromChildren {
-			if v == nil {
-				continue
-			}
-			it, ok := v.(MinItem)
-			if !ok {
-				continue
-			}
-			if best == nil || it.Key.Less(best.Key) {
-				cp := it
-				best = &cp
-			}
+	var own interface{}
+	if mine != nil {
+		own = *mine // send by value over the wire
+	}
+	res := Up(nd, st, start, own, func(best interface{}, _ int, v interface{}) interface{} {
+		it, ok := v.(MinItem)
+		if !ok {
+			return best
 		}
-		if best == nil {
-			return nil
+		if cur, has := best.(MinItem); has && !it.Key.Less(cur.Key) {
+			return best
 		}
-		return *best // send by value over the wire
+		return v
 	})
 	if res == nil {
 		return nil

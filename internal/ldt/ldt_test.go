@@ -188,14 +188,16 @@ func TestTransmitAdjacentCrossesFragments(t *testing.T) {
 	type adjMsg struct{ frag int64 }
 	heard := make([]map[int]int64, g.N())
 	_, res := runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		out := make(sim.Outbox, nd.Degree())
-		for p := 0; p < nd.Degree(); p++ {
+		out := nd.Outbox()
+		for p := range out {
 			out[p] = adjMsg{frag: st.FragID}
 		}
 		in := TransmitAdjacent(nd, 1, out)
 		m := make(map[int]int64)
 		for p, raw := range in {
-			m[p] = raw.(adjMsg).frag
+			if raw != nil {
+				m[p] = raw.(adjMsg).frag
+			}
 		}
 		heard[nd.Index()] = m
 		return nil
@@ -231,17 +233,10 @@ func TestDownDistributesDistinctValues(t *testing.T) {
 	parents := []int{-1, 0, 0, 0}
 	got := make([]interface{}, g.N())
 	runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		rcv := Down(nd, st, 1, testPayload{v: 6}, func(received interface{}) map[int]interface{} {
-			if received == nil || len(st.Children) == 0 {
-				return nil
-			}
-			total := received.(testPayload).v
-			out := make(map[int]interface{}, len(st.Children))
-			share := total / int64(len(st.Children))
+		rcv := Down(nd, st, 1, testPayload{v: 6}, func(received testPayload, send func(int, testPayload)) {
 			for _, c := range st.Children {
-				out[c] = testPayload{v: share}
+				send(c, testPayload{v: received.v / int64(len(st.Children))})
 			}
-			return out
 		})
 		got[nd.Index()] = rcv
 		return nil
@@ -425,6 +420,28 @@ func TestFieldBits(t *testing.T) {
 	for _, tc := range cases {
 		if got := FieldBits(tc.x); got != tc.want {
 			t.Errorf("FieldBits(%d) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+}
+
+// TestWaveKindAllocationFree pins the wave envelope's tally names —
+// "wave-"+payload kind, or "wave" for an unkinded payload — and that
+// naming a delivered wave allocates nothing once its kind was seen.
+func TestWaveKindAllocationFree(t *testing.T) {
+	for _, tc := range []struct {
+		msg  sim.Kinded
+		want string
+	}{
+		{wireMsg{payload: MinItem{}}, "wave-upcast-min"},
+		{wireMsg{payload: waveMsg{}}, "wave-merge-wave"},
+		{wireMsg{payload: testPayload{v: 1}}, "wave"},
+		{wireMsg{}, "wave"},
+	} {
+		if got := tc.msg.MsgKind(); got != tc.want {
+			t.Errorf("MsgKind() = %q, want %q", got, tc.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = tc.msg.MsgKind() }); a != 0 {
+			t.Errorf("%s: MsgKind allocates %.1f times per call, want 0", tc.want, a)
 		}
 	}
 }

@@ -66,23 +66,21 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 
 	// Block A: Transmit-Adjacent. Everyone advertises (fragID, level);
 	// the attachment node u_T raises the attach flag on its merge edge.
-	out := make(sim.Outbox, nd.Degree())
-	for p := 0; p < nd.Degree(); p++ {
-		out[p] = taMergeMsg{
-			fragID: st.FragID,
-			level:  st.Level,
-			attach: dec.Merging && p == dec.AttachPort,
-		}
+	// The advertisement is the same on every port but the merge edge,
+	// so it is boxed once.
+	out := nd.Outbox()
+	adv := interface{}(taMergeMsg{fragID: st.FragID, level: st.Level})
+	for p := range out {
+		out[p] = adv
+	}
+	if dec.Merging && dec.AttachPort >= 0 {
+		out[dec.AttachPort] = taMergeMsg{fragID: st.FragID, level: st.Level, attach: true}
 	}
 	in := TransmitAdjacent(nd, start, out)
 
 	// Heads-side bookkeeping: adopt attaching neighbors as children.
-	for p := 0; p < nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
-			continue
-		}
-		if msg := raw.(taMergeMsg); msg.attach {
+	for p, raw := range in {
+		if raw != nil && raw.(taMergeMsg).attach {
 			st.AddChild(p)
 		}
 	}
@@ -95,8 +93,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	var newChildren []int
 
 	if dec.Merging && dec.AttachPort >= 0 {
-		raw, ok := in[dec.AttachPort]
-		if !ok {
+		raw := in[dec.AttachPort]
+		if raw == nil {
 			panic(fmt.Sprintf("ldt: node %d: no merge-partner info on port %d", nd.Index(), dec.AttachPort))
 		}
 		uh := raw.(taMergeMsg)
@@ -123,8 +121,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		nd.SleepUntil(sched.UpReceive)
 		rcv := nd.Exchange(nil)
 		for _, c := range st.Children {
-			raw, ok := rcv[c]
-			if !ok {
+			raw := rcv[c]
+			if raw == nil {
 				continue
 			}
 			msg := raw.(waveMsg)
@@ -149,7 +147,9 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	}
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.UpSend)
-		nd.Exchange(sim.Outbox{st.ParentPort: waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}})
+		out := nd.Outbox()
+		out[st.ParentPort] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
+		nd.Exchange(out)
 	}
 
 	// Block C (second instance): the values flow down the old tree to
@@ -158,7 +158,7 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.DownReceive)
 		rcv := nd.Exchange(nil)
-		if raw, ok := rcv[st.ParentPort]; ok {
+		if raw := rcv[st.ParentPort]; raw != nil {
 			msg := raw.(waveMsg)
 			if !msg.empty && newLevel < 0 {
 				newLevel, newFrag = msg.level+1, msg.fragID
@@ -166,9 +166,10 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		}
 	}
 	if len(st.Children) > 0 {
-		downOut := make(sim.Outbox, len(st.Children))
+		downOut := nd.Outbox()
+		wave := interface{}(waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0})
 		for _, c := range st.Children {
-			downOut[c] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
+			downOut[c] = wave
 		}
 		nd.SleepUntil(sched.DownSend)
 		nd.Exchange(downOut)

@@ -69,7 +69,7 @@ func (rt *runtime) chooseSendOrder(round int64, participants []int) []int {
 	rt.sendOrder = rt.sendOrder[:0]
 	rt.sendPool = rt.sendPool[:0]
 	for _, idx := range participants {
-		if len(rt.nodes[idx].out) > 0 {
+		if hasMessages(rt.nodes[idx].out) {
 			rt.sendPool = append(rt.sendPool, idx)
 		}
 	}

@@ -126,11 +126,26 @@ type MessageEvent struct {
 	Mutated bool
 }
 
-// Outbox maps port number -> message to send on that port.
-type Outbox map[int]interface{}
+// Outbox is a node's staged sends for one Exchange, indexed by port:
+// out[p] is the message for port p and a nil slot sends nothing. Ports
+// past the end of a short outbox stay silent; an outbox longer than
+// the node's degree fails the run.
+type Outbox []interface{}
 
-// Inbox maps port number -> message received on that port.
-type Inbox map[int]interface{}
+// Inbox is what a node received in one Exchange, indexed by port. Its
+// length is always the node's degree; in[p] is nil when nothing
+// arrived on port p.
+type Inbox []interface{}
+
+// hasMessages reports whether out stages at least one message.
+func hasMessages(out Outbox) bool {
+	for _, msg := range out {
+		if msg != nil {
+			return true
+		}
+	}
+	return false
+}
 
 // Program is the code run by every node.
 type Program func(nd *Node) error
@@ -363,17 +378,14 @@ type Node struct {
 	perturbed bool // wake was delayed by the interceptor
 
 	out Outbox // staged by Exchange, consumed by the scheduler
-	in  Inbox  // set by the scheduler before resuming
 
-	// Inbox recycling: recycle is the map returned by the previous
-	// Exchange (still owned by the program until the next call); spare
-	// is a cleared map the scheduler may refill via deposit.
-	recycle Inbox
-	spare   Inbox
-
-	// Outbox recycling: outSpare is the map handed out by the previous
-	// Outbox call, recycled on the next one (see Outbox).
-	outSpare Outbox
+	// in is the node's inbox buffer (length Degree): the scheduler
+	// deposits into it while the node is parked, and the program owns
+	// it from Exchange's return until its next Exchange, which clears
+	// it if inUsed. outBuf is the staging buffer Outbox hands out.
+	in     Inbox
+	inUsed bool
+	outBuf Outbox
 
 	// Event engine: yield parks the node's coroutine inside Exchange;
 	// exitErr is the program's return value, read by the scheduler
@@ -429,19 +441,14 @@ func (nd *Node) Rand() *rand.Rand {
 	return nd.rng
 }
 
-// Outbox returns a cleared message-staging map owned by the runtime,
-// recycling the map handed out by the node's previous Outbox call. The
-// returned map is valid until that next call — the usual pattern
-// (fill, Exchange, repeat) never allocates after the first round. A
-// program that needs to retain a staged outbox must build its own map
-// with make instead.
+// Outbox returns the node's staging buffer, cleared: length Degree(),
+// owned by the runtime and reused by every call, so the usual pattern
+// (fill, Exchange, repeat) never allocates. It is valid until the
+// node's next Outbox call; a program that must keep a staged outbox
+// across that call makes its own with make(Outbox, nd.Degree()).
 func (nd *Node) Outbox() Outbox {
-	if nd.outSpare == nil {
-		nd.outSpare = make(Outbox, nd.Degree())
-		return nd.outSpare
-	}
-	clear(nd.outSpare)
-	return nd.outSpare
+	clear(nd.outBuf)
+	return nd.outBuf
 }
 
 // Metrics returns the run's metrics registry. It is nil when the run
@@ -503,29 +510,31 @@ func (nd *Node) SleepUntil(r int64) {
 }
 
 // Exchange spends one awake round: the node is awake in round Round(),
-// sends out[port] on each listed port, and receives the messages sent
-// to it this round by awake neighbors. After Exchange returns the node
-// is positioned before round Round()+1. A nil out sends nothing.
+// sends out[p] on every port p whose slot is non-nil, and receives the
+// messages sent to it this round by awake neighbors. After Exchange
+// returns the node is positioned before round Round()+1. A nil out
+// sends nothing.
 //
-// The returned Inbox is owned by the runtime and valid only until the
-// node's next Exchange call, which recycles it; programs that need a
-// message beyond that must copy it out first.
+// The returned Inbox is the node's runtime-owned buffer, valid only
+// until the node's next Exchange call, which clears it; programs that
+// need a message beyond that must copy it out first.
 func (nd *Node) Exchange(out Outbox) Inbox {
 	if nd.aborted {
 		panic(abortPanic{})
 	}
-	for p := range out {
-		if p < 0 || p >= nd.Degree() {
-			panic(fmt.Sprintf("sim: node %d sends on invalid port %d (degree %d)", nd.idx, p, nd.Degree()))
+	if deg := nd.Degree(); len(out) > deg {
+		p := deg // name the first staged out-of-range port
+		for p < len(out)-1 && out[p] == nil {
+			p++
 		}
+		panic(fmt.Sprintf("sim: node %d sends on invalid port %d (degree %d)", nd.idx, p, deg))
 	}
-	// Reclaim the inbox handed out by the previous Exchange: the
-	// program's lease on it ends here, before the node parks, so the
-	// scheduler can refill it without racing the node goroutine.
-	if nd.recycle != nil {
-		clear(nd.recycle)
-		nd.spare = nd.recycle
-		nd.recycle = nil
+	// The program's lease on the previous inbox ends here, before the
+	// node parks, so the scheduler can refill the buffer without racing
+	// the node goroutine.
+	if nd.inUsed {
+		clear(nd.in)
+		nd.inUsed = false
 	}
 	nd.out = out
 	if nd.yield != nil {
@@ -542,11 +551,8 @@ func (nd *Node) Exchange(out Outbox) Inbox {
 	if nd.aborted {
 		panic(abortPanic{})
 	}
-	in := nd.in
-	nd.in = nil
 	nd.out = nil
-	nd.recycle = in
-	return in
+	return nd.in
 }
 
 // runtime is the scheduler state.
@@ -695,10 +701,19 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	}
 	// One contiguous node arena (struct-of-arrays style bookkeeping
 	// lives in rt.res and the engines; the program-facing handles sit
-	// cache-adjacent here instead of n separate heap objects).
+	// cache-adjacent here instead of n separate heap objects), and one
+	// slot arena backing every node's inbox and outbox buffer.
 	arena := make([]Node, n)
+	ports := 0
 	for i := 0; i < n; i++ {
-		arena[i] = Node{rt: rt, idx: i, wake: 1}
+		ports += cfg.Graph.Degree(i)
+	}
+	slots := make([]interface{}, 2*ports)
+	for i := 0; i < n; i++ {
+		deg := cfg.Graph.Degree(i)
+		in, out := slots[:deg:deg], slots[deg:2*deg:2*deg]
+		slots = slots[2*deg:]
+		arena[i] = Node{rt: rt, idx: i, wake: 1, in: in, outBuf: out}
 		rt.nodes[i] = &arena[i]
 	}
 	switch cfg.Engine {
@@ -803,7 +818,6 @@ func (h *wakeHeap) pop() wakeEntry {
 func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range participants {
 		rt.awakeStamp[idx] = round
-		rt.nodes[idx].in = nil
 	}
 	itc := rt.cfg.Interceptor
 	ch := rt.cfg.Chooser
@@ -824,6 +838,9 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 		ports := rt.cfg.Graph.Ports(idx)
 		if itc == nil && rt.rec == nil && ch == nil && rt.tx == nil {
 			for p, msg := range nd.out {
+				if msg == nil {
+					continue
+				}
 				bits := MessageBits(msg)
 				if rt.cfg.BitCap > 0 && bits > rt.cfg.BitCap {
 					return fmt.Errorf("sim: node %d sent %d-bit message on port %d in round %d, cap %d: %w (%w)",
@@ -842,15 +859,12 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 			}
 			continue
 		}
-		// Ordered path, taken with an interceptor, trace recorder, or
-		// chooser: iterate ports in index order so a stateful
-		// interceptor — and the recorder's event stream, and the
-		// chooser's fault choice points — sees a deterministic event
-		// sequence (the clean path above may range over the outbox map
-		// in any order — harmless there because metering is additive).
-		for p := range ports {
-			msg, staged := nd.out[p]
-			if !staged {
+		// Full path, taken with an interceptor, trace recorder, chooser
+		// or transport. Both paths walk ports in ascending order, so a
+		// stateful interceptor, the recorder's event stream and the
+		// chooser's fault choice points see a deterministic sequence.
+		for p, msg := range nd.out {
+			if msg == nil {
 				continue
 			}
 			bits := MessageBits(msg)
@@ -981,15 +995,8 @@ func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interfa
 		rt.kindTally[kindOf(msg)]++
 	}
 	rcv := rt.nodes[to]
-	if rcv.in == nil {
-		if rcv.spare != nil {
-			rcv.in = rcv.spare
-			rcv.spare = nil
-		} else {
-			rcv.in = make(Inbox, 2)
-		}
-	}
 	rcv.in[rev] = msg
+	rcv.inUsed = true
 	return nil
 }
 

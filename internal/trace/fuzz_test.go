@@ -30,14 +30,14 @@ func FuzzReadJSONL(f *testing.F) {
 `
 	seeds := []string{
 		valid,
-		`{"k":"begin","n":4}` + "\n" + `{"k":"awake","r":1`,              // truncated line
-		`{"k":"awake","r":-1,"v":0}`,                                     // negative coordinate
-		`{"k":"mystery","r":1,"v":0}`,                                    // unknown kind
-		`{"k":"step","r":1,"v":0,"ph":1,"st":"warp","aw":1}`,             // unknown step
-		`{"k":"deliver","r":1,"v":1,"p":0,"from":99999999999}`,           // sender overflows int32
-		`{"k":"awake","r":9223372036854775807,"v":2147483647}`,           // extreme but valid numbers
-		"\n\n  \n" + `{"k":"begin","n":1}` + "\n\n",                      // blank-line padding
-		`{"k":"send","r":1,"v":0,"p":0,"to":2147483648}`,                 // receiver overflows int32
+		`{"k":"begin","n":4}` + "\n" + `{"k":"awake","r":1`,               // truncated line
+		`{"k":"awake","r":-1,"v":0}`,                                      // negative coordinate
+		`{"k":"mystery","r":1,"v":0}`,                                     // unknown kind
+		`{"k":"step","r":1,"v":0,"ph":1,"st":"warp","aw":1}`,              // unknown step
+		`{"k":"deliver","r":1,"v":1,"p":0,"from":99999999999}`,            // sender overflows int32
+		`{"k":"awake","r":9223372036854775807,"v":2147483647}`,            // extreme but valid numbers
+		"\n\n  \n" + `{"k":"begin","n":1}` + "\n\n",                       // blank-line padding
+		`{"k":"send","r":1,"v":0,"p":0,"to":2147483648}`,                  // receiver overflows int32
 		strings.Repeat(`{"k":"awake","r":1,"v":0}`+"\n", 64) + "not json", // trailing garbage
 	}
 	for _, s := range seeds {
