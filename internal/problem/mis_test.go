@@ -2,6 +2,7 @@ package problem
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"sleepmst/internal/core"
@@ -52,6 +53,30 @@ func TestRunMISValidAcrossTopologies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunMISAllocPerNode bounds what one run allocates per node. Each
+// node draws a few random values, so a per-node generator that builds
+// math/rand's 607-word table (about 5 KB) would alone exceed the bound.
+func TestRunMISAllocPerNode(t *testing.T) {
+	const n, maxBytesPerNode = 8192, 3 << 10
+	g := graph.RandomConnected(n, 3*n, graph.GenConfig{Seed: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := RunMIS(g, coreOptions(1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ni, nm := graph.MISViolations(g, r.InMIS); ni != 0 || nm != 0 {
+		t.Fatalf("invalid MIS: %d in-set edges, %d uncovered", ni, nm)
+	}
+	perNode := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("RunMIS allocated %d B per node at n=%d", perNode, n)
+	if perNode > maxBytesPerNode {
+		t.Errorf("RunMIS allocated %d B per node, want at most %d", perNode, maxBytesPerNode)
 	}
 }
 

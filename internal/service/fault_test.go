@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -208,6 +209,69 @@ func TestFaultMalformedFrame(t *testing.T) {
 			assertNoLeaks(t, before)
 		})
 	}
+}
+
+// TestFaultOversizedResponse: an admitted request whose rendered
+// response exceeds MaxFrameBytes (a trace of a 1,024-node
+// mst/randomized run is about 12 MB) is answered promptly with
+// StatusInvalid naming the size and the cap, counted in
+// service/status/invalid, and the connection keeps serving.
+func TestFaultOversizedResponse(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{Workers: 1})
+	srv := NewServer(svc)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+
+	big := Request{ID: 60, Problem: "mst/randomized", Graph: "random", N: 1024, Seed: 1, WantTrace: true}
+	if err := WriteRequest(conn, big); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadResponse(br)
+	if err != nil {
+		t.Fatalf("oversized response never answered: %v", err)
+	}
+	if resp.ID != big.ID || resp.Status != StatusInvalid {
+		t.Fatalf("oversized response answered id=%d status=%v (%s), want %d/invalid",
+			resp.ID, resp.Status, resp.Detail, big.ID)
+	}
+	if !strings.Contains(resp.Detail, fmt.Sprintf("over the %d-byte frame cap", MaxFrameBytes)) {
+		t.Errorf("detail %q does not name the frame cap", resp.Detail)
+	}
+
+	small := Request{ID: 61, Problem: "mst/randomized", Graph: "random", N: 24, Seed: 1, WantTrace: true}
+	if err := WriteRequest(conn, small); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = ReadResponse(br)
+	if err != nil {
+		t.Fatalf("connection stopped serving after the oversized response: %v", err)
+	}
+	if resp.ID != small.ID || resp.Status != StatusOK || len(resp.Trace) == 0 {
+		t.Fatalf("follow-up answered id=%d status=%v (%s) with %d trace bytes, want %d/ok with a trace",
+			resp.ID, resp.Status, resp.Detail, len(resp.Trace), small.ID)
+	}
+	if got := svc.Metrics().Get("service/status/invalid"); got != 1 {
+		t.Errorf("service/status/invalid = %d, want 1", got)
+	}
+	srv.Shutdown()
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v", err)
+	}
+	assertNoLeaks(t, before)
 }
 
 // mustFrame encodes a protocol message frame for test input.

@@ -345,6 +345,14 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		}
 		resp.Trace = b.Bytes()
 	}
+	// A response over the frame cap cannot be written, and the client
+	// would wait for it until its own deadline; reject it, as the
+	// built-graph check above rejects a graph over the admitted cap.
+	if size := responseFrameBound(resp); size > MaxFrameBytes {
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
+			Detail: fmt.Sprintf("response would be %d bytes (artifact %d, trace %d), over the %d-byte frame cap",
+				size, len(resp.Artifact), len(resp.Trace), MaxFrameBytes)}, "")
+	}
 	// Fold the completed run's counters into the service registry —
 	// only completed runs: a canceled cell's partial counters would
 	// depend on where the deadline happened to land.

@@ -221,6 +221,13 @@ func decodeStatus(raw uint64) Status {
 	return Status(raw)
 }
 
+// responseFrameBound bounds the encoded frame body of p from its field
+// lengths without encoding it: the codec adds one varint per field and
+// one for the kind, each at most binary.MaxVarintLen64 bytes.
+func responseFrameBound(p Response) int {
+	return len(p.Detail) + len(p.Artifact) + len(p.Trace) + 6*binary.MaxVarintLen64
+}
+
 // appendFrame appends the length-prefixed encoding of a registered
 // protocol message.
 func appendFrame(buf []byte, msg interface{}) ([]byte, error) {
