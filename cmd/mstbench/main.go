@@ -256,7 +256,8 @@ func (h *harness) traceCommand(algoList, traceIn, traceOut string, traceCap int)
 			return 1
 		}
 		fmt.Printf("--- %s (n=%d) ---\n", a, n)
-		fmt.Print(trace.Summarize(rec.Meta(), rec.Events()).Table())
+		meta, events := rec.Meta(), rec.Events()
+		fmt.Print(trace.Summarize(meta, events).Table())
 		fmt.Println()
 		if traceOut == "" {
 			continue
@@ -265,7 +266,7 @@ func (h *harness) traceCommand(algoList, traceIn, traceOut string, traceCap int)
 		if len(algos) > 1 {
 			path = algoTracePath(traceOut, a.String())
 		}
-		if err := writeTraceFile(rec, path); err != nil {
+		if err := writeTraceFile(path, meta, events); err != nil {
 			fmt.Fprintln(os.Stderr, "mstbench:", err)
 			return 1
 		}
@@ -283,13 +284,13 @@ func algoTracePath(path, algo string) string {
 	return path + "." + algo
 }
 
-// writeTraceFile serializes a recorded trace as JSONL.
-func writeTraceFile(rec *sleepmst.TraceRecorder, path string) error {
+// writeTraceFile serializes an ordered trace as JSONL.
+func writeTraceFile(path string, meta trace.Meta, events []trace.Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteJSONL(f); err != nil {
+	if err := trace.WriteEventsJSONL(f, meta, events); err != nil {
 		f.Close()
 		return err
 	}

@@ -55,6 +55,7 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
+	"sleepmst/internal/trace"
 	"sleepmst/internal/transport"
 )
 
@@ -264,10 +265,11 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		return fmt.Errorf("run failed (wire faults beyond the retry budget surface here): %w", err)
 	}
 
+	meta, events := rec.Meta(), rec.Events()
 	verdict := conform.Suite{
 		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: seed, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
+		Meta:   meta,
+		Events: events,
 		Extra:  []conform.Check{p.ConformCheck(g, r)},
 	}.Verdict()
 
@@ -314,7 +316,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteJSONL(f); err != nil {
+		if err := trace.WriteEventsJSONL(f, meta, events); err != nil {
 			f.Close()
 			return err
 		}

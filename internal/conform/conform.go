@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -216,13 +218,8 @@ func MISCheck(notIndependent, notMaximal int64) Check {
 type fold struct {
 	n int
 
-	awakeCharged []int64           // KindAwake events per node
-	stepSum      []int64           // KindStep Aux per node
-	awakeAt      map[awakeKey]bool // (round, node) awake set
-	sendRounds   map[pairKey][]int64
-	sendCount    map[sendKey]int64
-	delivers     []trace.Event
-	deliverIdx   []int // canonical event index of each deliver, for localisation
+	awakeCharged []int64 // KindAwake events per node
+	stepSum      []int64 // KindStep Aux per node
 	crashed      []bool
 	anyCrash     bool
 
@@ -231,20 +228,6 @@ type fold struct {
 	nodeFrag  [][]trace.Event           // per node: phase + merge events, stream order
 	nbrs      []trace.Event
 	haveSteps bool
-}
-
-type awakeKey struct {
-	round int64
-	node  int32
-}
-
-type pairKey struct {
-	from, to int32
-}
-
-type sendKey struct {
-	round    int64
-	from, to int32
 }
 
 // CheckTrace runs the invariant catalog over one trace and returns the
@@ -276,8 +259,8 @@ func CheckTrace(meta trace.Meta, events []trace.Event, info RunInfo) *Verdict {
 	v.Append(direction)
 	v.Append(checkFragmentDecay(f, h, meta))
 	v.Append(checkSparsifyDegree(f))
-	v.Append(checkCausality(f, meta, info))
-	v.Append(checkDeliverAwake(f, meta))
+	v.Append(checkCausality(events, meta, info))
+	v.Append(checkDeliverAwake(events, n, meta))
 	return v
 }
 
@@ -330,27 +313,17 @@ func foldEvents(n int, events []trace.Event) *fold {
 		n:            n,
 		awakeCharged: make([]int64, n),
 		stepSum:      make([]int64, n),
-		awakeAt:      make(map[awakeKey]bool),
-		sendRounds:   make(map[pairKey][]int64),
-		sendCount:    make(map[sendKey]int64),
 		crashed:      make([]bool, n),
 		phaseFrag:    map[int32]map[int32]int64{},
 		nodeFrag:     make([][]trace.Event, n),
 	}
-	for i, ev := range events {
+	for _, ev := range events {
 		switch ev.Kind {
 		case trace.KindAwake:
 			f.awakeCharged[ev.Node]++
-			f.awakeAt[awakeKey{ev.Round, ev.Node}] = true
 		case trace.KindStep:
 			f.stepSum[ev.Node] += ev.Aux
 			f.haveSteps = true
-		case trace.KindSend:
-			f.sendRounds[pairKey{ev.Node, ev.Peer}] = append(f.sendRounds[pairKey{ev.Node, ev.Peer}], ev.Round)
-			f.sendCount[sendKey{ev.Round, ev.Node, ev.Peer}]++
-		case trace.KindDeliver:
-			f.delivers = append(f.delivers, ev)
-			f.deliverIdx = append(f.deliverIdx, i)
 		case trace.KindCrash:
 			f.crashed[ev.Node] = true
 			f.anyCrash = true
@@ -370,9 +343,6 @@ func foldEvents(n int, events []trace.Event) *fold {
 		}
 	}
 	sort.Slice(f.phases, func(i, j int) bool { return f.phases[i] < f.phases[j] })
-	for _, rounds := range f.sendRounds {
-		sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	}
 	return f
 }
 
@@ -621,58 +591,91 @@ func checkSparsifyDegree(f *fold) Check {
 	return c
 }
 
+// roundEnd returns the end of the equal-round run of events starting
+// at lo. A well-formed stream is sorted by round, so each round's
+// events form one run; their order inside it is not relied on.
+func roundEnd(events []trace.Event, lo int) int {
+	hi := lo + 1
+	for hi < len(events) && events[hi].Round == events[lo].Round {
+		hi++
+	}
+	return hi
+}
+
 // checkCausality verifies every delivery has a matching send: in the
 // same round (clean model), or in any earlier-or-equal round when
 // Relaxed (interceptor delays and duplicate copies arrive late).
-func checkCausality(f *fold, meta trace.Meta, info RunInfo) Check {
+func checkCausality(events []trace.Event, meta trace.Meta, info RunInfo) Check {
 	c := Check{Name: CheckCausality, Status: StatusPass}
 	if meta.Dropped > 0 {
 		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
 	}
 	if info.Relaxed {
-		for di, ev := range f.delivers {
-			rounds := f.sendRounds[pairKey{ev.Peer, ev.Node}]
-			i := sort.Search(len(rounds), func(i int) bool { return rounds[i] > ev.Round })
-			if i == 0 {
+		// Rounds ascend, so a pair's first send has its earliest round.
+		firstSend := map[pairKey]int64{}
+		for _, ev := range events {
+			if ev.Kind != trace.KindSend {
+				continue
+			}
+			pair := pairKey{ev.Node, ev.Peer}
+			if _, seen := firstSend[pair]; !seen {
+				firstSend[pair] = ev.Round
+			}
+		}
+		for i, ev := range events {
+			if ev.Kind != trace.KindDeliver {
+				continue
+			}
+			if sent, ok := firstSend[pairKey{ev.Peer, ev.Node}]; !ok || sent > ev.Round {
 				c.Violations++
 				if c.Detail == "" {
 					// The event index localises the violation in the
 					// canonical stream (tracediff's coordinate system).
 					c.Detail = fmt.Sprintf("event %d: deliver %d->%d at round %d precedes every send",
-						f.deliverIdx[di], ev.Peer, ev.Node, ev.Round)
+						i, ev.Peer, ev.Node, ev.Round)
 				}
 			}
 		}
 	} else {
-		deliverCount := map[sendKey]int64{}
-		for _, ev := range f.delivers {
-			deliverCount[sendKey{ev.Round, ev.Peer, ev.Node}]++
-		}
-		// Walk the violating keys in a deterministic order: map
-		// iteration order would make the reported first violation — and
-		// therefore the verdict bytes — vary between identical runs.
-		var bad []sendKey
-		for key, got := range deliverCount {
-			if got > f.sendCount[key] {
-				bad = append(bad, key)
+		// Per round, sort the (from, to) key of every send (low bit 0)
+		// and delivery (low bit 1): each pair's sends and deliveries
+		// become one run, and rounds ascending with keys in (from, to)
+		// order visits excess deliveries in a deterministic order, so
+		// the first one reported does not depend on the order of
+		// events inside a round.
+		var keys []uint64
+		for lo := 0; lo < len(events); {
+			hi := roundEnd(events, lo)
+			keys = keys[:0]
+			for _, ev := range events[lo:hi] {
+				switch ev.Kind {
+				case trace.KindSend:
+					keys = append(keys, pairBits(ev.Node, ev.Peer))
+				case trace.KindDeliver:
+					keys = append(keys, pairBits(ev.Peer, ev.Node)|1)
+				}
 			}
-		}
-		sort.Slice(bad, func(i, j int) bool {
-			a, b := bad[i], bad[j]
-			if a.round != b.round {
-				return a.round < b.round
+			slices.Sort(keys)
+			for i := 0; i < len(keys); {
+				pair := keys[i] >> 1
+				var sends, delivers int64
+				for ; i < len(keys) && keys[i]>>1 == pair; i++ {
+					if keys[i]&1 == 0 {
+						sends++
+					} else {
+						delivers++
+					}
+				}
+				if delivers <= sends {
+					continue
+				}
+				c.Violations += delivers - sends
+				if c.Detail == "" {
+					c.Detail = fmt.Sprintf("round %d: %d deliveries %d->%d but %d sends",
+						events[lo].Round, delivers, pair>>32, pair&math.MaxUint32, sends)
+				}
 			}
-			if a.from != b.from {
-				return a.from < b.from
-			}
-			return a.to < b.to
-		})
-		for _, key := range bad {
-			got := deliverCount[key]
-			c.Violations += got - f.sendCount[key]
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("round %d: %d deliveries %d->%d but %d sends", key.round, got, key.from, key.to, f.sendCount[key])
-			}
+			lo = hi
 		}
 	}
 	if c.Violations > 0 {
@@ -681,20 +684,44 @@ func checkCausality(f *fold, meta trace.Meta, info RunInfo) Check {
 	return c
 }
 
+// pairKey is a (sender, receiver) node pair.
+type pairKey struct {
+	from, to int32
+}
+
+// pairBits packs a (from, to) node pair into a sort key with a free
+// low bit; well-formed nodes are non-negative int32s, so it is order
+// preserving.
+func pairBits(from, to int32) uint64 {
+	return (uint64(from)<<32 | uint64(to)) << 1
+}
+
 // checkDeliverAwake verifies no delivery reached a node that was not
 // awake (and charged) in the delivery round.
-func checkDeliverAwake(f *fold, meta trace.Meta) Check {
+func checkDeliverAwake(events []trace.Event, n int, meta trace.Meta) Check {
 	c := Check{Name: CheckDeliverAwake, Status: StatusPass}
 	if meta.Dropped > 0 {
 		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
 	}
-	for _, ev := range f.delivers {
-		if !f.awakeAt[awakeKey{ev.Round, ev.Node}] {
-			c.Violations++
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("node %d received from %d in round %d while asleep", ev.Node, ev.Peer, ev.Round)
+	// awakeIn[v] is 1 + the start of the last round run with an awake
+	// event for v, so stamps from earlier rounds never match.
+	awakeIn := make([]int, n)
+	for lo := 0; lo < len(events); {
+		hi := roundEnd(events, lo)
+		for _, ev := range events[lo:hi] {
+			if ev.Kind == trace.KindAwake {
+				awakeIn[ev.Node] = lo + 1
 			}
 		}
+		for _, ev := range events[lo:hi] {
+			if ev.Kind == trace.KindDeliver && awakeIn[ev.Node] != lo+1 {
+				c.Violations++
+				if c.Detail == "" {
+					c.Detail = fmt.Sprintf("node %d received from %d in round %d while asleep", ev.Node, ev.Peer, ev.Round)
+				}
+			}
+		}
+		lo = hi
 	}
 	if c.Violations > 0 {
 		c.Status = StatusFail

@@ -7,6 +7,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -103,6 +104,44 @@ func BenchmarkCheckTrace(b *testing.B) {
 			b.Fatalf("unexpected failure:\n%s", v)
 		}
 	}
+}
+
+// BenchmarkTraceStages times the post-run stages of one traced
+// service-sized request — Deterministic-MST on a random graph with
+// n=48 and m=2n, the largest cell of the service benchmark's mix:
+// ordering the recorded events, the verdict over them, and the JSONL
+// render (DESIGN §14.5).
+func BenchmarkTraceStages(b *testing.B) {
+	g := sleepmst.RandomConnected(48, 96, 48000)
+	rec := trace.NewRecorder(1 << 18)
+	if _, err := sleepmst.Deterministic.Runner()(g, sleepmst.Options{Seed: 1, Trace: rec}); err != nil {
+		b.Fatal(err)
+	}
+	meta, events := rec.Meta(), rec.Events()
+	info := conform.RunInfo{Algorithm: "deterministic", N: 48, Seed: 1}
+	b.Run("order", func(b *testing.B) {
+		b.ReportMetric(float64(len(events)), "events")
+		for i := 0; i < b.N; i++ {
+			if got := rec.Events(); len(got) != len(events) {
+				b.Fatalf("%d events, want %d", len(got), len(events))
+			}
+		}
+	})
+	b.Run("verdict", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if v := conform.CheckTrace(meta, events, info); !v.Pass {
+				b.Fatalf("unexpected failure:\n%s", v)
+			}
+		}
+	})
+	b.Run("jsonl", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer
+			if err := trace.WriteEventsJSONL(&buf, meta, events); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // conformFaults is the fault axis: message drops and message delays,

@@ -334,3 +334,93 @@ func TestFaultShutdownDrain(t *testing.T) {
 	}
 	assertNoLeaks(t, before)
 }
+
+// requestGoroutines counts the live goroutines Server.handle started,
+// one per request frame it read.
+func requestGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by sleepmst/internal/service.(*Server).handle")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settledRequestGoroutines polls requestGoroutines until it has held
+// still for half a second and returns it; it gives up after a minute.
+func settledRequestGoroutines(t *testing.T) int {
+	t.Helper()
+	const still = 500 * time.Millisecond
+	count, since := requestGoroutines(), time.Now()
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if n := requestGoroutines(); n != count {
+			count, since = n, time.Now()
+		} else if time.Since(since) >= still {
+			return count
+		}
+	}
+	t.Fatalf("request goroutine count never settled (last %d)", count)
+	return 0
+}
+
+// TestFaultNeverReadingClient: a client that pipelines 200 traced
+// requests (about 0.5 MB of response each) on one connection and never
+// reads pins at most maxInFlight request goroutines, and Shutdown
+// returns within writeTimeout: the write blocked on the full socket
+// misses its deadline and the connection is dropped. Request
+// goroutines are counted from a stack dump, because every running
+// simulation adds its node coroutines to runtime.NumGoroutine.
+func TestFaultNeverReadingClient(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{Workers: 2})
+	srv := NewServer(svc)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var frames []byte
+	for i := 0; i < 200; i++ {
+		frames = append(frames, mustFrame(Request{ID: int64(i), Problem: "mst/deterministic",
+			Graph: "random", N: 48, Seed: int64(i), WantTrace: true})...)
+	}
+	// The frames fit in the socket buffers, so the write completes
+	// even though the server stops reading at its in-flight cap.
+	if err := conn.SetWriteDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+
+	if pinned := settledRequestGoroutines(t); pinned > maxInFlight {
+		t.Errorf("never-reading client pins %d request goroutines, want at most %d", pinned, maxInFlight)
+	}
+
+	done := make(chan struct{})
+	start := time.Now()
+	go func() { srv.Shutdown(); close(done) }()
+	bound := writeTimeout + 5*time.Second
+	select {
+	case <-done:
+	case <-time.After(bound):
+		conn.Close() // fail the server's blocked writes so the test can end
+		<-done
+		t.Fatalf("Shutdown still blocked after %v with a never-reading client", bound)
+	}
+	t.Logf("Shutdown returned after %v", time.Since(start).Round(time.Millisecond))
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v, want ErrServerClosed", err)
+	}
+	conn.Close()
+	assertNoLeaks(t, before)
+}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -18,11 +19,29 @@ import (
 // that accepting failed.
 var ErrServerClosed = errors.New("service: server closed")
 
+// Per-connection bounds on what a client can make the server hold.
+const (
+	// maxInFlight caps the requests one connection has read but not
+	// yet answered. At the cap the server stops reading that
+	// connection, so a client that pipelines without reading its
+	// responses is held back by TCP flow control: it pins at most
+	// maxInFlight goroutines and responses (each at most
+	// MaxFrameBytes).
+	maxInFlight = 8
+	// writeTimeout bounds one response write. A write that misses it
+	// closes the connection: the stream may end mid-frame, so the
+	// remaining responses on it are dropped. A client that stopped
+	// reading therefore holds its handler for at most writeTimeout
+	// once its requests have finished.
+	writeTimeout = 5 * time.Second
+)
+
 // Server exposes a Service over the length-prefixed wire protocol: it
 // accepts connections, decodes Request frames, and answers each with
 // a Response frame. Requests on one connection are pipelined — each
-// runs on its own goroutine and responses are written in completion
-// order, correlated by ID.
+// runs on its own goroutine, at most maxInFlight at a time, and
+// responses are written in completion order, correlated by ID, each
+// under a writeTimeout deadline.
 //
 // An undecodable frame gets a Response with ID = BadFrameID and
 // StatusInvalid, then the connection is closed: past one corrupt
@@ -83,6 +102,11 @@ func (s *Server) Serve(ln net.Listener) error {
 // finish every admitted request, flush every pending response, close
 // every connection, and return once all handler goroutines are gone.
 // New requests arriving mid-drain are answered StatusShuttingDown.
+// Once the admitted requests have finished, a connection holds at
+// most maxInFlight responses, each written within writeTimeout, so
+// Shutdown returns within maxInFlight × writeTimeout of the drain —
+// and within writeTimeout when a client has stopped reading, since its
+// first timed-out write drops the connection.
 // Safe to call more than once; later calls wait for the same drain.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
@@ -106,14 +130,16 @@ func (s *Server) Shutdown() {
 }
 
 // handle serves one connection: a read loop that decodes request
-// frames and fans each out to its own goroutine, plus a write mutex
-// serializing response frames.
+// frames and fans each out to its own goroutine, at most maxInFlight
+// at a time, plus a write mutex serializing response frames.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	var (
 		writeMu  sync.Mutex
+		broken   atomic.Bool // a response write failed; the connection is finished
 		inflight sync.WaitGroup
+		slots    = make(chan struct{}, maxInFlight)
 	)
 	// Before the connection closes, wait for every dispatched request
 	// to finish writing its response (runs before the conn.Close
@@ -124,9 +150,31 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	respond := func(resp Response) {
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		if broken.Load() {
+			return
+		}
+		err := conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if err == nil {
+			err = WriteResponse(conn, resp)
+		}
+		if err != nil {
+			// The client went away or stopped reading, and the stream
+			// may now end mid-frame: drop the connection. A request
+			// whose response is lost completed and is accounted for.
+			broken.Store(true)
+			conn.Close()
+		}
+	}
 
 	br := bufio.NewReader(conn)
 	for {
+		slots <- struct{}{} // blocks while maxInFlight requests are unanswered
+		if broken.Load() {
+			return // frames still buffered in br could never be answered
+		}
 		req, err := ReadRequest(br)
 		if err != nil {
 			if isHangup(err) {
@@ -136,26 +184,18 @@ func (s *Server) handle(conn net.Conn) {
 			// response, then hang up — offsets past a corrupt frame
 			// cannot be trusted.
 			s.svc.reg.Add(metrics.ServiceBadFrames, 1)
-			writeMu.Lock()
-			WriteResponse(conn, Response{
+			respond(Response{
 				ID:     BadFrameID,
 				Status: StatusInvalid,
 				Detail: "malformed request frame: " + err.Error(),
 			})
-			writeMu.Unlock()
 			return
 		}
 		inflight.Add(1)
 		go func() {
 			defer inflight.Done()
-			resp := s.svc.Submit(req)
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			if err := WriteResponse(conn, resp); err != nil {
-				// The client went away; its response is undeliverable.
-				// The request itself completed and is accounted for.
-				return
-			}
+			defer func() { <-slots }()
+			respond(s.svc.Submit(req))
 		}()
 	}
 }

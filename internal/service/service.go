@@ -278,10 +278,12 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
 
+	// Order the trace once: the verdict and the JSONL render share it.
+	meta, events := rec.Meta(), rec.Events()
 	verdict := conform.Suite{
 		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: req.Seed, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
+		Meta:   meta,
+		Events: events,
 		Extra:  []conform.Check{p.ConformCheck(g, r)},
 	}.Verdict()
 	verify := p.Verify(g, r)
@@ -339,7 +341,7 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	resp.Artifact = data
 	if req.WantTrace {
 		var b bytes.Buffer
-		if err := rec.WriteJSONL(&b); err != nil {
+		if err := trace.WriteEventsJSONL(&b, meta, events); err != nil {
 			return s.finish(req, Response{ID: req.ID, Status: StatusInternal,
 				Detail: fmt.Sprintf("trace render: %v", err)}, "")
 		}

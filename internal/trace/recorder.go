@@ -1,11 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"math"
+	"strconv"
 )
 
 // Kind enumerates the structured trace event types. The numeric order
@@ -71,7 +70,7 @@ func (k Kind) String() string {
 	case KindNbrs:
 		return "nbrs"
 	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+		return "Kind(" + strconv.Itoa(int(k)) + ")"
 	}
 }
 
@@ -141,7 +140,7 @@ func (s Step) String() string {
 	case StepMISCleanup:
 		return "mis-cleanup"
 	default:
-		return fmt.Sprintf("Step(%d)", int(s))
+		return "Step(" + strconv.Itoa(int(s)) + ")"
 	}
 }
 
@@ -210,9 +209,8 @@ const DefaultCapacity = 1 << 18
 // goroutine at a time (see Recorder).
 type stream struct {
 	buf     []Event
-	head    int   // index of the oldest event
-	n       int   // live events
-	seq     int64 // total events ever appended
+	head    int // index of the oldest event
+	n       int // live events
 	dropped int64
 }
 
@@ -221,28 +219,24 @@ func (s *stream) push(cap int, ev Event) {
 	if len(s.buf) < cap {
 		s.buf = append(s.buf, ev)
 		s.n++
-		s.seq++
 		return
 	}
 	if s.n == len(s.buf) { // full: overwrite the oldest
 		s.buf[s.head] = ev
 		s.head = (s.head + 1) % len(s.buf)
 		s.dropped++
-		s.seq++
 		return
 	}
 	s.buf[(s.head+s.n)%len(s.buf)] = ev
 	s.n++
-	s.seq++
 }
 
 // Recorder is a bounded, allocation-limited structured event recorder
 // for one simulation run. It keeps one ring buffer per writer — the
 // scheduler goroutine plus each node goroutine — so recording never
 // takes a lock; the canonical event order is reconstructed at read
-// time by sorting on (Round, Node, Kind, stream sequence), which is
-// deterministic because every stream's content is deterministic for a
-// fixed seed.
+// time (see Events), which is deterministic because every stream's
+// content is deterministic for a fixed seed.
 //
 // A Recorder serves one run at a time: sim.Run calls Begin, which
 // resets all streams. It must not be shared by concurrent runs (give
@@ -377,51 +371,101 @@ func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
 	r.nodes[node].push(r.nodeCap, Event{Kind: KindNbrs, Round: round, Node: int32(node), Phase: int32(phase), Aux: int64(deg)})
 }
 
-// indexed attaches the stream coordinates used as the final sort
-// tiebreak.
-type indexed struct {
-	ev     Event
-	stream int32
-	seq    int64
+// appendTo appends the stream's live events to dst, oldest first.
+func (s *stream) appendTo(dst []Event) []Event {
+	end := s.head + s.n
+	if end <= len(s.buf) {
+		return append(dst, s.buf[s.head:end]...)
+	}
+	dst = append(dst, s.buf[s.head:]...)
+	return append(dst, s.buf[:end-len(s.buf)]...)
 }
 
 // Events returns the live events in canonical order: ascending
-// (Round, Node, Kind, stream, per-stream sequence). The order is
+// (Round, Node, Kind), with ties in gathering order — the scheduler
+// stream first, then the node streams by index, each oldest first —
+// which is the (stream, per-stream sequence) tiebreak. The order is
 // total and deterministic for a fixed-seed run, which is what makes
 // the JSONL stream byte-identical across repeats and worker counts.
 func (r *Recorder) Events() []Event {
-	all := make([]indexed, 0, r.Len())
-	collect := func(s *stream, id int32) {
-		base := s.seq - int64(s.n)
-		for i := 0; i < s.n; i++ {
-			all = append(all, indexed{ev: s.buf[(s.head+i)%len(s.buf)], stream: id, seq: base + int64(i)})
-		}
-	}
-	collect(&r.sched, -1)
+	evs := make([]Event, 0, r.Len())
+	evs = r.sched.appendTo(evs)
 	for i := range r.nodes {
-		collect(&r.nodes[i], int32(i))
+		evs = r.nodes[i].appendTo(evs)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.ev.Round != b.ev.Round {
-			return a.ev.Round < b.ev.Round
-		}
-		if a.ev.Node != b.ev.Node {
-			return a.ev.Node < b.ev.Node
-		}
-		if a.ev.Kind != b.ev.Kind {
-			return a.ev.Kind < b.ev.Kind
-		}
-		if a.stream != b.stream {
-			return a.stream < b.stream
-		}
-		return a.seq < b.seq
-	})
-	out := make([]Event, len(all))
-	for i := range all {
-		out[i] = all[i].ev
+	return sortCanonical(evs)
+}
+
+// sortField names one component of the canonical sort key.
+type sortField uint8
+
+const (
+	byKind sortField = iota
+	byNode
+	byRound
+)
+
+// key maps the field of ev to an unsigned key with the same order:
+// the signed fields get their sign bit flipped, so negative values
+// sort below non-negative ones.
+func (f sortField) key(ev *Event) uint64 {
+	switch f {
+	case byKind:
+		return uint64(ev.Kind)
+	case byNode:
+		return uint64(uint32(ev.Node) ^ 1<<31)
+	default:
+		return uint64(ev.Round) ^ 1<<63
 	}
-	return out
+}
+
+// sortCanonical orders evs stably by (Round, Node, Kind) and returns
+// the result, which is evs or a buffer of the same length. It is an
+// LSD radix sort: one stable counting pass per byte of Kind, then
+// Node, then Round. A field takes only the passes for the bytes in
+// which its smallest and largest keys differ — every key between
+// them shares the higher bytes — so a 48-node run of under 65,536
+// rounds sorts in four passes.
+func sortCanonical(evs []Event) []Event {
+	if len(evs) < 2 {
+		return evs
+	}
+	lo := [3]uint64{math.MaxUint64, math.MaxUint64, math.MaxUint64}
+	var hi [3]uint64
+	for i := range evs {
+		for f := byKind; f <= byRound; f++ {
+			k := f.key(&evs[i])
+			lo[f], hi[f] = min(lo[f], k), max(hi[f], k)
+		}
+	}
+	src, dst := evs, make([]Event, len(evs))
+	for f := byKind; f <= byRound; f++ {
+		span := lo[f] ^ hi[f]
+		for shift := uint(0); span>>shift != 0; shift += 8 {
+			radixPass(dst, src, f, shift)
+			src, dst = dst, src
+		}
+	}
+	return src
+}
+
+// radixPass stably scatters src into dst by the byte of field f's key
+// at shift.
+func radixPass(dst, src []Event, f sortField, shift uint) {
+	var next [256]int
+	for i := range src {
+		next[byte(f.key(&src[i])>>shift)]++
+	}
+	pos := 0
+	for d, c := range next {
+		next[d] = pos
+		pos += c
+	}
+	for i := range src {
+		d := byte(f.key(&src[i]) >> shift)
+		dst[next[d]] = src[i]
+		next[d]++
+	}
 }
 
 // Meta is the run-level header/footer information of a JSONL trace.
@@ -452,50 +496,84 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 
 // WriteEventsJSONL writes a (meta, events) pair in the canonical JSONL
 // trace format — the same stream WriteJSONL produces from a live
-// recorder. It lets callers that hold onto a finished run's events
-// (e.g. the model checker emitting a counterexample) serialize them
-// without keeping the recorder alive; events must already be in
-// canonical order.
+// recorder. Callers already holding a finished run's events (the
+// service certifying them, the model checker emitting a
+// counterexample) write them with it instead of ordering them again
+// through WriteJSONL; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, `{"k":"begin","n":%d}`+"\n", meta.N)
+	const (
+		chunk   = 32 << 10
+		maxLine = 128 // longer than any rendered event line
+	)
+	buf := make([]byte, 0, chunk)
+	buf = append(buf, `{"k":"begin","n":`...)
+	buf = strconv.AppendInt(buf, int64(meta.N), 10)
+	buf = append(buf, "}\n"...)
 	for _, ev := range events {
-		writeEvent(bw, ev)
+		if len(buf) > chunk-maxLine {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = appendEvent(buf, ev)
 	}
-	fmt.Fprintf(bw, `{"k":"end","rounds":%d,"events":%d,"dropped":%d}`+"\n", meta.Rounds, meta.Events, meta.Dropped)
-	return bw.Flush()
+	buf = appendField(append(buf, `{"k":"end"`...), `,"rounds":`, meta.Rounds)
+	buf = appendField(buf, `,"events":`, meta.Events)
+	buf = appendField(buf, `,"dropped":`, meta.Dropped)
+	_, err := w.Write(append(buf, "}\n"...))
+	return err
 }
 
-// writeEvent renders one event line with a fixed field order.
-func writeEvent(w io.Writer, ev Event) {
+// appendEvent appends ev's JSONL line, newline included, with a fixed
+// field order; an event of unknown kind renders as nothing.
+func appendEvent(dst []byte, ev Event) []byte {
+	if ev.Kind > KindNbrs {
+		return dst
+	}
+	dst = append(dst, `{"k":"`...)
+	dst = append(dst, ev.Kind.String()...)
+	dst = appendField(append(dst, '"'), `,"r":`, ev.Round)
+	dst = appendField(dst, `,"v":`, int64(ev.Node))
 	switch ev.Kind {
 	case KindPhase:
-		fmt.Fprintf(w, `{"k":"phase","r":%d,"v":%d,"ph":%d,"f":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Frag)
+		dst = appendField(dst, `,"ph":`, int64(ev.Phase))
+		dst = appendField(dst, `,"f":`, ev.Frag)
 	case KindStep:
-		fmt.Fprintf(w, `{"k":"step","r":%d,"v":%d,"ph":%d,"st":"%s","aw":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Step, ev.Aux)
+		dst = appendField(dst, `,"ph":`, int64(ev.Phase))
+		dst = append(dst, `,"st":"`...)
+		dst = append(dst, ev.Step.String()...)
+		dst = appendField(append(dst, '"'), `,"aw":`, ev.Aux)
 	case KindMerge:
-		fmt.Fprintf(w, `{"k":"merge","r":%d,"v":%d,"f":%d,"pf":%d}`+"\n", ev.Round, ev.Node, ev.Frag, ev.Prev)
+		dst = appendField(dst, `,"f":`, ev.Frag)
+		dst = appendField(dst, `,"pf":`, ev.Prev)
 	case KindSleep:
-		fmt.Fprintf(w, `{"k":"sleep","r":%d,"v":%d,"from":%d}`+"\n", ev.Round, ev.Node, ev.Aux)
-	case KindAwake:
-		fmt.Fprintf(w, `{"k":"awake","r":%d,"v":%d}`+"\n", ev.Round, ev.Node)
-	case KindSend:
-		fmt.Fprintf(w, `{"k":"send","r":%d,"v":%d,"p":%d,"to":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
+		dst = appendField(dst, `,"from":`, ev.Aux)
+	case KindSend, KindLost:
+		dst = appendField(dst, `,"p":`, int64(ev.Port))
+		dst = appendField(dst, `,"to":`, int64(ev.Peer))
 	case KindDeliver:
-		fmt.Fprintf(w, `{"k":"deliver","r":%d,"v":%d,"p":%d,"from":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
-	case KindLost:
-		fmt.Fprintf(w, `{"k":"lost","r":%d,"v":%d,"p":%d,"to":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
-	case KindCrash:
-		fmt.Fprintf(w, `{"k":"crash","r":%d,"v":%d}`+"\n", ev.Round, ev.Node)
+		dst = appendField(dst, `,"p":`, int64(ev.Port))
+		dst = appendField(dst, `,"from":`, int64(ev.Peer))
 	case KindNbrs:
-		fmt.Fprintf(w, `{"k":"nbrs","r":%d,"v":%d,"ph":%d,"deg":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Aux)
+		dst = appendField(dst, `,"ph":`, int64(ev.Phase))
+		dst = appendField(dst, `,"deg":`, ev.Aux)
 	}
+	return append(dst, "}\n"...)
+}
+
+// appendField appends a JSON member: name carries the separator,
+// quotes and colon.
+func appendField(dst []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(dst, name...), v, 10)
 }
 
 // String renders the event as its JSONL line (without the trailing
 // newline), the same bytes WriteJSONL emits for it.
 func (ev Event) String() string {
-	var b strings.Builder
-	writeEvent(&b, ev)
-	return strings.TrimSuffix(b.String(), "\n")
+	line := appendEvent(nil, ev)
+	if len(line) == 0 {
+		return ""
+	}
+	return string(line[:len(line)-1])
 }
