@@ -21,16 +21,17 @@ import (
 )
 
 // The behaviour-digest table: the program-side behaviour contract. For
-// every registered problem × n ∈ digestSizes × {clean, chaos}, one
-// fixed-seed run is reduced to sha256 digests of its four deterministic
-// surfaces — the trace JSONL, the conform verdict JSON, the run's
-// metrics registry and the sim.Result counters — plus the oracle's
-// outcome class, and compared against testdata/behaviour_digests.json.
-// The engine-differential suites only prove the two schedulers agree
-// with each other; this table pins what the node programs themselves
-// do, so a refactor of the message plane or the LDT primitives that
-// shifts one awake round anywhere fails here. Regenerate it only for an
-// intended behaviour change:
+// every registered problem × n ∈ digestSizes × {clean, chaos, faults},
+// one fixed-seed run is reduced to sha256 digests of its four
+// deterministic surfaces — the trace JSONL, the conform verdict JSON,
+// the run's metrics registry and the sim.Result counters — plus the
+// oracle's outcome class, and compared against
+// testdata/behaviour_digests.json. The table pins what the node
+// programs and the scheduler do together, so a refactor of the message
+// plane, the LDT primitives or the scheduler that shifts one awake
+// round anywhere fails here. Every row was produced identically by the
+// event engine and by the retired goroutine engine. Regenerate it only
+// for an intended behaviour change:
 //
 //	UPDATE_GOLDEN=1 go test -run TestBehaviourDigests .
 
@@ -62,6 +63,22 @@ func sha(b []byte) string {
 func digestChaos(cleanMessages int64) *chaos.Policy {
 	rate := 1 / float64(cleanMessages)
 	return chaos.New(chaos.Options{Seed: 7, DropRate: rate, DelayRate: rate})
+}
+
+// digestFaults is the faults cell's policy: every fault process at
+// once — drops, delays, duplicates, oversleep and crash-stop — at fixed
+// rates, so the duplicate, oversleep and crash paths of the scheduler
+// are pinned too. Most of these runs abort or build a wrong tree; the
+// digests pin exactly how.
+func digestFaults() *chaos.Policy {
+	return chaos.New(chaos.Options{
+		Seed:          7,
+		DropRate:      0.02,
+		DelayRate:     0.03,
+		DupRate:       0.02,
+		OversleepRate: 0.02,
+		CrashFrac:     0.1,
+	})
 }
 
 // digestCell runs one cell and reduces it to its digests; it also
@@ -124,8 +141,8 @@ func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Poli
 	}, msgs
 }
 
-// TestBehaviourDigests recomputes every cell and compares it with the
-// committed table.
+// TestBehaviourDigests recomputes every cell, one subtest per cell,
+// and compares it with the committed table.
 func TestBehaviourDigests(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	if update && testing.Short() {
@@ -152,12 +169,45 @@ func TestBehaviourDigests(t *testing.T) {
 				continue
 			}
 			g := graph.RandomConnected(n, 3*n, graph.GenConfig{Seed: int64(n)})
-			clean, msgs := digestCell(t, p, g, nil)
-			if msgs == 0 {
-				t.Fatalf("%s n=%d: clean run sent no messages", name, n)
+			var cleanMsgs int64 // calibrates the chaos cell
+			for _, mode := range []string{"clean", "chaos", "faults"} {
+				cell := fmt.Sprintf("%s/n=%d/%s", name, n, mode)
+				t.Run(cell, func(t *testing.T) {
+					var itc *chaos.Policy
+					switch mode {
+					case "chaos":
+						if cleanMsgs == 0 {
+							t.Fatal("clean run sent no messages")
+						}
+						itc = digestChaos(cleanMsgs)
+					case "faults":
+						itc = digestFaults()
+					}
+					d, msgs := digestCell(t, p, g, itc)
+					if mode == "clean" {
+						cleanMsgs = msgs
+					}
+					got[cell] = d
+					if update {
+						return
+					}
+					w, ok := want[cell]
+					if !ok {
+						t.Fatalf("computed but missing from %s", behaviourDigestsPath)
+					}
+					for _, f := range []struct{ name, got, want string }{
+						{"trace", d.Trace, w.Trace},
+						{"verdict", d.Verdict, w.Verdict},
+						{"metrics", d.Metrics, w.Metrics},
+						{"result", d.Result, w.Result},
+						{"outcome", d.Outcome, w.Outcome},
+					} {
+						if f.got != f.want {
+							t.Errorf("%s digest drifted (got %.12s, want %.12s)", f.name, f.got, f.want)
+						}
+					}
+				})
 			}
-			got[fmt.Sprintf("%s/n=%d/clean", name, n)] = clean
-			got[fmt.Sprintf("%s/n=%d/chaos", name, n)], _ = digestCell(t, p, g, digestChaos(msgs))
 		}
 	}
 	if update {
@@ -170,35 +220,17 @@ func TestBehaviourDigests(t *testing.T) {
 		}
 		return
 	}
+	if testing.Short() {
+		return
+	}
 	cells := make([]string, 0, len(want))
 	for cell := range want {
 		cells = append(cells, cell)
 	}
 	sort.Strings(cells)
 	for _, cell := range cells {
-		g, ok := got[cell]
-		if !ok {
-			if !testing.Short() {
-				t.Errorf("%s: in the table but not computed", cell)
-			}
-			continue
-		}
-		w := want[cell]
-		for _, f := range []struct{ name, got, want string }{
-			{"trace", g.Trace, w.Trace},
-			{"verdict", g.Verdict, w.Verdict},
-			{"metrics", g.Metrics, w.Metrics},
-			{"result", g.Result, w.Result},
-			{"outcome", g.Outcome, w.Outcome},
-		} {
-			if f.got != f.want {
-				t.Errorf("%s: %s digest drifted (got %.12s, want %.12s)", cell, f.name, f.got, f.want)
-			}
-		}
-	}
-	for cell := range got {
-		if _, ok := want[cell]; !ok {
-			t.Errorf("%s: computed but missing from %s", cell, behaviourDigestsPath)
+		if _, ok := got[cell]; !ok {
+			t.Errorf("%s: in the table but not computed", cell)
 		}
 	}
 }

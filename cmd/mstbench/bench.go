@@ -44,11 +44,8 @@ type BenchCell struct {
 
 // BenchResult is the BENCH_<label>.json schema.
 type BenchResult struct {
-	Label string `json:"label"`
-	Go    string `json:"go"`
-	// Engine names the simulator scheduler the suite ran on ("" in
-	// artifacts predating the engine option = goroutine).
-	Engine  string      `json:"engine,omitempty"`
+	Label   string      `json:"label"`
+	Go      string      `json:"go"`
 	Workers int         `json:"workers"`
 	Seeds   int         `json:"seeds"`
 	Cells   []BenchCell `json:"cells"`
@@ -87,7 +84,7 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 		a, n, seed := algos[c[0]], h.ns[c[1]], int64(c[2])
 		g := benchGraph(n)
 		start := time.Now()
-		rep, err := sleepmst.Run(a, g, sleepmst.Options{Engine: h.engine, Seed: seed})
+		rep, err := sleepmst.Run(a, g, sleepmst.Options{Seed: seed})
 		if err != nil {
 			return timing{}, fmt.Errorf("%s n=%d seed=%d: %w", a, n, seed, err)
 		}
@@ -108,7 +105,6 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 	res := &BenchResult{
 		Label:   label,
 		Go:      runtime.Version(),
-		Engine:  h.engine.String(),
 		Workers: h.workers,
 		Seeds:   h.seeds,
 	}
@@ -124,7 +120,7 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 			cell.AwakeMaxMean /= float64(h.seeds)
 			cell.RoundsMean /= float64(h.seeds)
 			cell.WallNsPerRun /= float64(h.seeds)
-			cell.AllocsPerRun, cell.BytesPerRun = allocsPerRun(a, n, h.engine)
+			cell.AllocsPerRun, cell.BytesPerRun = allocsPerRun(a, n)
 			res.Cells = append(res.Cells, cell)
 		}
 	}
@@ -133,12 +129,12 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 
 // allocsPerRun measures heap allocations of one run with the global
 // allocation counters; it must run with no concurrent jobs.
-func allocsPerRun(a sleepmst.Algorithm, n int, engine sleepmst.Engine) (allocs, bytes float64) {
+func allocsPerRun(a sleepmst.Algorithm, n int) (allocs, bytes float64) {
 	g := benchGraph(n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := sleepmst.Run(a, g, sleepmst.Options{Engine: engine, Seed: 0}); err != nil {
+	if _, err := sleepmst.Run(a, g, sleepmst.Options{Seed: 0}); err != nil {
 		return 0, 0
 	}
 	runtime.ReadMemStats(&after)

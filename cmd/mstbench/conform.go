@@ -93,7 +93,7 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 			}
 			g := sleepmst.RandomConnected(n, h.deg*n, int64(n*1000))
 			rec := sleepmst.NewTraceRecorder(traceCap)
-			opts := sleepmst.Options{Engine: h.engine, Seed: 1, Trace: rec}
+			opts := sleepmst.Options{Seed: 1, Trace: rec}
 			// With -transport, the checked trace is produced over the
 			// wire backend; the verdict must not change (the transport
 			// differential suite pins this).

@@ -82,8 +82,7 @@ func main() {
 		seeds   = flag.Int("seeds", 3, "seeds per configuration")
 		degF    = flag.Int("deg", 3, "edge density multiplier (m = deg*n)")
 		workers = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-		engName = flag.String("engine", "event", "simulator scheduler: event (goroutine-free, default) or goroutine (legacy reference)")
-		txName  = flag.String("transport", "", "wire backend for -exp conform fresh runs: none (in-memory, default), inproc, or tcp")
+		txName  = flag.String("transport", "", "wire backend for -exp conform fresh runs: none (in-memory, default) or tcp")
 
 		label       = flag.String("label", "dev", "label for the -exp bench artifact (BENCH_<label>.json)")
 		jsonOut     = flag.String("json", "", "bench artifact path (default BENCH_<label>.json; implies -exp bench)")
@@ -118,12 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mstbench:", err)
 		os.Exit(1)
 	}
-	engine, err := sleepmst.ParseEngine(*engName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mstbench:", err)
-		os.Exit(1)
-	}
-	h := &harness{ns: ns, seeds: *seeds, deg: *degF, workers: *workers, engine: engine, txName: *txName}
+	h := &harness{ns: ns, seeds: *seeds, deg: *degF, workers: *workers, txName: *txName}
 	if _, err := sleepmst.ParseTransport(*txName); err != nil {
 		fmt.Fprintln(os.Stderr, "mstbench:", err)
 		os.Exit(1)
@@ -246,7 +240,7 @@ func (h *harness) traceCommand(algoList, traceIn, traceOut string, traceCap int)
 	for _, a := range algos {
 		g := sleepmst.RandomConnected(n, h.deg*n, int64(n*1000))
 		rec := sleepmst.NewTraceRecorder(traceCap)
-		rep, err := sleepmst.Run(a, g, sleepmst.Options{Engine: h.engine, Seed: 1, Trace: rec})
+		rep, err := sleepmst.Run(a, g, sleepmst.Options{Seed: 1, Trace: rec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mstbench:", err)
 			return 1
@@ -314,7 +308,6 @@ type harness struct {
 	seeds   int
 	deg     int
 	workers int
-	engine  sleepmst.Engine
 	// txName is the -transport wire backend for -exp conform fresh
 	// runs ("" = in-memory delivery).
 	txName string
@@ -349,7 +342,7 @@ func (h *harness) sweep(a sleepmst.Algorithm, maxN int) (ns []int, awake, rounds
 		c := grid.Coords(idx)
 		n, s := ns[c[0]], c[1]
 		g := sleepmst.RandomConnected(n, h.deg*n, int64(n*1000+s))
-		rep, err := sleepmst.Run(a, g, sleepmst.Options{Engine: h.engine, Seed: int64(s)})
+		rep, err := sleepmst.Run(a, g, sleepmst.Options{Seed: int64(s)})
 		if err != nil {
 			return metrics{}, fmt.Errorf("%s n=%d seed=%d: %w", a, n, s, err)
 		}
@@ -437,7 +430,7 @@ func (h *harness) decay() {
 			n = 512
 		}
 		g := sleepmst.RandomConnected(n, h.deg*n, 424242)
-		rep, err := sleepmst.Run(a, g, sleepmst.Options{Engine: h.engine, Seed: 7, RecordPhases: true})
+		rep, err := sleepmst.Run(a, g, sleepmst.Options{Seed: 7, RecordPhases: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mstbench:", err)
 			os.Exit(1)
@@ -479,7 +472,7 @@ func (h *harness) theorem3() {
 	tb3 := stats.NewTable("n", "awake (max)", "awake/log2(n)")
 	for _, n := range h.ns {
 		g := lowerbound.RingInstance(n, int64(n))
-		rep, err := sleepmst.Run(sleepmst.Randomized, g, sleepmst.Options{Engine: h.engine, Seed: 5})
+		rep, err := sleepmst.Run(sleepmst.Randomized, g, sleepmst.Options{Seed: 5})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mstbench:", err)
 			os.Exit(1)

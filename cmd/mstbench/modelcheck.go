@@ -84,7 +84,6 @@ func (h *harness) modelcheckCommand(mc mcFlags) int {
 		Problem:     p,
 		Graph:       g,
 		Seed:        mc.seed,
-		Engine:      h.engine,
 		Depth:       mc.depth,
 		Oversleep:   mc.oversleep,
 		Faults:      mc.faults,

@@ -1,18 +1,18 @@
 // Command mstserve is the real-transport MST service: it takes a
 // graph description, runs a registered sleeping-model problem with
-// every delivery carried over a wire backend (real loopback TCP by
-// default), certifies the produced trace with the conformance
-// checker, and emits one JSON artifact holding the verdict, the run
-// summary, and the physical wire accounting.
+// every delivery carried over real loopback TCP sockets, certifies the
+// produced trace with the conformance checker, and emits one JSON
+// artifact holding the verdict, the run summary, and the physical wire
+// accounting.
 //
 // The service exists to close the loop the simulator alone cannot:
 // the same algorithms, trace recorder, and invariant catalog, but
 // with every message encoded into a binary frame and shipped through
 // sockets — so "the tree is correct and the awake budget holds" is
 // certified over a real deployment path, not only in scheduler
-// memory. The verdict section of the artifact is byte-identical to an
-// in-memory run of the same cell; only the wire section knows which
-// backend carried the frames.
+// memory. The verdict and run sections of the artifact are
+// byte-identical to an in-memory run of the same cell; only the wire
+// section knows that sockets carried the frames.
 //
 // Chaos, reinterpreted: -drop and -delay inject wire-level faults
 // (transient send failures and latency) below the model. With a
@@ -35,7 +35,7 @@
 //
 // Usage:
 //
-//	mstserve -n 64 -m 128 -problem mst/randomized -transport tcp -out verdict.json
+//	mstserve -n 64 -m 128 -problem mst/randomized -out verdict.json
 //	mstserve -n 32 -drop 0.05 -delay 0.05 -retries 8   # faulty wire, clean tree
 //	mstserve -serve 127.0.0.1:7600 -workers 8 -queue 64        # daemon
 package main
@@ -53,6 +53,7 @@ import (
 
 	"sleepmst"
 	"sleepmst/internal/conform"
+	"sleepmst/internal/graph"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
@@ -66,6 +67,10 @@ var errViolation = errors.New("conformance violation")
 
 // artifactSchema versions the mstserve JSON artifact.
 const artifactSchema = 1
+
+// wireName is the artifact's transport field: TCP is the one wire
+// backend.
+const wireName = "tcp"
 
 // artifact is the JSON output: the conformance verdict (transport
 // independent) plus the run and wire summaries.
@@ -124,8 +129,6 @@ func main() {
 		radius    = flag.Float64("radius", 0.2, "radius for -graph sensor")
 		seed      = flag.Int64("seed", 1, "seed for topology, weights and algorithm randomness")
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
-		engName   = flag.String("engine", "event", "simulator scheduler: event or goroutine")
-		txName    = flag.String("transport", "tcp", "wire backend: tcp (real loopback sockets, default) or inproc")
 		retries   = flag.Int("retries", transport.DefaultRetries, "per-frame send retry budget (masks injected drops; 0 = single-attempt sends, drops are permanent)")
 		timeout   = flag.Duration("timeout", transport.DefaultRecvTimeout, "round-barrier receive deadline")
 		dropProb  = flag.Float64("drop", 0, "injected per-attempt wire drop probability in [0,1]")
@@ -148,7 +151,7 @@ func main() {
 	if *serveAddr != "" {
 		err = daemon(*serveAddr, *workers, *queue, *deadline, *maxN, *metricsOut)
 	} else {
-		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName, *engName, *txName,
+		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName,
 			*retries, *timeout, *dropProb, *delayProb, *maxDelay, *faultSeed,
 			*outPath, *traceOut, *traceCap)
 	}
@@ -221,15 +224,12 @@ func daemonOn(ln net.Listener, workers, queue int, deadline time.Duration, maxN 
 	return nil
 }
 
-// serve runs one certified cell end to end and writes the artifact.
+// serve runs one certified cell end to end over TCP and writes the
+// artifact.
 func serve(graphKind string, n, m, rows int, radius float64, seed int64,
-	probName, engName, txName string, retries int, timeout time.Duration,
+	probName string, retries int, timeout time.Duration,
 	dropProb, delayProb float64, maxDelay time.Duration, faultSeed uint64,
 	outPath, traceOut string, traceCap int) error {
-	engine, err := sleepmst.ParseEngine(engName)
-	if err != nil {
-		return err
-	}
 	p, err := problem.Lookup(probName)
 	if err != nil {
 		return err
@@ -239,10 +239,12 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		return err
 	}
 
-	tx, err := buildTransport(txName, retries, timeout)
-	if err != nil {
-		return err
+	if retries <= 0 {
+		// TCPConfig treats 0 as "use the default"; -retries 0 must
+		// genuinely disable the wire retry budget.
+		retries = transport.NoRetries
 	}
+	var tx sleepmst.Transport = transport.NewTCP(transport.TCPConfig{Retries: retries, RecvTimeout: timeout})
 	if dropProb > 0 || delayProb > 0 {
 		tx = transport.WithFaults(tx, transport.FaultConfig{
 			Seed:      faultSeed,
@@ -255,49 +257,11 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	defer tx.Close()
 
 	rec := sleepmst.NewTraceRecorder(traceCap)
-	r, err := p.Run(g, sleepmst.Options{
-		Engine:    engine,
-		Seed:      seed,
-		Trace:     rec,
-		Transport: tx,
-	})
+	a, err := certify(p, g, graphKind, seed, tx, rec)
 	if err != nil {
 		return fmt.Errorf("run failed (wire faults beyond the retry budget surface here): %w", err)
 	}
-
-	meta, events := rec.Meta(), rec.Events()
-	verdict := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: seed, Budget: p.Budget},
-		Meta:   meta,
-		Events: events,
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}.Verdict()
-
-	a := artifact{
-		Schema:    artifactSchema,
-		Problem:   p.Name(),
-		Graph:     graphKind,
-		N:         g.N(),
-		M:         g.M(),
-		Seed:      seed,
-		Transport: txName,
-		Verdict:   verdict,
-		Run: runSummary{
-			AwakeMax:     r.Sim.MaxAwake(),
-			AwakeAvg:     r.Sim.MeanAwake(),
-			Rounds:       r.Sim.Rounds,
-			BusyRounds:   r.Sim.BusyRounds,
-			Sent:         r.Sim.MessagesSent,
-			Delivered:    r.Sim.MessagesDelivered,
-			Lost:         r.Sim.MessagesLost,
-			BitsSent:     r.Sim.BitsSent,
-			Phases:       r.Phases,
-			VerifyPassed: p.Verify(g, r) == nil,
-		},
-	}
-	if r.Outcome != nil {
-		a.Run.MSTWeight = sleepmst.TotalWeight(r.Outcome.MSTEdges)
-	}
+	a.Transport = wireName
 	if s, ok := sleepmst.TransportStatsOf(tx); ok {
 		a.Wire = wireSummary{
 			FramesSent:     s.FramesSent,
@@ -316,7 +280,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteEventsJSONL(f, meta, events); err != nil {
+		if err := rec.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -336,28 +300,51 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	} else if err := os.WriteFile(outPath, data, 0o644); err != nil {
 		return err
 	}
-	if !verdict.Pass || !a.Run.VerifyPassed {
+	if !a.Verdict.Pass || !a.Run.VerifyPassed {
 		return fmt.Errorf("%w: %s on %s n=%d", errViolation, p.Name(), graphKind, g.N())
 	}
 	return nil
 }
 
-// buildTransport constructs the named backend with the service's
-// retry/deadline settings.
-func buildTransport(name string, retries int, timeout time.Duration) (sleepmst.Transport, error) {
-	switch name {
-	case "tcp":
-		if retries <= 0 {
-			// TCPConfig treats 0 as "use the default"; -retries 0 must
-			// genuinely disable the wire retry budget.
-			retries = transport.NoRetries
-		}
-		return transport.NewTCP(transport.TCPConfig{Retries: retries, RecvTimeout: timeout}), nil
-	case "inproc":
-		t := transport.NewInproc()
-		t.RecvTimeout = timeout
-		return t, nil
-	default:
-		return nil, fmt.Errorf("unknown transport %q (want tcp or inproc)", name)
+// certify runs p on g, every delivery carried over tx (nil = in
+// memory), into rec, and builds the artifact's verdict and run
+// sections from the certified trace. Those sections depend only on
+// (p, g, seed): the backend shows up in the wire section alone, which
+// the caller fills in.
+func certify(p problem.Problem, g *graph.Graph, graphKind string, seed int64, tx sleepmst.Transport, rec *trace.Recorder) (artifact, error) {
+	r, err := p.Run(g, sleepmst.Options{Seed: seed, Trace: rec, Transport: tx})
+	if err != nil {
+		return artifact{}, err
 	}
+	verdict := conform.Suite{
+		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: seed, Budget: p.Budget},
+		Meta:   rec.Meta(),
+		Events: rec.Events(),
+		Extra:  []conform.Check{p.ConformCheck(g, r)},
+	}.Verdict()
+	a := artifact{
+		Schema:  artifactSchema,
+		Problem: p.Name(),
+		Graph:   graphKind,
+		N:       g.N(),
+		M:       g.M(),
+		Seed:    seed,
+		Verdict: verdict,
+		Run: runSummary{
+			AwakeMax:     r.Sim.MaxAwake(),
+			AwakeAvg:     r.Sim.MeanAwake(),
+			Rounds:       r.Sim.Rounds,
+			BusyRounds:   r.Sim.BusyRounds,
+			Sent:         r.Sim.MessagesSent,
+			Delivered:    r.Sim.MessagesDelivered,
+			Lost:         r.Sim.MessagesLost,
+			BitsSent:     r.Sim.BitsSent,
+			Phases:       r.Phases,
+			VerifyPassed: p.Verify(g, r) == nil,
+		},
+	}
+	if r.Outcome != nil {
+		a.Run.MSTWeight = sleepmst.TotalWeight(r.Outcome.MSTEdges)
+	}
+	return a, nil
 }

@@ -13,19 +13,21 @@ import (
 	"testing"
 	"time"
 
+	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
+	"sleepmst/internal/trace"
 	"sleepmst/internal/transport"
 )
 
 // serveCell runs serve once and decodes the artifact.
-func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64, retries int) (artifact, []byte) {
+func serveCell(t *testing.T, probName string, n int, drop, delay float64, retries int) (artifact, []byte) {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "verdict.json")
-	err := serve("random", n, 2*n, 0, 0.2, 1, probName, "event", txName,
+	err := serve("random", n, 2*n, 0, 0.2, 1, probName,
 		retries, transport.DefaultRecvTimeout, drop, delay, time.Millisecond, 3,
 		out, "", 1<<20)
 	if err != nil {
-		t.Fatalf("serve(%s over %s): %v", probName, txName, err)
+		t.Fatalf("serve(%s): %v", probName, err)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -39,7 +41,7 @@ func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64
 }
 
 // verdictBytes re-marshals just the transport-independent sections
-// for byte comparison across backends.
+// for byte comparison across runs.
 func verdictBytes(t *testing.T, a artifact) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
@@ -53,14 +55,25 @@ func verdictBytes(t *testing.T, a artifact) []byte {
 }
 
 // TestServeVerdictIdenticalAcrossBackends pins the service's core
-// claim: the certified verdict and run summary do not depend on which
-// backend carried the frames.
+// claim: the certified verdict and run summary over TCP are those of
+// the in-memory run of the same cell.
 func TestServeVerdictIdenticalAcrossBackends(t *testing.T) {
 	for _, probName := range []string{"mst/randomized", "mis"} {
-		inproc, _ := serveCell(t, probName, "inproc", 32, 0, 0, transport.DefaultRetries)
-		tcp, _ := serveCell(t, probName, "tcp", 32, 0, 0, transport.DefaultRetries)
-		if got, want := string(verdictBytes(t, tcp)), string(verdictBytes(t, inproc)); got != want {
-			t.Errorf("%s: verdict+run section differs across backends:\ntcp:    %s\ninproc: %s", probName, got, want)
+		tcp, _ := serveCell(t, probName, 32, 0, 0, transport.DefaultRetries)
+		p, err := problem.Lookup(probName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := service.BuildGraph("random", 32, 64, 0, 0.2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := certify(p, g, "random", 1, nil, trace.NewRecorder(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(verdictBytes(t, tcp)), string(verdictBytes(t, mem)); got != want {
+			t.Errorf("%s: verdict+run section differs from the in-memory run:\ntcp:       %s\nin-memory: %s", probName, got, want)
 		}
 		if !tcp.Verdict.Pass || !tcp.Run.VerifyPassed {
 			t.Errorf("%s: tcp verdict did not pass: %+v", probName, tcp.Verdict)
@@ -75,8 +88,8 @@ func TestServeVerdictIdenticalAcrossBackends(t *testing.T) {
 // with a retry budget: the artifact must still certify a correct
 // tree, and the wire section must show the faults were exercised.
 func TestServeFaultyWireStillCertifies(t *testing.T) {
-	clean, _ := serveCell(t, "mst/randomized", "tcp", 32, 0, 0, 8)
-	faulty, _ := serveCell(t, "mst/randomized", "tcp", 32, 0.05, 0.05, 8)
+	clean, _ := serveCell(t, "mst/randomized", 32, 0, 0, 8)
+	faulty, _ := serveCell(t, "mst/randomized", 32, 0.05, 0.05, 8)
 	if got, want := string(verdictBytes(t, faulty)), string(verdictBytes(t, clean)); got != want {
 		t.Errorf("verdict+run section changed under wire faults:\nfaulty: %s\nclean:  %s", got, want)
 	}
@@ -87,17 +100,14 @@ func TestServeFaultyWireStillCertifies(t *testing.T) {
 
 // TestServeRejectsUnknownInputs covers the argument surface.
 func TestServeRejectsUnknownInputs(t *testing.T) {
-	base := func(prob, tx, graph string) error {
-		return serve(graph, 8, 16, 0, 0.2, 1, prob, "event", tx,
+	base := func(prob, graph string) error {
+		return serve(graph, 8, 16, 0, 0.2, 1, prob,
 			0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16)
 	}
-	if err := base("nope", "tcp", "random"); err == nil {
+	if err := base("nope", "random"); err == nil {
 		t.Error("unknown problem accepted")
 	}
-	if err := base("mis", "carrier-pigeon", "random"); err == nil {
-		t.Error("unknown transport accepted")
-	}
-	if err := base("mis", "tcp", "torus"); err == nil {
+	if err := base("mis", "torus"); err == nil {
 		t.Error("unknown graph kind accepted")
 	}
 }
@@ -118,11 +128,11 @@ func TestExitCodes(t *testing.T) {
 	}
 	// The one-shot violation path must produce the sentinel: a passing
 	// run must not.
-	if err := serve("random", 16, 32, 0, 0.2, 1, "mis", "event", "inproc",
+	if err := serve("random", 16, 32, 0, 0.2, 1, "mis",
 		0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16); err != nil {
 		t.Errorf("passing cell returned %v", err)
 	}
-	if err := serve("random", 16, 32, 0, 0.2, 1, "nope", "event", "inproc",
+	if err := serve("random", 16, 32, 0, 0.2, 1, "nope",
 		0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16); exitCode(err) != 2 {
 		t.Errorf("unknown problem classified as %d, want 2", exitCode(err))
 	}

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"sleepmst"
 )
 
 func TestParseRates(t *testing.T) {
@@ -27,7 +25,7 @@ func TestParseRates(t *testing.T) {
 func TestRunChaosEndToEnd(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "sweep.json")
 	if err := runChaos("random", 24, 0, 0, 0, 3, false,
-		"drop", "0,0.05", 2, "randomized,baseline", 0, jsonPath, 0, sleepmst.EngineEvent); err != nil {
+		"drop", "0,0.05", 2, "randomized,baseline", 0, jsonPath, 0); err != nil {
 		t.Fatalf("runChaos: %v", err)
 	}
 	b, err := os.ReadFile(jsonPath)
@@ -57,13 +55,13 @@ func TestRunChaosEndToEnd(t *testing.T) {
 }
 
 func TestRunChaosBadInputs(t *testing.T) {
-	if err := runChaos("random", 16, 0, 0, 0, 1, false, "meteor", "0", 1, "randomized", 0, "", 0, sleepmst.EngineEvent); err == nil {
+	if err := runChaos("random", 16, 0, 0, 0, 1, false, "meteor", "0", 1, "randomized", 0, "", 0); err == nil {
 		t.Error("want error for unknown fault")
 	}
-	if err := runChaos("random", 16, 0, 0, 0, 1, false, "drop", "0", 1, "quantum", 0, "", 0, sleepmst.EngineEvent); err == nil {
+	if err := runChaos("random", 16, 0, 0, 0, 1, false, "drop", "0", 1, "quantum", 0, "", 0); err == nil {
 		t.Error("want error for unknown algorithm")
 	}
-	if err := runChaos("nope", 16, 0, 0, 0, 1, false, "drop", "0", 1, "randomized", 0, "", 0, sleepmst.EngineEvent); err == nil {
+	if err := runChaos("nope", 16, 0, 0, 0, 1, false, "drop", "0", 1, "randomized", 0, "", 0); err == nil {
 		t.Error("want error for unknown graph kind")
 	}
 }

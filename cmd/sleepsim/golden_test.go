@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"sleepmst"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -18,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestChaosJSONGolden(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "sweep.json")
 	if err := runChaos("random", 24, 0, 0, 0, 3, false,
-		"drop", "0,0.05", 2, "randomized,baseline", 0, jsonPath, 1, sleepmst.EngineEvent); err != nil {
+		"drop", "0,0.05", 2, "randomized,baseline", 0, jsonPath, 1); err != nil {
 		t.Fatalf("runChaos: %v", err)
 	}
 	got, err := os.ReadFile(jsonPath)

@@ -50,8 +50,7 @@ func main() {
 		rows      = flag.Int("rows", 0, "rows for -graph grid (default sqrt(n))")
 		radius    = flag.Float64("radius", 0.2, "radius for -graph sensor")
 		seed      = flag.Int64("seed", 1, "seed for topology, weights and algorithm randomness")
-		engName   = flag.String("engine", "event", "simulator scheduler: event (goroutine-free, default) or goroutine (legacy reference)")
-		txName    = flag.String("transport", "", "wire backend for deliveries: none (in-memory, default), inproc, or tcp")
+		txName    = flag.String("transport", "", "wire backend for deliveries: none (in-memory, default) or tcp")
 		problem   = flag.String("problem", "mst", "problem to run: mst (select the algorithm with -algo) or a problem-suite name such as mis or mst/randomized")
 		algoName  = flag.String("algo", "randomized", "algorithm for -problem mst: randomized|deterministic|logstar|baseline|ghs")
 		idSpace   = flag.Int64("idspace", 0, "reassign random IDs in [1, idspace] (0 = IDs 1..n)")
@@ -75,12 +74,6 @@ func main() {
 	)
 	flag.Parse()
 
-	engine, err := sleepmst.ParseEngine(*engName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sleepsim:", err)
-		os.Exit(1)
-	}
-
 	stopProf, err := prof.Start(*pprofOut)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sleepsim:", err)
@@ -89,14 +82,14 @@ func main() {
 	switch {
 	case *chaosFault != "" && *problem == "mis":
 		err = runMISChaos(*graphKind, *n, *m, *rows, *radius, *seed, *bitCap,
-			*chaosFault, *rateList, *chaosSeeds, *awakeBud, engine)
+			*chaosFault, *rateList, *chaosSeeds, *awakeBud)
 	case *chaosFault != "":
 		err = runChaos(*graphKind, *n, *m, *rows, *radius, *seed, *bitCap,
-			*chaosFault, *rateList, *chaosSeeds, *chaosAlgos, *awakeBud, *jsonOut, *workers, engine)
+			*chaosFault, *rateList, *chaosSeeds, *chaosAlgos, *awakeBud, *jsonOut, *workers)
 	case *problem == "mst":
 		err = run(runOpts{
 			graphKind: *graphKind, n: *n, m: *m, rows: *rows, radius: *radius,
-			seed: *seed, algoName: *algoName, idSpace: *idSpace, bitCap: *bitCap, engine: engine,
+			seed: *seed, algoName: *algoName, idSpace: *idSpace, bitCap: *bitCap,
 			transport: *txName,
 			showTrace: *showTrace, showHist: *showHist, width: *width,
 			traceOut: *traceOut, traceCap: *traceCap, showMetrics: *showMetrics,
@@ -104,7 +97,7 @@ func main() {
 	default:
 		err = runProblem(runOpts{
 			graphKind: *graphKind, n: *n, m: *m, rows: *rows, radius: *radius,
-			seed: *seed, algoName: *problem, idSpace: *idSpace, bitCap: *bitCap, engine: engine,
+			seed: *seed, algoName: *problem, idSpace: *idSpace, bitCap: *bitCap,
 			transport: *txName,
 			showTrace: *showTrace, showHist: *showHist, width: *width,
 			traceOut: *traceOut, traceCap: *traceCap, showMetrics: *showMetrics,
@@ -123,8 +116,7 @@ func main() {
 // cell, chaos-seeds runs are perturbed by the selected fault policy
 // and classified by the oracle.
 func runChaos(graphKind string, n, m, rows int, radius float64, seed int64, bitCap bool,
-	faultName, rateList string, seeds int, algoList string, awakeBudget int64, jsonOut string, workers int,
-	engine sleepmst.Engine) error {
+	faultName, rateList string, seeds int, algoList string, awakeBudget int64, jsonOut string, workers int) error {
 	g, err := buildGraph(graphKind, n, m, rows, radius, seed)
 	if err != nil {
 		return err
@@ -149,7 +141,7 @@ func runChaos(graphKind string, n, m, rows int, radius float64, seed int64, bitC
 		}
 		runners = append(runners, chaos.Runner{Name: a.String(), Run: a.Runner()})
 	}
-	opts := core.Options{Engine: engine, AwakeBudget: awakeBudget}
+	opts := core.Options{AwakeBudget: awakeBudget}
 	if bitCap {
 		opts.BitCap = core.DefaultBitCap(g)
 	}
@@ -213,7 +205,6 @@ func parseRates(s string) ([]float64, error) {
 // runOpts bundles the single-run CLI parameters.
 type runOpts struct {
 	graphKind           string
-	engine              sleepmst.Engine
 	n, m, rows          int
 	radius              float64
 	seed                int64
@@ -241,7 +232,6 @@ func run(o runOpts) error {
 		return err
 	}
 	opts := sleepmst.Options{
-		Engine:            o.engine,
 		Seed:              o.seed,
 		RecordAwakeRounds: o.showTrace,
 		RecordPhases:      true,
@@ -325,7 +315,6 @@ func runProblem(o runOpts) error {
 		return err
 	}
 	opts := sleepmst.Options{
-		Engine:            o.engine,
 		Seed:              o.seed,
 		RecordAwakeRounds: o.showTrace,
 		RecordPhases:      true,
@@ -413,7 +402,7 @@ func runProblem(o runOpts) error {
 // rate, chaos-seeds MIS runs are perturbed by the selected fault
 // policy and classified by the MIS outcome oracle.
 func runMISChaos(graphKind string, n, m, rows int, radius float64, seed int64, bitCap bool,
-	faultName, rateList string, seeds int, awakeBudget int64, engine sleepmst.Engine) error {
+	faultName, rateList string, seeds int, awakeBudget int64) error {
 	g, err := buildGraph(graphKind, n, m, rows, radius, seed)
 	if err != nil {
 		return err
@@ -441,7 +430,6 @@ func runMISChaos(graphKind string, n, m, rows int, radius float64, seed int64, b
 		for i := 0; i < seeds; i++ {
 			runSeed := seed + int64(i)
 			opts := sleepmst.Options{
-				Engine:      engine,
 				Seed:        runSeed,
 				AwakeBudget: awakeBudget,
 				Interceptor: chaos.New(fault.PolicyOptions(rate, runSeed)),

@@ -32,10 +32,6 @@ import (
 
 // Options configures an MST run.
 type Options struct {
-	// Engine selects the simulator's scheduler implementation (see
-	// sim.Engine). The zero value is the event engine; both engines are
-	// byte-identical on fixed seeds.
-	Engine sim.Engine
 	// Seed seeds all node-private randomness.
 	Seed int64
 	// MaxPhases overrides the paper's phase bound (0 = default).
@@ -91,7 +87,6 @@ type Options struct {
 func (o Options) simConfig(g *graph.Graph) sim.Config {
 	return sim.Config{
 		Graph:             g,
-		Engine:            o.Engine,
 		Seed:              o.Seed,
 		BitCap:            o.BitCap,
 		RecordAwakeRounds: o.RecordAwakeRounds,

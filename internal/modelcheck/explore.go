@@ -140,7 +140,6 @@ func (e *explorer) runOne(prefix []int) (*leaf, error) {
 	rec := trace.NewRecorder(e.recCap)
 	rp := &replayer{prefix: prefix, oversleep: e.oversleep, faults: e.cfg.Faults}
 	res, runErr := e.cfg.Problem.Run(e.cfg.Graph, core.Options{
-		Engine:  e.cfg.Engine,
 		Seed:    e.cfg.Seed,
 		Chooser: rp,
 		Trace:   rec,

@@ -20,7 +20,7 @@
 // production choice. A schedule is the sequence of alternatives
 // taken; the production run is the all-zeros schedule.
 //
-// Exploration is stateless in the CHESS style: node goroutine state
+// Exploration is stateless in the CHESS style: node program state
 // cannot be snapshotted, so the explorer re-executes the system from
 // scratch with a recorded choice prefix and branches on the choice
 // points the execution logs beyond it. The search is delay-bounded:
@@ -69,7 +69,6 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/problem"
-	"sleepmst/internal/sim"
 	"sleepmst/internal/sweep"
 	"sleepmst/internal/trace"
 )
@@ -103,11 +102,6 @@ type Config struct {
 	// Seed seeds the run's node-private randomness; the exploration is
 	// exhaustive over schedules for this one seed.
 	Seed int64
-	// Engine selects the simulator scheduler executing every explored
-	// schedule (see sim.Engine). Both engines enumerate Chooser decision
-	// points identically, so the explored schedule space — and every
-	// verdict — is byte-identical across engines.
-	Engine sim.Engine
 	// Depth bounds the non-default choices per schedule (0 =
 	// DefaultDepth). Level d is explored only if levels 0..d-1 found
 	// no violation.

@@ -20,7 +20,7 @@ type choicePoint struct {
 }
 
 // replayer is the sim.Chooser that makes stateless exploration
-// possible: node goroutine state cannot be snapshotted, so the
+// possible: node program state cannot be snapshotted, so the
 // explorer re-executes the system from scratch, replaying a recorded
 // choice prefix positionally and taking the production default
 // beyond it, while logging every choice point the execution passes.

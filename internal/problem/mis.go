@@ -164,7 +164,6 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 
 	cfg := sim.Config{
 		Graph:             g,
-		Engine:            opts.Engine,
 		Seed:              opts.Seed,
 		BitCap:            opts.BitCap,
 		AwakeBudget:       opts.AwakeBudget,

@@ -13,22 +13,58 @@ import (
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/problem"
+	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 	"sleepmst/internal/transport"
 )
 
 // The transport differential harness: the wire layer's correctness
-// proof, in the image of the engine harness above. For every cell the
-// same (graph, seed, problem) tuple runs three ways — without a
-// transport, over the in-process backend, and over real TCP sockets —
-// and the full observable surface must agree byte-for-byte: the
-// in-memory run pins the model semantics, the Inproc run proves the
-// codec round-trips every message type faithfully, and the TCP run
-// proves the socket backend adds nothing but wire.
+// proof. For every cell the same (graph, seed, problem) tuple runs
+// twice — without a transport and over real TCP sockets — and the full
+// observable surface must agree byte-for-byte: the in-memory run pins
+// the model semantics, and the TCP run proves the codec round-trips
+// every message type faithfully and the socket backend adds nothing
+// but wire.
+
+// diffChaos is the chaos policy of the chaos cells: every fault
+// process at once, coordinate-hashed (stateless), so both runs of a
+// cell see identical perturbations regardless of event arrival order.
+func diffChaos(seed int64) sim.Interceptor {
+	return chaos.New(chaos.Options{
+		Seed:          seed,
+		DropRate:      0.02,
+		DelayRate:     0.03,
+		DupRate:       0.02,
+		OversleepRate: 0.02,
+		CrashFrac:     0.1,
+	})
+}
+
+// cellRun is everything one run of a cell produced.
+type cellRun struct {
+	trace   []byte
+	verdict []byte
+	metrics string
+	sim     *sim.Result
+	result  *problem.Result
+	err     error
+}
+
+// firstLineDiff locates the first differing JSONL line for a readable
+// failure message.
+func firstLineDiff(a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d:\n  %s\n  %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}
 
 // runCellOpts executes one cell with the full observability surface
 // enabled, after applying mut to the base options.
-func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core.Options)) engineRun {
+func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core.Options)) cellRun {
 	t.Helper()
 	rec := trace.NewRecorder(1 << 15)
 	reg := metrics.New()
@@ -57,7 +93,7 @@ func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core
 	if werr := suite.Verdict().WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
 	}
-	out := engineRun{
+	out := cellRun{
 		trace:   tr.Bytes(),
 		verdict: vj.Bytes(),
 		metrics: reg.String(),
@@ -72,7 +108,7 @@ func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core
 
 // runTxCell executes one cell with the full observability surface,
 // carrying deliveries over tx (nil = the plain in-memory path).
-func runTxCell(t *testing.T, p problem.Problem, g *graph.Graph, tx transport.Transport, withChaos bool) engineRun {
+func runTxCell(t *testing.T, p problem.Problem, g *graph.Graph, tx transport.Transport, withChaos bool) cellRun {
 	t.Helper()
 	if tx != nil {
 		defer tx.Close()
@@ -87,7 +123,7 @@ func runTxCell(t *testing.T, p problem.Problem, g *graph.Graph, tx transport.Tra
 
 // diffTxCompare asserts two runs of one cell agree on every
 // deterministic surface.
-func diffTxCompare(t *testing.T, labelA, labelB string, a, b engineRun) {
+func diffTxCompare(t *testing.T, labelA, labelB string, a, b cellRun) {
 	t.Helper()
 	if !bytes.Equal(a.trace, b.trace) {
 		t.Errorf("%s vs %s: trace JSONL diverges:\n%s", labelA, labelB, firstLineDiff(a.trace, b.trace))
@@ -130,18 +166,16 @@ func TestTransportDifferential(t *testing.T) {
 					// budget.
 					g := graph.RandomConnected(n, 2*n, graph.GenConfig{Seed: int64(n)})
 					plain := runTxCell(t, p, g, nil, withChaos)
-					inproc := runTxCell(t, p, g, transport.NewInproc(), withChaos)
 					tcp := runTxCell(t, p, g, transport.NewTCP(transport.TCPConfig{}), withChaos)
-					diffTxCompare(t, "plain", "inproc", plain, inproc)
-					diffTxCompare(t, "inproc", "tcp", inproc, tcp)
+					diffTxCompare(t, "plain", "tcp", plain, tcp)
 				})
 			}
 		}
 	}
 }
 
-// TestTransportAllProblems runs every registered problem over both
-// backends at a small size — the codec-coverage sweep: any message
+// TestTransportAllProblems runs every registered problem over TCP at a
+// small size — the codec-coverage sweep: any message
 // type a problem ships that lacks a codec, or round-trips inexactly,
 // fails its cell here.
 func TestTransportAllProblems(t *testing.T) {
@@ -153,13 +187,11 @@ func TestTransportAllProblems(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := graph.RandomConnected(8, 16, graph.GenConfig{Seed: 8})
 			plain := runTxCell(t, p, g, nil, false)
-			inproc := runTxCell(t, p, g, transport.NewInproc(), false)
 			tcp := runTxCell(t, p, g, transport.NewTCP(transport.TCPConfig{}), false)
 			if plain.err != nil {
 				t.Fatalf("plain run failed: %v", plain.err)
 			}
-			diffTxCompare(t, "plain", "inproc", plain, inproc)
-			diffTxCompare(t, "inproc", "tcp", inproc, tcp)
+			diffTxCompare(t, "plain", "tcp", plain, tcp)
 		})
 	}
 }
@@ -227,7 +259,7 @@ func TestTransportDuplicateDelivery(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
 				g := graph.RandomConnected(16, 32, graph.GenConfig{Seed: 16})
-				run := func(tx transport.Transport) engineRun {
+				run := func(tx transport.Transport) cellRun {
 					if tx != nil {
 						defer tx.Close()
 					}
@@ -239,7 +271,7 @@ func TestTransportDuplicateDelivery(t *testing.T) {
 					})
 				}
 				plain := run(nil)
-				dup := run(dupTransport{transport.NewInproc()})
+				dup := run(dupTransport{transport.NewTCP(transport.TCPConfig{})})
 				if !withDelays && plain.err != nil {
 					t.Fatalf("plain run failed: %v", plain.err)
 				}

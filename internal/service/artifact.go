@@ -51,7 +51,7 @@ type RunSummary struct {
 }
 
 // WireSummary is the physical wire accounting of one request that ran
-// over a metered backend (inproc or tcp).
+// over the tcp backend.
 type WireSummary struct {
 	FramesSent     int64 `json:"frames_sent"`
 	FramesRecv     int64 `json:"frames_recv"`

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -40,16 +42,16 @@ func assertNoLeaks(t *testing.T, before int) {
 }
 
 // TestFaultDeadline: an expired per-request deadline cancels the
-// running cell at a round barrier on both engines — StatusDeadline,
+// running cell at a round barrier, over either wire — StatusDeadline,
 // no partial artifact, no leaked node programs.
 func TestFaultDeadline(t *testing.T) {
-	for _, engine := range []string{"event", "goroutine"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, wire := range []string{"none", "tcp"} {
+		t.Run(wire, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			svc := New(Config{Workers: 1})
 			resp := svc.Submit(Request{
 				ID: 1, Problem: "mst/randomized", Graph: "random", N: 512,
-				Seed: 1, Engine: engine, Deadline: time.Nanosecond,
+				Seed: 1, Transport: wire, Deadline: time.Nanosecond,
 			})
 			svc.Drain()
 			if resp.Status != StatusDeadline {
@@ -423,4 +425,89 @@ func TestFaultNeverReadingClient(t *testing.T) {
 	}
 	conn.Close()
 	assertNoLeaks(t, before)
+}
+
+// emfileListener fails its first `failures` Accept calls the way a
+// process out of file descriptors does, then accepts normally.
+type emfileListener struct {
+	net.Listener
+	failures int
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.failures > 0 {
+		l.failures--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(),
+			Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestFaultAcceptOutOfDescriptors: an Accept that fails with EMFILE
+// does not end Serve. The server backs off and keeps accepting, and a
+// client that connected meanwhile gets its request answered on the
+// same Server.
+func TestFaultAcceptOutOfDescriptors(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	srv := NewServer(svc)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(&emfileListener{Listener: ln, failures: 3}) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteRequest(conn, Request{ID: 9, Problem: "mis", Graph: "ring", N: 8, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan Response, 1)
+	go func() {
+		if resp, err := ReadResponse(bufio.NewReader(conn)); err == nil {
+			answered <- resp
+		}
+	}()
+	select {
+	case resp := <-answered:
+		if resp.ID != 9 || resp.Status != StatusOK {
+			t.Errorf("response %d %v (%s), want 9 ok", resp.ID, resp.Status, resp.Detail)
+		}
+	case err := <-serveErr:
+		t.Fatalf("Serve returned %v after a transient accept failure", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("request never answered")
+	}
+	srv.Shutdown()
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v, want ErrServerClosed", err)
+	}
+}
+
+// TestFaultAdmissionBoundsEdges: requests whose topology would build
+// millions of edges are answered invalid at admission, before any graph
+// is built — the build runs ahead of the first round barrier, where no
+// deadline reaches it.
+func TestFaultAdmissionBoundsEdges(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	for _, req := range []Request{
+		{ID: 1, Problem: "mst/randomized", Graph: "random", N: DefaultMaxN, M: 1 << 40},
+		{ID: 2, Problem: "mst/randomized", Graph: "complete", N: DefaultMaxN},
+		{ID: 3, Problem: "mst/randomized", Graph: "sensor", N: DefaultMaxN, Radius: 2},
+	} {
+		answered := make(chan Response, 1)
+		go func() { answered <- svc.Submit(req) }()
+		select {
+		case resp := <-answered:
+			if resp.Status != StatusInvalid || !strings.Contains(resp.Detail, "edges") {
+				t.Errorf("%s n=%d: %v (%s), want invalid naming the edge cap", req.Graph, req.N, resp.Status, resp.Detail)
+			}
+		case <-time.After(100 * time.Millisecond):
+			// Admitted and building; Drain would wait for the build.
+			t.Fatalf("%s n=%d: not answered within 100 ms", req.Graph, req.N)
+		}
+	}
+	svc.Drain()
 }

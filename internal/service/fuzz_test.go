@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ import (
 func fuzzSeeds() [][]byte {
 	full := Request{
 		ID: 42, Problem: "mst/randomized", Graph: "sensor", N: 64, M: 128,
-		Rows: 8, Radius: 0.25, Seed: -7, Engine: "goroutine", Transport: "tcp",
+		Rows: 8, Radius: 0.25, Seed: -7, Transport: "tcp",
 		TraceCap: 1 << 16, Deadline: 3 * time.Second, WantTrace: true,
 	}
 	zero := Request{}
@@ -99,40 +101,130 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// TestRegenFuzzCorpus rewrites the committed seed corpus from
-// fuzzSeeds when SERVICE_REGEN_CORPUS=1; otherwise it verifies the
-// corpus is present and in the `go test fuzz v1` format, so the seeds
-// and the committed files cannot drift silently.
-func TestRegenFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeRequest")
-	if os.Getenv("SERVICE_REGEN_CORPUS") == "1" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
+// submitSeeds are FuzzSubmit's seed requests: every transport value
+// (the retired "inproc" included, which is answered invalid), the
+// topologies the edge cap rejects at the default node cap (random with
+// m = 2^40, complete, sensor with radius 2) and the one it rejects at
+// the fuzzed service's cap, a tcp request at the default node cap, and
+// deadlines at both ends of the fuzzed range.
+func submitSeeds() []Request {
+	return []Request{
+		{ID: 1, Problem: "mis", Graph: "ring", N: 16, Seed: 1},
+		{ID: 2, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 2, Transport: "none"},
+		{ID: 3, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 3, Transport: "tcp", WantTrace: true},
+		{ID: 4, Problem: "mis", Graph: "grid", N: 25, Seed: 4, Transport: "inproc"},
+		{ID: 5, Problem: "mst/randomized", Graph: "random", N: DefaultMaxN, M: 1 << 40, Seed: 5},
+		{ID: 6, Problem: "mst/randomized", Graph: "complete", N: DefaultMaxN, Seed: 6},
+		{ID: 7, Problem: "mst/randomized", Graph: "sensor", N: DefaultMaxN, Radius: 2, Seed: 7},
+		{ID: 8, Problem: "mst/ghs", Graph: "complete", N: 64, Seed: 8},
+		{ID: 9, Problem: "mst/randomized", Graph: "random", N: DefaultMaxN, Seed: 9, Transport: "tcp"},
+		{ID: 10, Problem: "mst/deterministic", Graph: "random", N: 64, M: 512, Seed: 10, Deadline: time.Millisecond},
+		{ID: 11, Problem: "mis", Graph: "sensor", N: 64, Radius: 0.3, Seed: 11, Deadline: -time.Second},
+		{ID: 12, Problem: "mst/logstar", Graph: "path", N: 48, Seed: 12, TraceCap: 64, Deadline: 2 * time.Second, WantTrace: true},
+	}
+}
+
+// submitSlack is the time FuzzSubmit allows past a request's deadline:
+// cancellation lands at the next round barrier, and certifying a run
+// of at most 64 nodes takes milliseconds.
+const submitSlack = time.Second
+
+// FuzzSubmit drives Service.Submit with arbitrary requests, deadlines
+// clamped to [-1s, 2s], against a service capped at 64 nodes. Whatever
+// the request, the response must echo its ID with a documented status,
+// no cell may panic, and the answer must arrive within the request's
+// deadline (the service default for 0) plus submitSlack.
+func FuzzSubmit(f *testing.F) {
+	for _, q := range submitSeeds() {
+		f.Add(q.ID, q.Problem, q.Graph, q.N, q.M, q.Rows, q.Radius, q.Seed, q.Transport, q.TraceCap, int64(q.Deadline), q.WantTrace)
+	}
+	const defaultDeadline = 2 * time.Second
+	f.Fuzz(func(t *testing.T, id int64, prob, graph string, n, m, rows int, radius float64, seed int64,
+		tx string, traceCap int, deadline int64, wantTrace bool) {
+		req := Request{
+			ID: id, Problem: prob, Graph: graph, N: n, M: m, Rows: rows, Radius: radius, Seed: seed,
+			Transport: tx, TraceCap: traceCap, WantTrace: wantTrace,
+			Deadline: min(max(time.Duration(deadline), -time.Second), 2*time.Second),
 		}
-		for i, seed := range fuzzSeeds() {
-			name := filepath.Join(dir, fmt.Sprintf("seed_%02d", i))
-			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
+		svc := New(Config{Workers: 1, MaxN: 64, DefaultDeadline: defaultDeadline})
+		defer svc.Drain()
+		bound := req.Deadline
+		if bound == 0 {
+			bound = defaultDeadline
+		}
+		bound = max(bound, 0) + submitSlack
+		start := time.Now()
+		resp := svc.Submit(req)
+		if took := time.Since(start); took > bound {
+			t.Errorf("answered after %v, bound %v (%v: %s)", took, bound, resp.Status, resp.Detail)
+		}
+		if resp.ID != req.ID {
+			t.Errorf("response ID %d, request ID %d", resp.ID, req.ID)
+		}
+		if resp.Status >= statusCount {
+			t.Errorf("undocumented status %v", resp.Status)
+		}
+		if strings.Contains(resp.Detail, "panic in request cell") {
+			t.Errorf("request cell panicked: %s", resp.Detail)
+		}
+	})
+}
+
+// fuzzCorpus renders each fuzz target's seeds as `go test fuzz v1`
+// files, keyed by target name.
+func fuzzCorpus() map[string][]string {
+	corpus := map[string][]string{}
+	for _, seed := range fuzzSeeds() {
+		corpus["FuzzDecodeRequest"] = append(corpus["FuzzDecodeRequest"],
+			fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
+	}
+	for _, q := range submitSeeds() {
+		corpus["FuzzSubmit"] = append(corpus["FuzzSubmit"], fmt.Sprintf(
+			"go test fuzz v1\nint64(%d)\nstring(%q)\nstring(%q)\nint(%d)\nint(%d)\nint(%d)\nfloat64(%s)\nint64(%d)\nstring(%q)\nint(%d)\nint64(%d)\nbool(%t)\n",
+			q.ID, q.Problem, q.Graph, q.N, q.M, q.Rows, strconv.FormatFloat(q.Radius, 'g', -1, 64), q.Seed,
+			q.Transport, q.TraceCap, int64(q.Deadline), q.WantTrace))
+	}
+	return corpus
+}
+
+// TestRegenFuzzCorpus rewrites the committed seed corpora from
+// fuzzSeeds and submitSeeds when SERVICE_REGEN_CORPUS=1; otherwise it
+// verifies every seed file matches its seed and every other corpus file
+// is in the `go test fuzz v1` format, so the seeds and the committed
+// files cannot drift silently.
+func TestRegenFuzzCorpus(t *testing.T) {
+	regen := os.Getenv("SERVICE_REGEN_CORPUS") == "1"
+	for target, files := range fuzzCorpus() {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if regen {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
+			for i, content := range files {
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed_%02d", i)), []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
 		}
-		return
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("fuzz corpus missing (run with SERVICE_REGEN_CORPUS=1 to generate): %v", err)
-	}
-	if len(entries) < len(fuzzSeeds()) {
-		t.Fatalf("corpus has %d files, seeds define %d (regenerate with SERVICE_REGEN_CORPUS=1)",
-			len(entries), len(fuzzSeeds()))
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s corpus missing (run with SERVICE_REGEN_CORPUS=1 to generate): %v", target, err)
 		}
-		if !bytes.HasPrefix(data, []byte("go test fuzz v1\n")) {
-			t.Errorf("%s is not in go test fuzz v1 format", e.Name())
+		for i, content := range files {
+			data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seed_%02d", i)))
+			if err != nil || string(data) != content {
+				t.Errorf("%s seed_%02d does not match its seed (regenerate with SERVICE_REGEN_CORPUS=1)", target, i)
+			}
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, []byte("go test fuzz v1\n")) {
+				t.Errorf("%s/%s is not in go test fuzz v1 format", target, e.Name())
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"sleepmst/internal/graph"
 )
@@ -43,6 +44,33 @@ func BuildGraph(kind string, n, m, rows int, radius float64, seed int64) (*graph
 		return graph.RandomGeometric(n, radius, cfg), nil
 	default:
 		return nil, fmt.Errorf("service: unknown graph kind %q (want %s)", kind, GraphKindList)
+	}
+}
+
+// edgeBound bounds the edges BuildGraph builds for a request, from the
+// same parameters and defaults, without building anything: random
+// graphs have min(m, n(n-1)/2) edges, complete graphs n(n-1)/2, sensor
+// graphs the pairs inside the radius in expectation, πr² of all pairs,
+// plus at most n-1 bridges, and rings, paths and grids at most 2 per
+// node (a grid can round n up to fewer than 2n nodes). The sensor
+// figure is an expectation, so the built graph is checked as well.
+func edgeBound(kind string, n, m int, radius float64) float64 {
+	pairs := float64(n) * float64(n-1) / 2
+	switch kind {
+	case "random":
+		if m <= 0 {
+			m = 2 * n
+		}
+		return math.Min(float64(m), pairs)
+	case "complete":
+		return pairs
+	case "sensor":
+		if radius <= 0 {
+			radius = 0.2
+		}
+		return pairs*math.Min(1, math.Pi*radius*radius) + float64(n-1)
+	default:
+		return 4 * float64(n)
 	}
 }
 

@@ -34,6 +34,11 @@ const (
 	// reading therefore holds its handler for at most writeTimeout
 	// once its requests have finished.
 	writeTimeout = 5 * time.Second
+	// minAcceptBackoff and maxAcceptBackoff bound the pause after a
+	// transient Accept failure, doubling per consecutive failure, as
+	// net/http does.
+	minAcceptBackoff = 5 * time.Millisecond
+	maxAcceptBackoff = time.Second
 )
 
 // Server exposes a Service over the length-prefixed wire protocol: it
@@ -64,7 +69,10 @@ func NewServer(svc *Service) *Server {
 
 // Serve accepts connections on ln until Shutdown. It returns
 // ErrServerClosed after a clean Shutdown, or the accept error
-// otherwise.
+// otherwise. An Accept that fails for want of file descriptors
+// (EMFILE, ENFILE) or because the peer aborted the connection first
+// (ECONNABORTED) is transient: Serve backs off and keeps accepting, so
+// a burst of sockets cannot take down a daemon with admitted requests.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -74,6 +82,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	var backoff time.Duration // pause before the next Accept; 0 after a success
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -83,8 +92,14 @@ func (s *Server) Serve(ln net.Listener) error {
 			if closed {
 				return ErrServerClosed
 			}
-			return err
+			if !transientAccept(err) {
+				return err
+			}
+			backoff = min(max(2*backoff, minAcceptBackoff), maxAcceptBackoff)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -198,6 +213,15 @@ func (s *Server) handle(conn net.Conn) {
 			respond(s.svc.Submit(req))
 		}()
 	}
+}
+
+// transientAccept reports whether an Accept error passes once load
+// drops: the process or system is out of file descriptors, or a
+// connection was aborted before it was accepted.
+func transientAccept(err error) bool {
+	return errors.Is(err, syscall.EMFILE) ||
+		errors.Is(err, syscall.ENFILE) ||
+		errors.Is(err, syscall.ECONNABORTED)
 }
 
 // isHangup reports whether a read error means "the connection is

@@ -4,8 +4,8 @@
 // and per-request isolation.
 //
 // One Service owns a sweep.Pool. Every admitted request runs as its
-// own cell — own graph, seed, engine, trace recorder, metrics
-// registry, and (optionally) its own wire backend — and produces a
+// own cell — own graph, seed, trace recorder, metrics registry, and
+// (optionally) its own wire backend — and produces a
 // JSON Artifact holding the conformance verdict, the run summary, and
 // any wire accounting. Per-request registries are folded into one
 // service-level metrics registry; because every counter commutes, the
@@ -102,6 +102,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// edgesPerNode derives the per-request edge cap from the node cap: a
+// request may build at most edgesPerNode·MaxN edges. Graph build runs
+// before the first round barrier, where the deadline cannot reach it,
+// so admission must bound it.
+const edgesPerNode = 8
+
 // Service schedules certified-computation requests over a bounded
 // worker pool. Create with New, stop with Drain; Submit is safe for
 // concurrent use from any number of goroutines.
@@ -191,15 +197,14 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 	if req.Graph == "sensor" && (math.IsNaN(req.Radius) || req.Radius < 0 || req.Radius > 2) {
 		return nil, fmt.Sprintf("sensor radius %v outside [0, 2]", req.Radius)
 	}
-	if req.Engine != "" {
-		if _, err := sim.ParseEngine(req.Engine); err != nil {
-			return nil, err.Error()
-		}
+	if bound, limit := edgeBound(req.Graph, req.N, req.M, req.Radius), s.maxEdges(); bound > float64(limit) {
+		return nil, fmt.Sprintf("%s graph on n=%d would build up to %.0f edges, over the admitted cap %d",
+			req.Graph, req.N, bound, limit)
 	}
 	switch req.Transport {
-	case "", "none", "inproc", "tcp":
+	case "", "none", "tcp":
 	default:
-		return nil, fmt.Sprintf("unknown transport %q (want none, inproc, or tcp)", req.Transport)
+		return nil, fmt.Sprintf("unknown transport %q (want none or tcp)", req.Transport)
 	}
 	if req.TraceCap < 0 || req.TraceCap > s.cfg.MaxTraceCap {
 		return nil, fmt.Sprintf("trace cap %d outside [0, %d]", req.TraceCap, s.cfg.MaxTraceCap)
@@ -234,26 +239,22 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	if err != nil {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
-	// Validation bounds the request's N, but derived topologies (grid
-	// rounds n up to rows*cols) can build more nodes than asked for;
-	// re-check the built size against the same admission cap.
+	// Validation bounds the request's N and expected edge count, but
+	// derived topologies (grid rounds n up to rows*cols, a sensor graph
+	// is random) can build more than asked for; re-check the built size
+	// against the same admission caps.
 	if g.N() > s.cfg.MaxN {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
 			Detail: fmt.Sprintf("built %s graph has %d nodes, over the admitted cap %d", req.Graph, g.N(), s.cfg.MaxN)}, "")
 	}
+	if g.M() > s.maxEdges() {
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
+			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted cap %d", req.Graph, g.M(), s.maxEdges())}, "")
+	}
 	var tx transport.Transport
-	switch req.Transport {
-	case "inproc":
-		tx = transport.NewInproc()
-	case "tcp":
+	if req.Transport == "tcp" {
 		tx = transport.NewTCP(transport.TCPConfig{})
-	}
-	if tx != nil {
 		defer tx.Close()
-	}
-	engine := sim.EngineEvent
-	if req.Engine != "" {
-		engine, _ = sim.ParseEngine(req.Engine) // validated at admission
 	}
 	traceCap := req.TraceCap
 	if traceCap == 0 {
@@ -263,7 +264,6 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	rec := trace.NewRecorder(traceCap)
 	reg := metrics.New()
 	r, err := p.Run(g, core.Options{
-		Engine:    engine,
 		Seed:      req.Seed,
 		Trace:     rec,
 		Metrics:   reg,
@@ -361,6 +361,9 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	s.reg.Merge(reg)
 	return s.finish(req, resp, p.Name())
 }
+
+// maxEdges is the per-request edge cap, edgesPerNode·MaxN.
+func (s *Service) maxEdges() int { return edgesPerNode * s.cfg.MaxN }
 
 // finish records the request accounting and returns resp. canonical
 // is the resolved problem name for completed runs ("" otherwise).

@@ -19,20 +19,20 @@ import (
 	"sleepmst/internal/problem"
 )
 
-// testMix is a fixed request mix spanning problems, topologies,
-// engines, and backends — the workload both determinism tests replay.
+// testMix is a fixed request mix spanning problems, topologies, and
+// backends — the workload both determinism tests replay.
 func testMix() []Request {
 	return []Request{
 		{ID: 1, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 7},
 		{ID: 2, Problem: "mis", Graph: "ring", N: 48, Seed: 3},
 		{ID: 3, Problem: "mst/baseline", Graph: "grid", N: 25, Seed: 11},
-		{ID: 4, Problem: "mst/randomized", Graph: "path", N: 24, Seed: 5, Engine: "goroutine"},
+		{ID: 4, Problem: "mst/randomized", Graph: "path", N: 24, Seed: 5},
 		{ID: 5, Problem: "mst/ghs", Graph: "complete", N: 12, Seed: 2},
 		{ID: 6, Problem: "randomized", Graph: "random", N: 28, M: 80, Seed: 9}, // bare alias
 		{ID: 7, Problem: "mis", Graph: "grid", N: 36, Seed: 1, WantTrace: true},
 		{ID: 8, Problem: "mst/randomized", Graph: "sensor", N: 40, Radius: 0.5, Seed: 13},
 		{ID: 9, Problem: "mst/logstar", Graph: "ring", N: 32, Seed: 4},
-		{ID: 10, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 7, Transport: "inproc"},
+		{ID: 10, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 7, Transport: "tcp"},
 	}
 }
 
@@ -109,7 +109,7 @@ func TestServiceDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestServiceRequestFeatures spot-checks per-request isolation knobs
-// on single responses: traces arrive only when asked for, the inproc
+// on single responses: traces arrive only when asked for, the tcp
 // request carries wire accounting, and the in-memory ones do not.
 func TestServiceRequestFeatures(t *testing.T) {
 	seq, _ := runMix(t, 1)
@@ -127,7 +127,7 @@ func TestServiceRequestFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if withWire.Wire == nil || withWire.Wire.FramesSent == 0 {
-		t.Errorf("inproc request carries no wire accounting: %+v", withWire.Wire)
+		t.Errorf("tcp request carries no wire accounting: %+v", withWire.Wire)
 	}
 	if without.Wire != nil {
 		t.Errorf("in-memory request carries wire accounting: %+v", without.Wire)
@@ -153,8 +153,8 @@ func TestServiceInvalidRequests(t *testing.T) {
 		{"ring n=1", Request{Problem: "mis", Graph: "ring", N: 1}, "ring requires n >= 3"},
 		{"ring n=2", Request{Problem: "mis", Graph: "ring", N: 2}, "ring requires n >= 3"},
 		{"rows over n", Request{Problem: "mis", Graph: "grid", N: 9, Rows: 1 << 40}, "exceeds n"},
-		{"bad engine", Request{Problem: "mis", Graph: "ring", N: 8, Engine: "warp"}, "unknown engine"},
 		{"bad transport", Request{Problem: "mis", Graph: "ring", N: 8, Transport: "udp"}, "unknown transport"},
+		{"retired inproc transport", Request{Problem: "mis", Graph: "ring", N: 8, Transport: "inproc"}, "unknown transport"},
 		{"nan radius", Request{Problem: "mis", Graph: "sensor", N: 8, Radius: math.NaN()}, "radius"},
 		{"trace cap", Request{Problem: "mis", Graph: "ring", N: 8, TraceCap: DefaultMaxTraceCap + 1}, "trace cap"},
 		{"negative deadline", Request{Problem: "mis", Graph: "ring", N: 8, Deadline: -time.Second}, "negative deadline"},

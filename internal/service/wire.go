@@ -54,10 +54,10 @@ const (
 	// oracle failed; the artifact holds the failing checks.
 	StatusViolation
 	// StatusInvalid: the request failed validation (unknown problem,
-	// graph kind, engine or transport; out-of-range n, rows, trace cap
-	// or deadline; a per-kind topology minimum like ring n >= 3; or a
-	// built graph over the node cap) — or, with BadFrameID, the frame
-	// itself was undecodable.
+	// graph kind or transport; out-of-range n, rows, trace cap or
+	// deadline; a per-kind topology minimum like ring n >= 3; or a
+	// topology, requested or built, over the node or edge cap) — or,
+	// with BadFrameID, the frame itself was undecodable.
 	StatusInvalid
 	// StatusOverloaded: the admission queue was full; the request was
 	// rejected without running. Back off and retry.
@@ -99,8 +99,8 @@ func (s Status) String() string {
 
 // Request is one certified-computation request: which problem to run
 // on which topology with which seed, plus the per-request isolation
-// knobs (engine, wire backend, trace capacity, deadline). The zero
-// value of every optional field means "service default".
+// knobs (wire backend, trace capacity, deadline). The zero value of
+// every optional field means "service default".
 type Request struct {
 	// ID is the client-assigned correlation id echoed in the response.
 	ID int64
@@ -119,10 +119,8 @@ type Request struct {
 	Radius float64
 	// Seed seeds topology, weights, and algorithm randomness.
 	Seed int64
-	// Engine selects the scheduler: "", "event", or "goroutine".
-	Engine string
 	// Transport selects the per-request wire backend: "" or "none"
-	// (in-memory), "inproc", or "tcp".
+	// (in-memory), or "tcp".
 	Transport string
 	// TraceCap is the trace-recorder event capacity (0 = service
 	// default; bounded by the service's MaxTraceCap).
@@ -164,7 +162,6 @@ func init() {
 			w.Int(int64(q.Rows))
 			w.Uint(math.Float64bits(q.Radius))
 			w.Int(q.Seed)
-			w.Bytes([]byte(q.Engine))
 			w.Bytes([]byte(q.Transport))
 			w.Int(int64(q.TraceCap))
 			w.Int(int64(q.Deadline))
@@ -180,7 +177,6 @@ func init() {
 				Rows:      int(r.Int()),
 				Radius:    math.Float64frombits(r.Uvarint()),
 				Seed:      r.Int(),
-				Engine:    string(r.Bytes()),
 				Transport: string(r.Bytes()),
 				TraceCap:  int(r.Int()),
 				Deadline:  time.Duration(r.Int()),

@@ -5,7 +5,7 @@ import (
 	"iter"
 )
 
-// The event engine: the default, goroutine-free scheduler core.
+// The event engine: the goroutine-free scheduler core.
 //
 // Node programs still read as sequential Go code, but instead of one
 // goroutine per node they run as coroutine continuations (iter.Pull)
@@ -15,16 +15,13 @@ import (
 // per-awake-node-round cost from microseconds to ~100 ns and makes
 // n = 10^5 routine and n = 10^6 reachable on one machine.
 //
-// Equivalence with the goroutine engine is structural, not accidental:
-// this file replays the exact statement order of the legacy loop
-// (engine_goroutine.go) per event. The one behavioral difference — parks
-// arrive in ascending node index instead of goroutine-completion order —
-// is unobservable, because every hook the order could reach is order-
-// independent: the Chooser path sorts the goroutine batch to the same
-// ascending order, the Interceptor contract requires coordinate-keyed
-// randomness, the trace recorder writes order-insensitive per-node
-// streams, and metrics are additive. The enginediff tests hold the two
-// engines byte-identical on every registered problem.
+// Every park is processed in ascending node index, and every hook the
+// order could reach is order-independent besides: the Interceptor
+// contract requires coordinate-keyed randomness, the trace recorder
+// writes per-node streams, and metrics are additive. The digest tables
+// (testdata/scheduler_digests.json here, the root
+// testdata/behaviour_digests.json for every registered problem) pin
+// the engine's output byte for byte.
 
 // nodeCoro is one node program suspended inside Exchange: next resumes
 // the continuation (false when the program finished), stop unwinds it
@@ -86,12 +83,10 @@ type eventEngine struct {
 }
 
 // step resumes node idx and processes the outcome: either the program
-// parked again inside Exchange (park bookkeeping, mirroring the batch
-// body of the goroutine loop) or it finished (exit bookkeeping). The
-// resume is a direct continuation switch on this thread, so unlike the
-// goroutine engine there is no batch collection: the park is processed
-// synchronously, in the order the scheduler resumes nodes — ascending
-// index, the same order the goroutine loop sorts into for choosers.
+// parked again inside Exchange (park bookkeeping) or it finished (exit
+// bookkeeping). The resume is a direct continuation switch on this
+// thread, so the park is processed synchronously, in the order the
+// scheduler resumes nodes — ascending index.
 func (e *eventEngine) step(idx int) {
 	rt := e.rt
 	nd := rt.nodes[idx]
@@ -151,10 +146,10 @@ func (e *eventEngine) step(idx int) {
 // bucket or the wake heap.
 func (e *eventEngine) run() {
 	rt := e.rt
-	// Round 0: start every program; each runs until its first Exchange
-	// (or exit). Ascending index — the goroutine engine's sorted-batch
-	// order. Rounds start at 1, so the bucket initially collects nodes
-	// whose first Exchange lands there (the common case).
+	// Round 0: start every program, in ascending index; each runs until
+	// its first Exchange (or exit). Rounds start at 1, so the bucket
+	// initially collects nodes whose first Exchange lands there (the
+	// common case).
 	e.bucketRound = 1
 	for idx := range e.coros {
 		e.step(idx)
@@ -216,9 +211,8 @@ func (e *eventEngine) run() {
 		}
 		// Account for ALL participants before resuming any: a resumed
 		// program observes (via AwakeCount, Round) a world in which the
-		// whole round completed, exactly as under the goroutine engine,
-		// and a budget failure is charged to the lowest-index violator
-		// of the round regardless of resume order.
+		// whole round completed, and a budget failure is charged to the
+		// lowest-index violator of the round regardless of resume order.
 		for _, idx := range p {
 			nd := rt.nodes[idx]
 			nd.awake++
@@ -240,9 +234,8 @@ func (e *eventEngine) run() {
 		// Resume the round's participants. Even after a budget failure
 		// every participant still runs to its next park and has that
 		// park fully processed (InterceptWake, sleep records, heap
-		// push) — matching the goroutine engine, where the batch is
-		// always collected in full before the failure check; the drain
-		// at the top of the next iteration then unwinds everyone.
+		// push); the drain at the top of the next iteration then
+		// unwinds everyone.
 		for _, idx := range p {
 			e.step(idx)
 		}

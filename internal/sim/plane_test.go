@@ -15,28 +15,24 @@ import (
 // outgrow the port table, and a steady-state exchange round allocates
 // nothing.
 
-var engines = []Engine{EngineEvent, EngineGoroutine}
-
 func TestInboxHasDegreeLengthWhenEmpty(t *testing.T) {
 	g := graph.Star(5, graph.GenConfig{Seed: 3})
-	for _, engine := range engines {
-		_, err := Run(Config{Graph: g, Seed: 1, Engine: engine}, func(nd *Node) error {
-			for i := 0; i < 2; i++ {
-				in := nd.Exchange(nil)
-				if len(in) != nd.Degree() {
-					t.Errorf("%v node %d: inbox length %d, want degree %d", engine, nd.Index(), len(in), nd.Degree())
-				}
-				for p, msg := range in {
-					if msg != nil {
-						t.Errorf("%v node %d: port %d holds %v in a silent round", engine, nd.Index(), p, msg)
-					}
+	_, err := Run(Config{Graph: g, Seed: 1}, func(nd *Node) error {
+		for i := 0; i < 2; i++ {
+			in := nd.Exchange(nil)
+			if len(in) != nd.Degree() {
+				t.Errorf("node %d: inbox length %d, want degree %d", nd.Index(), len(in), nd.Degree())
+			}
+			for p, msg := range in {
+				if msg != nil {
+					t.Errorf("node %d: port %d holds %v in a silent round", nd.Index(), p, msg)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -77,65 +73,61 @@ func TestNilSlotIsNotSent(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range engines {
-		for _, mode := range []string{"bare", "trace", "interceptor", "chooser"} {
-			reg := metrics.New()
-			cfg := Config{Graph: g, Seed: 1, Engine: engine, Metrics: reg}
-			rec := trace.NewRecorder(0)
-			itc := &countingInterceptor{}
-			faults := 0
-			switch mode {
-			case "trace":
-				cfg.Trace = rec
-			case "interceptor":
-				cfg.Interceptor = itc
-			case "chooser":
-				cfg.Chooser = &hookChooser{onFault: func(int64, int, int, int) bool { faults++; return false }}
-			}
-			res, err := Run(cfg, prog)
-			if err != nil {
-				t.Fatalf("%v/%s: %v", engine, mode, err)
-			}
-			if res.MessagesSent != 1 || res.MessagesDelivered != 1 || res.BitsSent != 5 {
-				t.Errorf("%v/%s: sent=%d delivered=%d bits=%d, want 1/1/5",
-					engine, mode, res.MessagesSent, res.MessagesDelivered, res.BitsSent)
-			}
-			if got := reg.Get(metrics.MsgName("probe")); got != 1 {
-				t.Errorf("%v/%s: probe tally %d, want 1", engine, mode, got)
-			}
-			if mode == "trace" {
-				sends := 0
-				for _, ev := range rec.Events() {
-					if ev.Kind == trace.KindSend {
-						sends++
-					}
-				}
-				if sends != 1 {
-					t.Errorf("%v/trace: %d send events, want 1", engine, sends)
+	for _, mode := range []string{"bare", "trace", "interceptor", "chooser"} {
+		reg := metrics.New()
+		cfg := Config{Graph: g, Seed: 1, Metrics: reg}
+		rec := trace.NewRecorder(0)
+		itc := &countingInterceptor{}
+		faults := 0
+		switch mode {
+		case "trace":
+			cfg.Trace = rec
+		case "interceptor":
+			cfg.Interceptor = itc
+		case "chooser":
+			cfg.Chooser = &hookChooser{onFault: func(int64, int, int, int) bool { faults++; return false }}
+		}
+		res, err := Run(cfg, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if res.MessagesSent != 1 || res.MessagesDelivered != 1 || res.BitsSent != 5 {
+			t.Errorf("%s: sent=%d delivered=%d bits=%d, want 1/1/5",
+				mode, res.MessagesSent, res.MessagesDelivered, res.BitsSent)
+		}
+		if got := reg.Get(metrics.MsgName("probe")); got != 1 {
+			t.Errorf("%s: probe tally %d, want 1", mode, got)
+		}
+		if mode == "trace" {
+			sends := 0
+			for _, ev := range rec.Events() {
+				if ev.Kind == trace.KindSend {
+					sends++
 				}
 			}
-			if mode == "interceptor" && itc.seen != 1 {
-				t.Errorf("%v/interceptor: intercepted %d messages, want 1", engine, itc.seen)
+			if sends != 1 {
+				t.Errorf("trace: %d send events, want 1", sends)
 			}
-			if mode == "chooser" && faults != 1 {
-				t.Errorf("%v/chooser: %d fault choice points, want 1", engine, faults)
-			}
+		}
+		if mode == "interceptor" && itc.seen != 1 {
+			t.Errorf("interceptor: intercepted %d messages, want 1", itc.seen)
+		}
+		if mode == "chooser" && faults != 1 {
+			t.Errorf("chooser: %d fault choice points, want 1", faults)
 		}
 	}
 }
 
 func TestOverlongOutboxFails(t *testing.T) {
 	g := pathGraph(t, 2)
-	for _, engine := range engines {
-		_, err := Run(Config{Graph: g, Seed: 1, Engine: engine}, func(nd *Node) error {
-			out := make(Outbox, nd.Degree()+2)
-			out[nd.Degree()+1] = "x"
-			nd.Exchange(out)
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "sends on invalid port 2 (degree 1)") {
-			t.Errorf("%v: err = %v, want the invalid-port failure naming port 2", engine, err)
-		}
+	_, err := Run(Config{Graph: g, Seed: 1}, func(nd *Node) error {
+		out := make(Outbox, nd.Degree()+2)
+		out[nd.Degree()+1] = "x"
+		nd.Exchange(out)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "sends on invalid port 2 (degree 1)") {
+		t.Errorf("err = %v, want the invalid-port failure naming port 2", err)
 	}
 }
 
@@ -145,24 +137,22 @@ func TestOverlongOutboxFails(t *testing.T) {
 // the old messages.
 func TestInboxLeaseEndsAtNextExchange(t *testing.T) {
 	g := pathGraph(t, 2)
-	for _, engine := range engines {
-		_, err := Run(Config{Graph: g, Seed: 1, Engine: engine}, func(nd *Node) error {
-			first := nd.Exchange(Outbox{nd.Index()})
-			if first[0] != 1-nd.Index() {
-				t.Errorf("%v node %d: round 1 got %v", engine, nd.Index(), first[0])
-			}
-			second := nd.Exchange(nil)
-			if &first[0] != &second[0] {
-				t.Errorf("%v node %d: Exchange returned a fresh inbox, want the reused buffer", engine, nd.Index())
-			}
-			if first[0] != nil {
-				t.Errorf("%v node %d: old inbox still holds %v after the next Exchange", engine, nd.Index(), first[0])
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+	_, err := Run(Config{Graph: g, Seed: 1}, func(nd *Node) error {
+		first := nd.Exchange(Outbox{nd.Index()})
+		if first[0] != 1-nd.Index() {
+			t.Errorf("node %d: round 1 got %v", nd.Index(), first[0])
 		}
+		second := nd.Exchange(nil)
+		if &first[0] != &second[0] {
+			t.Errorf("node %d: Exchange returned a fresh inbox, want the reused buffer", nd.Index())
+		}
+		if first[0] != nil {
+			t.Errorf("node %d: old inbox still holds %v after the next Exchange", nd.Index(), first[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -89,23 +89,21 @@ func TestLazySourceReseed(t *testing.T) {
 }
 
 // Node.Rand must be the documented math/rand stream for the node's
-// seed under both engines.
+// seed.
 func TestNodeRandStream(t *testing.T) {
 	g := graph.Cycle(16, graph.GenConfig{Seed: 1})
-	for _, engine := range []Engine{EngineEvent, EngineGoroutine} {
-		const seed = 11
-		_, err := Run(Config{Graph: g, Seed: seed, Engine: engine}, func(nd *Node) error {
-			want := rand.New(rand.NewSource(seed*1_000_003 + int64(nd.Index())*7_919 + 1))
-			for i := range rngTap + 50 {
-				if got, w := draw(nd.Rand(), i), draw(want, i); got != w {
-					t.Errorf("%v node %d, call %d: %#x, want %#x", engine, nd.Index(), i, got, w)
-					return nil
-				}
+	const seed = 11
+	_, err := Run(Config{Graph: g, Seed: seed}, func(nd *Node) error {
+		want := rand.New(rand.NewSource(seed*1_000_003 + int64(nd.Index())*7_919 + 1))
+		for i := range rngTap + 50 {
+			if got, w := draw(nd.Rand(), i), draw(want, i); got != w {
+				t.Errorf("node %d, call %d: %#x, want %#x", nd.Index(), i, got, w)
+				return nil
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%v: run: %v", engine, err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

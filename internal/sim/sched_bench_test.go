@@ -10,11 +10,8 @@ import (
 // BenchmarkScheduler measures pure scheduler overhead per awake
 // node-round — a null program (empty exchanges, no sleeping) on a
 // cycle, so the algorithm contributes nothing and the number is the
-// engine's park/wake/deliver cost. This is the engine-comparison
-// figure quoted in DESIGN.md §12: the goroutine engine pays two
-// channel handshakes and a runtime scheduling latency per node-round
-// and degrades with live goroutine count, while the event engine pays
-// one continuation switch and stays flat in n.
+// engine's park/wake/deliver cost — one continuation switch per
+// node-round, flat in n (DESIGN.md §12).
 func BenchmarkScheduler(b *testing.B) {
 	const rounds = 50
 	for _, n := range []int{256, 4096, 65536} {
@@ -25,20 +22,15 @@ func BenchmarkScheduler(b *testing.B) {
 			}
 			return nil
 		}
-		for _, engine := range []Engine{EngineGoroutine, EngineEvent} {
-			if engine == EngineGoroutine && n > 4096 && testing.Short() {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/n=%d", engine, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(Config{Graph: g, Seed: 1, Engine: engine}, prog); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(Config{Graph: g, Seed: 1}, prog); err != nil {
+					b.Fatal(err)
 				}
-				perRound := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(n*rounds)
-				b.ReportMetric(perRound, "ns/node-round")
-			})
-		}
+			}
+			perRound := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(n*rounds)
+			b.ReportMetric(perRound, "ns/node-round")
+		})
 	}
 }

@@ -10,15 +10,12 @@
 // the deterministic algorithm's O(nN log n) round counts are metered
 // without being paid in wall clock.
 //
-// Two engines execute that contract (see Engine). The default event
-// engine is a goroutine-free scheduler core: node programs run as
-// coroutine continuations on the scheduler's own thread, resumed and
-// parked without channel handshakes, with per-round work queues that
-// visit only awake nodes and pooled message buffers — the engine that
-// reaches n = 10^5–10^6 on one machine. The legacy goroutine engine
-// (one goroutine per node, channel handshakes per awake round) stays
-// compiled behind Config.Engine as the differential-testing reference;
-// both engines are bit-for-bit equivalent on fixed seeds.
+// One engine executes that contract (engine_event.go): a goroutine-free
+// scheduler core in which node programs run as coroutine continuations
+// on the scheduler's own thread, resumed and parked without channel
+// handshakes, with per-round work queues that visit only awake nodes
+// and pooled message buffers — the engine that reaches n = 10^5–10^6 on
+// one machine.
 //
 // Semantics, matching the paper: rounds are numbered from 1 and all
 // nodes are initially awake; a node awake in round r sends at the start
@@ -154,11 +151,6 @@ type Program func(nd *Node) error
 type Config struct {
 	// Graph is the network. Required.
 	Graph *graph.Graph
-	// Engine selects the scheduler implementation. The zero value is
-	// EngineEvent, the goroutine-free event-driven core; EngineGoroutine
-	// selects the legacy one-goroutine-per-node scheduler. Both produce
-	// byte-identical traces, verdicts, and metrics on fixed seeds.
-	Engine Engine
 	// Seed seeds the per-node private randomness.
 	Seed int64
 	// MaxRounds aborts the run if the simulated round counter exceeds
@@ -357,15 +349,8 @@ func (c Config) canceled() bool {
 // abortPanic is the sentinel used to unwind node programs on abort.
 type abortPanic struct{}
 
-type parkEvent struct {
-	idx    int
-	exited bool
-	err    error
-}
-
 // Node is the per-node handle passed to Programs. Methods must only be
-// called from that node's program (its goroutine under the goroutine
-// engine, its coroutine continuation under the event engine).
+// called from that node's program (its coroutine continuation).
 type Node struct {
 	rt  *runtime
 	idx int
@@ -387,14 +372,11 @@ type Node struct {
 	inUsed bool
 	outBuf Outbox
 
-	// Event engine: yield parks the node's coroutine inside Exchange;
-	// exitErr is the program's return value, read by the scheduler
-	// after the continuation completes. Nil yield means the goroutine
-	// engine is driving this node.
+	// yield parks the node's coroutine inside Exchange; exitErr is the
+	// program's return value, read by the scheduler after the
+	// continuation completes.
 	yield   func(struct{}) bool
 	exitErr error
-
-	resume chan struct{}
 }
 
 // Index returns the node's 0-based index in the graph.
@@ -431,11 +413,11 @@ func (nd *Node) AwakeCount() int64 { return nd.awake }
 // Rand returns the node's private source of randomness. Its stream is
 // exactly that of rand.New(rand.NewSource(s)) with
 // s = Config.Seed·1_000_003 + index·7_919 + 1, for every method, so it
-// is identical under both engines and unaffected by when the first
-// call happens. The source is created on first use, so deterministic
-// algorithms never pay for it, and it computes its first 273 draws
-// from the seed instead of filling math/rand's 607-word table, so a
-// node that draws fewer holds about 80 bytes of RNG state.
+// is unaffected by when the first call happens. The source is created
+// on first use, so deterministic algorithms never pay for it, and it
+// computes its first 273 draws from the seed instead of filling
+// math/rand's 607-word table, so a node that draws fewer holds about 80
+// bytes of RNG state.
 func (nd *Node) Rand() *rand.Rand {
 	if nd.rng == nil {
 		nd.rng = rand.New(newLazySource(nd.rt.cfg.Seed*1_000_003 + int64(nd.idx)*7_919 + 1))
@@ -532,25 +514,16 @@ func (nd *Node) Exchange(out Outbox) Inbox {
 		panic(fmt.Sprintf("sim: node %d sends on invalid port %d (degree %d)", nd.idx, p, deg))
 	}
 	// The program's lease on the previous inbox ends here, before the
-	// node parks, so the scheduler can refill the buffer without racing
-	// the node goroutine.
+	// node parks, so the scheduler can refill the buffer.
 	if nd.inUsed {
 		clear(nd.in)
 		nd.inUsed = false
 	}
 	nd.out = out
-	if nd.yield != nil {
-		// Event engine: suspend the coroutine until the scheduler
-		// resumes it; a false return means the scheduler tore the run
-		// down (crash-stop or abort) while the node was parked.
-		if !nd.yield(struct{}{}) {
-			panic(abortPanic{})
-		}
-	} else {
-		nd.rt.park <- parkEvent{idx: nd.idx}
-		<-nd.resume
-	}
-	if nd.aborted {
+	// Suspend the coroutine until the scheduler resumes it; a false
+	// return means the scheduler tore the run down (crash-stop or
+	// abort) while the node was parked.
+	if !nd.yield(struct{}{}) {
 		panic(abortPanic{})
 	}
 	nd.out = nil
@@ -562,12 +535,11 @@ type runtime struct {
 	cfg    Config
 	maxID  int64
 	nodes  []*Node
-	park   chan parkEvent
 	res    *Result
 	failed error
 
 	// rec mirrors cfg.Trace; kindTally batches per-kind delivery
-	// counts locally (scheduler goroutine only) and is flushed into
+	// counts locally (scheduler thread only) and is flushed into
 	// cfg.Metrics once at the end of the run.
 	rec       *trace.Recorder
 	kindTally map[string]int64
@@ -659,9 +631,6 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("sim: config requires a graph")
 	}
-	if !cfg.Engine.valid() {
-		return nil, fmt.Errorf("sim: config names unknown engine %v", cfg.Engine)
-	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
@@ -702,7 +671,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		rt.tx = newTxState(cfg.Transport, n)
 	}
 	// One contiguous node arena (struct-of-arrays style bookkeeping
-	// lives in rt.res and the engines; the program-facing handles sit
+	// lives in rt.res and the engine; the program-facing handles sit
 	// cache-adjacent here instead of n separate heap objects), and one
 	// slot arena backing every node's inbox and outbox buffer.
 	arena := make([]Node, n)
@@ -718,12 +687,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		arena[i] = Node{rt: rt, idx: i, wake: 1, in: in, outBuf: out}
 		rt.nodes[i] = &arena[i]
 	}
-	switch cfg.Engine {
-	case EngineGoroutine:
-		rt.runGoroutine(prog)
-	default:
-		rt.runEvent(prog)
-	}
+	rt.runEvent(prog)
 	// Messages still in flight when the run ends never reach anyone.
 	rt.res.MessagesLost += int64(len(rt.delayed))
 	if rt.rec != nil {

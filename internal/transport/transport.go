@@ -4,17 +4,12 @@
 // into a length-prefixed binary frame, carried by a backend, and
 // decoded on the receive side before it reaches the node program.
 //
-// Two backends implement the Transport interface:
-//
-//   - Inproc — channel-backed endpoints in the same process. Frames
-//     still pass through the full encode/decode path, so the backend
-//     proves codec fidelity: a run over Inproc is byte-identical to a
-//     run without any transport (the enginediff-style differential
-//     suite in internal/problem enforces it).
-//   - TCP — every node is a long-lived TCP server on a loopback port;
-//     links are dialed lazily, frames are length-prefixed binary
-//     records, sends retry with deadline/backoff across redials, and
-//     Close tears the mesh down gracefully.
+// TCP is the one backend: every node is a long-lived TCP server on a
+// loopback port, links are dialed lazily, frames are length-prefixed
+// binary records, sends retry with deadline/backoff across redials, and
+// Close tears the mesh down gracefully. A run over TCP is byte-identical
+// to a run without any transport, which is what proves codec fidelity
+// (the transport differential suite in internal/problem enforces it).
 //
 // WithFaults wraps any backend with transport-level fault injection —
 // the chaos drop/delay policies reinterpreted as wire faults: an

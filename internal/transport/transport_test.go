@@ -197,13 +197,10 @@ func exerciseBackend(t *testing.T, tx Transport, n int) {
 	}
 }
 
-func TestInprocExchange(t *testing.T) { exerciseBackend(t, NewInproc(), 5) }
-
 func TestTCPExchange(t *testing.T) { exerciseBackend(t, NewTCP(TCPConfig{}), 5) }
 
-func TestFaultyInprocExchange(t *testing.T) {
-	inner := NewInproc()
-	tx := WithFaults(inner, FaultConfig{Seed: 11, DropProb: 0.5, DelayProb: 0.2, MaxDelay: time.Millisecond, Retries: 8})
+func TestFaultyTCPExchange(t *testing.T) {
+	tx := WithFaults(NewTCP(TCPConfig{}), FaultConfig{Seed: 11, DropProb: 0.5, DelayProb: 0.2, MaxDelay: time.Millisecond, Retries: 8})
 	exerciseBackend(t, tx, 5)
 	s := tx.TransportStats()
 	if s.InjectedDrops == 0 {
@@ -212,7 +209,7 @@ func TestFaultyInprocExchange(t *testing.T) {
 }
 
 func TestFaultyPermanentDrop(t *testing.T) {
-	tx := WithFaults(NewInproc(), FaultConfig{Seed: 1, DropProb: 1, Retries: 0})
+	tx := WithFaults(NewTCP(TCPConfig{RecvTimeout: 20 * time.Millisecond}), FaultConfig{Seed: 1, DropProb: 1, Retries: 0})
 	if err := tx.Listen(2); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +221,6 @@ func TestFaultyPermanentDrop(t *testing.T) {
 	if err := l.Send(Frame{Round: 1, To: 1}); err != nil {
 		t.Fatalf("permanent drop should swallow the frame, got %v", err)
 	}
-	tx.inner.(*Inproc).RecvTimeout = 20 * time.Millisecond
 	if _, err := tx.Recv(1); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Recv after permanent drop: got %v, want ErrTimeout", err)
 	}
@@ -347,22 +343,21 @@ func TestTCPRetriesConfig(t *testing.T) {
 }
 
 func TestListenValidation(t *testing.T) {
-	for _, tx := range []Transport{NewInproc(), NewTCP(TCPConfig{})} {
-		if err := tx.Listen(0); err == nil {
-			t.Fatalf("%T: Listen(0) should fail", tx)
-		}
-		if err := tx.Listen(2); err != nil {
-			t.Fatalf("%T: Listen(2): %v", tx, err)
-		}
-		if err := tx.Listen(2); err == nil {
-			t.Fatalf("%T: double Listen should fail", tx)
-		}
-		if _, err := tx.Dial(0, 5); err == nil {
-			t.Fatalf("%T: Dial out of range should fail", tx)
-		}
-		tx.Close()
-		if _, err := tx.Recv(0); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%T: Recv after Close: got %v, want ErrClosed", tx, err)
-		}
+	tx := NewTCP(TCPConfig{})
+	if err := tx.Listen(0); err == nil {
+		t.Fatal("Listen(0) should fail")
+	}
+	if err := tx.Listen(2); err != nil {
+		t.Fatalf("Listen(2): %v", err)
+	}
+	if err := tx.Listen(2); err == nil {
+		t.Fatal("double Listen should fail")
+	}
+	if _, err := tx.Dial(0, 5); err == nil {
+		t.Fatal("Dial out of range should fail")
+	}
+	tx.Close()
+	if _, err := tx.Recv(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after Close: got %v, want ErrClosed", err)
 	}
 }

@@ -1,6 +1,5 @@
-// Large-n smoke tests for the event engine: the scale the goroutine
-// scheduler could not reach. Each test runs a full algorithm at a
-// size configurable via SLEEPMST_SCALE_N (the CI scale-smoke job sets
+// Large-n smoke tests. Each test runs a full algorithm at a size
+// configurable via SLEEPMST_SCALE_N (the CI scale-smoke job sets
 // 100000; the default keeps an unconfigured `go test ./...` in
 // seconds) and asserts the run completes, verifies, and stays inside
 // its calibrated awake envelope — the paper's bounds do not loosen
@@ -16,7 +15,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
@@ -43,7 +41,7 @@ func scaleN(t *testing.T, def int) int {
 }
 
 // TestScaleRandomizedMST runs the paper's randomized O(log n)-awake
-// MST at scale on the event engine: the tree must verify against
+// MST at scale: the tree must verify against
 // Kruskal and the worst-case awake complexity must stay inside the
 // calibrated budget — at n = 10^5 the envelope is ~600 awake rounds
 // against ~70M virtual rounds, the sleeping-model gap the engine
@@ -51,7 +49,7 @@ func scaleN(t *testing.T, def int) int {
 func TestScaleRandomizedMST(t *testing.T) {
 	n := scaleN(t, 4096)
 	g := RandomConnected(n, 3*n, int64(n))
-	rep, err := Run(Randomized, g, Options{Seed: 1, Engine: EngineEvent})
+	rep, err := Run(Randomized, g, Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
@@ -80,7 +78,7 @@ func TestScaleMIS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Run(g, core.Options{Seed: 1, Engine: EngineEvent})
+	r, err := p.Run(g, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
@@ -120,7 +118,7 @@ func TestScaleConformStrict(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := trace.NewRecorder(0)
-			r, err := p.Run(g, core.Options{Seed: 1, Engine: EngineEvent, Trace: rec})
+			r, err := p.Run(g, core.Options{Seed: 1, Trace: rec})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -139,44 +137,5 @@ func TestScaleConformStrict(t *testing.T) {
 				t.Fatalf("strict conformance failed at n=%d", n)
 			}
 		})
-	}
-}
-
-// TestScaleEngineThroughputGap pins the reason the event engine is
-// the default: on a dense null workload the goroutine engine pays two
-// channel handshakes plus a runtime-scheduler pass per awake
-// node-round and degrades as live goroutines grow, while the event
-// engine pays one continuation switch. The test asserts the event
-// engine is strictly faster at the default size — the full curve is
-// in BENCH_scale.json.
-func TestScaleEngineThroughputGap(t *testing.T) {
-	n := scaleN(t, 2048)
-	if n > 16384 {
-		n = 16384 // keep the goroutine leg bounded
-	}
-	g := Ring(n, 1)
-	elapsed := func(e Engine) time.Duration {
-		// Best of three: absorbs GC and scheduler noise so the
-		// assertion is about the engines, not the machine.
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := ElectLeader(g, Options{Seed: 1, Engine: e}); err != nil {
-				t.Fatalf("engine %v: %v", e, err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	gor := elapsed(EngineGoroutine)
-	evt := elapsed(EngineEvent)
-	t.Logf("n=%d leader election: goroutine %v event %v (%.2fx)",
-		n, gor.Round(time.Millisecond), evt.Round(time.Millisecond),
-		float64(gor)/float64(evt))
-	if evt >= gor {
-		t.Errorf("event engine (%v) not faster than goroutine engine (%v) at n=%d",
-			evt, gor, n)
 	}
 }

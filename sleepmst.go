@@ -56,21 +56,6 @@ type GRC = graph.GRC
 // Options configures an algorithm run.
 type Options = core.Options
 
-// Engine selects the simulator's scheduler implementation (see
-// sim.Engine): the default goroutine-free event engine or the legacy
-// goroutine engine. Both are byte-identical on fixed seeds.
-type Engine = sim.Engine
-
-// The compiled engines. EngineEvent (the zero value) is the default.
-const (
-	EngineEvent     = sim.EngineEvent
-	EngineGoroutine = sim.EngineGoroutine
-)
-
-// ParseEngine converts a CLI engine name ("event", "goroutine") into
-// an Engine.
-func ParseEngine(s string) (Engine, error) { return sim.ParseEngine(s) }
-
 // Outcome is the detailed result of a run (MST edges, metrics, phases).
 type Outcome = core.Outcome
 
@@ -575,11 +560,6 @@ type TCPTransportConfig = transport.TCPConfig
 // drops.
 type TransportFaultConfig = transport.FaultConfig
 
-// NewInprocTransport returns the in-process reference backend: frames
-// pass through the full encode/decode path without leaving the
-// process, proving codec fidelity at zero deployment cost.
-func NewInprocTransport() Transport { return transport.NewInproc() }
-
 // NewTCPTransport returns the TCP backend: every node a long-lived
 // server on a loopback ephemeral port, with per-link retry and
 // graceful shutdown.
@@ -604,18 +584,16 @@ func TransportStatsOf(tx Transport) (TransportStats, bool) {
 }
 
 // ParseTransport converts a CLI transport name into a fresh backend:
-// "" or "none" mean in-memory delivery (nil Transport), "inproc" the
-// in-process frame backend, "tcp" real loopback sockets.
+// "" or "none" mean in-memory delivery (nil Transport), "tcp" real
+// loopback sockets.
 func ParseTransport(s string) (Transport, error) {
 	switch s {
 	case "", "none":
 		return nil, nil
-	case "inproc":
-		return transport.NewInproc(), nil
 	case "tcp":
 		return transport.NewTCP(transport.TCPConfig{}), nil
 	default:
-		return nil, fmt.Errorf("sleepmst: unknown transport %q (want none, inproc, or tcp)", s)
+		return nil, fmt.Errorf("sleepmst: unknown transport %q (want none or tcp)", s)
 	}
 }
 
@@ -623,9 +601,9 @@ func ParseTransport(s string) (Transport, error) {
 
 // Service is the persistent concurrent MST service: a request
 // scheduler over a bounded worker pool with explicit admission
-// control, per-request isolation (seed, engine, transport, trace,
-// deadline), and a deterministic merged metrics registry. See
-// internal/service and DESIGN.md §14.
+// control, per-request isolation (seed, transport, trace, deadline),
+// and a deterministic merged metrics registry. See internal/service
+// and DESIGN.md §14.
 type Service = service.Service
 
 // ServiceConfig parameterizes NewService: worker count, admission
