@@ -1,6 +1,10 @@
 package sleepmst
 
-import "testing"
+import (
+	"testing"
+
+	"sleepmst/internal/chaos"
+)
 
 // TestChaosFacade exercises the full chaos surface through the
 // re-exports: a clean sweep, a perturbed sweep, and a single
@@ -22,14 +26,14 @@ func TestChaosFacade(t *testing.T) {
 		t.Fatalf("cells = %d, want 4", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		if c.Rate == 0 && c.Counts[CorrectMST.String()] != c.Runs {
+		if c.Rate == 0 && c.Counts[chaos.CorrectMST.String()] != c.Runs {
 			t.Errorf("rate-0 cell %s: %v", c.Algorithm, c.Counts)
 		}
 	}
 
 	policy := NewChaosPolicy(ChaosOptions{Seed: 9, Crash: []CrashEvent{{Node: 1, Round: 3}}})
 	out, err := Randomized.Runner()(g, Options{Seed: 2, Interceptor: policy})
-	if got := ClassifyRun(g, out, err); got == CorrectMST {
+	if got := ClassifyRun(g, out, err); got == chaos.CorrectMST {
 		t.Errorf("crashed run classified %v", got)
 	}
 
@@ -37,7 +41,7 @@ func TestChaosFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	if got := ClassifyRun(g, rep.Outcome, nil); got != CorrectMST {
-		t.Errorf("clean run classified %v, want %v", got, CorrectMST)
+	if got := ClassifyRun(g, rep.Outcome, nil); got != chaos.CorrectMST {
+		t.Errorf("clean run classified %v, want %v", got, chaos.CorrectMST)
 	}
 }

@@ -88,36 +88,11 @@ type artifact struct {
 	Verdict *conform.Verdict `json:"verdict"`
 
 	// Run summarizes the sleeping-model accounting.
-	Run runSummary `json:"run"`
+	Run service.RunSummary `json:"run"`
 
 	// Wire is the physical transport accounting; timing-dependent
 	// counters (retries, redials) live here and only here.
-	Wire wireSummary `json:"wire"`
-}
-
-type runSummary struct {
-	AwakeMax     int64   `json:"awake_max"`
-	AwakeAvg     float64 `json:"awake_avg"`
-	Rounds       int64   `json:"rounds"`
-	BusyRounds   int64   `json:"busy_rounds"`
-	Sent         int64   `json:"messages_sent"`
-	Delivered    int64   `json:"messages_delivered"`
-	Lost         int64   `json:"messages_lost"`
-	BitsSent     int64   `json:"bits_sent"`
-	MSTWeight    int64   `json:"mst_weight,omitempty"`
-	Phases       int     `json:"phases,omitempty"`
-	VerifyPassed bool    `json:"verify_passed"`
-}
-
-type wireSummary struct {
-	FramesSent     int64 `json:"frames_sent"`
-	FramesRecv     int64 `json:"frames_recv"`
-	WireBytes      int64 `json:"wire_bytes"`
-	Dials          int64 `json:"dials"`
-	Redials        int64 `json:"redials,omitempty"`
-	SendRetries    int64 `json:"send_retries,omitempty"`
-	InjectedDrops  int64 `json:"injected_drops,omitempty"`
-	InjectedDelays int64 `json:"injected_delays,omitempty"`
+	Wire service.WireSummary `json:"wire"`
 }
 
 func main() {
@@ -263,16 +238,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	}
 	a.Transport = wireName
 	if s, ok := sleepmst.TransportStatsOf(tx); ok {
-		a.Wire = wireSummary{
-			FramesSent:     s.FramesSent,
-			FramesRecv:     s.FramesRecv,
-			WireBytes:      s.WireBytes,
-			Dials:          s.Dials,
-			Redials:        s.Redials,
-			SendRetries:    s.SendRetries,
-			InjectedDrops:  s.InjectedDrops,
-			InjectedDelays: s.InjectedDelays,
-		}
+		a.Wire = service.NewWireSummary(s)
 	}
 
 	if traceOut != "" {
@@ -322,7 +288,7 @@ func certify(p problem.Problem, g *graph.Graph, graphKind string, seed int64, tx
 		Events: rec.Events(),
 		Extra:  []conform.Check{p.ConformCheck(g, r)},
 	}.Verdict()
-	a := artifact{
+	return artifact{
 		Schema:  artifactSchema,
 		Problem: p.Name(),
 		Graph:   graphKind,
@@ -330,21 +296,6 @@ func certify(p problem.Problem, g *graph.Graph, graphKind string, seed int64, tx
 		M:       g.M(),
 		Seed:    seed,
 		Verdict: verdict,
-		Run: runSummary{
-			AwakeMax:     r.Sim.MaxAwake(),
-			AwakeAvg:     r.Sim.MeanAwake(),
-			Rounds:       r.Sim.Rounds,
-			BusyRounds:   r.Sim.BusyRounds,
-			Sent:         r.Sim.MessagesSent,
-			Delivered:    r.Sim.MessagesDelivered,
-			Lost:         r.Sim.MessagesLost,
-			BitsSent:     r.Sim.BitsSent,
-			Phases:       r.Phases,
-			VerifyPassed: p.Verify(g, r) == nil,
-		},
-	}
-	if r.Outcome != nil {
-		a.Run.MSTWeight = sleepmst.TotalWeight(r.Outcome.MSTEdges)
-	}
-	return a, nil
+		Run:     service.NewRunSummary(r, p.Verify(g, r) == nil),
+	}, nil
 }

@@ -45,8 +45,8 @@ func serveCell(t *testing.T, probName string, n int, drop, delay float64, retrie
 func verdictBytes(t *testing.T, a artifact) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
-		V interface{} `json:"verdict"`
-		R runSummary  `json:"run"`
+		V interface{}        `json:"verdict"`
+		R service.RunSummary `json:"run"`
 	}{a.Verdict, a.Run})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +109,12 @@ func TestServeRejectsUnknownInputs(t *testing.T) {
 	}
 	if err := base("mis", "torus"); err == nil {
 		t.Error("unknown graph kind accepted")
+	}
+	// A size the generators cannot build is a usage error, not a panic.
+	err := serve("random", 0, 0, 0, 0.2, 1, "mis",
+		0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16)
+	if exitCode(err) != 2 {
+		t.Errorf("n=0: exit code %d (%v), want 2", exitCode(err), err)
 	}
 }
 

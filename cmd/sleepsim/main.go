@@ -39,12 +39,13 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/prof"
+	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
 )
 
 func main() {
 	var (
-		graphKind = flag.String("graph", "random", "topology: random|ring|path|grid|complete|sensor")
+		graphKind = flag.String("graph", "random", "topology: "+service.GraphKindList)
 		n         = flag.Int("n", 128, "number of nodes")
 		m         = flag.Int("m", 0, "edges for -graph random (default 3n)")
 		rows      = flag.Int("rows", 0, "rows for -graph grid (default sqrt(n))")
@@ -220,12 +221,9 @@ type runOpts struct {
 }
 
 func run(o runOpts) error {
-	g, err := buildGraph(o.graphKind, o.n, o.m, o.rows, o.radius, o.seed)
+	g, err := o.graph()
 	if err != nil {
 		return err
-	}
-	if o.idSpace > 0 {
-		sleepmst.WithRandomIDs(g, o.idSpace, o.seed+1)
 	}
 	algo, err := sleepmst.ParseAlgorithm(o.algoName)
 	if err != nil {
@@ -303,12 +301,9 @@ func run(o runOpts) error {
 // mst/randomized, ...): the problem registry supplies the algorithm,
 // the awake-budget envelope, and the correctness oracle.
 func runProblem(o runOpts) error {
-	g, err := buildGraph(o.graphKind, o.n, o.m, o.rows, o.radius, o.seed)
+	g, err := o.graph()
 	if err != nil {
 		return err
-	}
-	if o.idSpace > 0 {
-		sleepmst.WithRandomIDs(g, o.idSpace, o.seed+1)
 	}
 	p, err := sleepmst.LookupProblem(o.algoName)
 	if err != nil {
@@ -470,35 +465,25 @@ func writeTrace(rec *trace.Recorder, path string) error {
 	return f.Close()
 }
 
+// buildGraph builds the -graph topology with service.BuildGraph, the
+// builder the daemon uses, but with sleepsim's denser random default
+// of m = 3n.
 func buildGraph(kind string, n, m, rows int, radius float64, seed int64) (*sleepmst.Graph, error) {
-	switch kind {
-	case "random":
-		if m <= 0 {
-			m = 3 * n
-		}
-		return sleepmst.RandomConnected(n, m, seed), nil
-	case "ring":
-		return sleepmst.Ring(n, seed), nil
-	case "path":
-		return sleepmst.Path(n, seed), nil
-	case "grid":
-		if rows <= 0 {
-			rows = intSqrt(n)
-		}
-		return sleepmst.Grid(rows, (n+rows-1)/rows, seed), nil
-	case "complete":
-		return sleepmst.Complete(n, seed), nil
-	case "sensor":
-		return sleepmst.SensorNetwork(n, radius, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
+	if m <= 0 {
+		m = 3 * n
 	}
+	return service.BuildGraph(kind, n, m, rows, radius, seed)
 }
 
-func intSqrt(n int) int {
-	r := 1
-	for r*r < n {
-		r++
+// graph builds o's topology and, with -idspace set, gives it random
+// IDs in [1, idspace].
+func (o runOpts) graph() (*sleepmst.Graph, error) {
+	g, err := buildGraph(o.graphKind, o.n, o.m, o.rows, o.radius, o.seed)
+	if err != nil || o.idSpace <= 0 {
+		return g, err
 	}
-	return r
+	if o.idSpace < int64(g.N()) {
+		return nil, fmt.Errorf("idspace %d smaller than n=%d", o.idSpace, g.N())
+	}
+	return sleepmst.WithRandomIDs(g, o.idSpace, o.seed+1), nil
 }

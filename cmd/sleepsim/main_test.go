@@ -29,6 +29,10 @@ func TestBuildGraphKinds(t *testing.T) {
 			if g.N() != tc.wantN {
 				t.Errorf("n = %d, want %d", g.N(), tc.wantN)
 			}
+			// sleepsim's random default is denser than the daemon's.
+			if tc.kind == "random" && g.M() != 3*tc.n {
+				t.Errorf("m = %d, want 3n = %d", g.M(), 3*tc.n)
+			}
 		})
 	}
 	if _, err := buildGraph("nope", 10, 0, 0, 0.3, 5); err == nil {
@@ -47,10 +51,22 @@ func TestGridDimensions(t *testing.T) {
 	}
 }
 
-func TestIntSqrt(t *testing.T) {
-	for n, want := range map[int]int{1: 1, 4: 2, 10: 4, 16: 4, 17: 5} {
-		if got := intSqrt(n); got != want {
-			t.Errorf("intSqrt(%d) = %d, want %d", n, got, want)
+// TestBadTopologyFlags: degenerate topology flags are errors, in the
+// MST and the problem-suite paths alike, never a panic.
+func TestBadTopologyFlags(t *testing.T) {
+	for _, o := range []runOpts{
+		{graphKind: "random", n: 0},
+		{graphKind: "ring", n: 2},
+		{graphKind: "random", n: 10, idSpace: 3},
+	} {
+		o.seed, o.width = 1, 40
+		o.algoName = "randomized"
+		if err := run(o); err == nil {
+			t.Errorf("run(%s n=%d idspace=%d): want error", o.graphKind, o.n, o.idSpace)
+		}
+		o.algoName = "mis"
+		if err := runProblem(o); err == nil {
+			t.Errorf("runProblem(%s n=%d idspace=%d): want error", o.graphKind, o.n, o.idSpace)
 		}
 	}
 }

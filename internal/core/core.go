@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
@@ -189,69 +190,83 @@ func checkInput(g *graph.Graph) error {
 	return nil
 }
 
-// finishOutcome assembles and validates the outcome of a run.
-func finishOutcome(g *graph.Graph, states []*ldt.State, res *sim.Result, phases int, fragsPerPhase []int) (*Outcome, error) {
-	out := &Outcome{
-		Result:            res,
-		Phases:            phases,
-		FragmentsPerPhase: fragsPerPhase,
-		States:            states,
+// runPhases is the one driver of the LDT-phase algorithms. Every node
+// runs phase from its singleton state in windows of phaseBlocks
+// blocks laid end to end from round 1, until its fragment spans the
+// graph (phase reports done) or bound phases have run; opts.MaxPhases,
+// if positive, overrides bound. With after set, a node whose fragment
+// spans the graph runs after from the first round of the next window
+// (every node finishes in the same phase, so the window is globally
+// known), and a node that ran out of phases fails the run instead.
+// The returned outcome carries the states, the phase count and, with
+// opts.RecordPhases, the fragment count after each phase; the MST
+// drivers validate it with finishOutcome.
+func runPhases(g *graph.Graph, opts Options, bound int, phaseBlocks int64,
+	phase func(c *nodeCtx, start int64) (done bool),
+	after func(c *nodeCtx, start int64) error) (*Outcome, error) {
+	if opts.MaxPhases > 0 {
+		bound = opts.MaxPhases
 	}
-	if err := ldt.Validate(g, states); err != nil {
-		return out, fmt.Errorf("core: post-run LDT invariant violated: %w", err)
+	states := ldt.SingletonStates(g)
+	phasesRun := make([]int, g.N())
+	var frags [][]int64 // frags[node][p]: the node's fragment after phase p+1
+	if opts.RecordPhases {
+		frags = make([][]int64, g.N())
 	}
-	if ldt.FragmentCount(states) != 1 {
-		return out, fmt.Errorf("%w: %d fragments remain after %d phases",
-			ErrNotConverged, ldt.FragmentCount(states), phases)
+	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
+		v := nd.Index()
+		c := newNodeCtx(nd, states[v])
+		start, done := int64(1), false
+		for p := 1; p <= bound && !done; p++ {
+			c.beginPhase(p)
+			done = phase(c, start)
+			start += phaseBlocks * c.blk
+			phasesRun[v] = p
+			if frags != nil {
+				frags[v] = append(frags[v], c.st.FragID)
+			}
+		}
+		switch {
+		case after == nil:
+			return nil
+		case !done:
+			return errors.New("mst construction did not converge")
+		}
+		return after(c, start)
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.MSTEdges = ldt.TreeEdges(g, states)
-	if !graph.IsSpanningTree(g, out.MSTEdges) {
-		return out, errors.New("core: output is not a spanning tree")
+	out := &Outcome{Result: res, Phases: slices.Max(phasesRun), States: states}
+	if frags != nil {
+		out.FragmentsPerPhase = make([]int, out.Phases)
+		for p := range out.FragmentsPerPhase {
+			// Nodes that halted before phase p+1 have no entry for it.
+			set := make(map[int64]bool)
+			for _, f := range frags {
+				if p < len(f) && f[p] != 0 {
+					set[f[p]] = true
+				}
+			}
+			out.FragmentsPerPhase[p] = len(set)
+		}
 	}
 	return out, nil
 }
 
-// phaseRecorder collects fragment IDs per phase without data races:
-// each node writes only its own column.
-type phaseRecorder struct {
-	enabled bool
-	frags   [][]int64 // frags[phase][node]
-	n       int
-}
-
-func newPhaseRecorder(enabled bool, n, maxPhases int) *phaseRecorder {
-	pr := &phaseRecorder{enabled: enabled, n: n}
-	if enabled {
-		pr.frags = make([][]int64, maxPhases)
-		for i := range pr.frags {
-			pr.frags[i] = make([]int64, n)
-		}
+// finishOutcome validates the outcome of an MST run and fills in its
+// tree edges.
+func finishOutcome(g *graph.Graph, out *Outcome) (*Outcome, error) {
+	if err := ldt.Validate(g, out.States); err != nil {
+		return out, fmt.Errorf("core: post-run LDT invariant violated: %w", err)
 	}
-	return pr
-}
-
-func (pr *phaseRecorder) record(phase, node int, fragID int64) {
-	if pr.enabled && phase < len(pr.frags) {
-		pr.frags[phase][node] = fragID
+	if ldt.FragmentCount(out.States) != 1 {
+		return out, fmt.Errorf("%w: %d fragments remain after %d phases",
+			ErrNotConverged, ldt.FragmentCount(out.States), out.Phases)
 	}
-}
-
-// counts returns the fragment count per executed phase. Nodes that
-// halted before a phase keep fragment ID 0 in that row; rows that are
-// entirely zero (never reached) are dropped.
-func (pr *phaseRecorder) counts(executed int) []int {
-	if !pr.enabled {
-		return nil
+	out.MSTEdges = ldt.TreeEdges(g, out.States)
+	if !graph.IsSpanningTree(g, out.MSTEdges) {
+		return out, errors.New("core: output is not a spanning tree")
 	}
-	var out []int
-	for p := 0; p < executed && p < len(pr.frags); p++ {
-		set := make(map[int64]bool)
-		for _, f := range pr.frags[p] {
-			if f != 0 {
-				set[f] = true
-			}
-		}
-		out = append(out, len(set))
-	}
-	return out
+	return out, nil
 }

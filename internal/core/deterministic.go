@@ -6,7 +6,6 @@ import (
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
 
@@ -53,12 +52,11 @@ func (c Color) String() string {
 // supergraph degree by MaxValidIncomingMOEs+1 = 4.
 const MaxValidIncomingMOEs = 3
 
-// Block layout of one Deterministic-MST phase. The coloring occupies
-// 4 blocks per ID stage, N stages.
+// Block layout of one Deterministic-MST phase. Blocks 0-2 are step (i),
+// as in Randomized-MST (findMOE). The coloring occupies 4 blocks per ID
+// stage, N stages; the merge passes fill the last postColorSpan blocks
+// of every sparse phase layout (see sparsePhase).
 const (
-	dbTAFrag      = 0 // Transmit-Adjacent: refresh (ID, fragID, level)
-	dbUpMOE       = 1 // Upcast-Min: fragment MOE to root
-	dbBcastMOE    = 2 // Fragment-Broadcast: MOE identity
 	dbTAMOE       = 3 // Transmit-Adjacent: mark fragment MOE edges
 	dbUpCount     = 4 // Up: subtree counts of incoming-MOE edges
 	dbDownToken   = 5 // Down: distribute <= 3 selection tokens
@@ -162,42 +160,33 @@ func mergeEntries(lists ...[]nbrEntry) nbrList {
 	return out
 }
 
-// detPhase runs one Deterministic-MST phase; done reports that the
-// fragment spans the graph.
-func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
-	bs := func(b int64) int64 { return phaseStart + b*c.blk }
-	maxID := c.nd.MaxID()
+// coloring colors this node's fragment in the supergraph G' from the
+// sparsification result sp and returns its palette color; bs maps a
+// block of the phase to its first round. Deterministic-MST uses
+// fastAwakeColoring, the Corollary 1 variant logStarColoring.
+type coloring func(c *nodeCtx, bs func(int64) int64, sp sparsified) Color
 
-	// --- Step (i): find the fragment MOE -------------------------------
-	c.taFragment(bs(dbTAFrag))
-	moe := c.upcastMOE(bs(dbUpMOE))
-
-	var rootMsg *bcastMOEMsg
-	if c.st.IsRoot() {
-		rootMsg = &bcastMOEMsg{}
-		if moe != nil {
-			rootMsg.exists = true
-			rootMsg.moe = *moe
-		}
-	}
-	ph := c.broadcastMOE(bs(dbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
+// sparsePhase runs one phase of Deterministic-MST, or of its
+// Corollary 1 variant, from its first round start: step (i), the
+// sparsification to the supergraph G', the given coloring of G', and
+// the two merge passes in the last postColorSpan of phaseBlocks
+// blocks. done reports that the fragment spans the graph.
+func (c *nodeCtx) sparsePhase(start, phaseBlocks int64, color coloring) (done bool) {
+	bs := func(b int64) int64 { return start + b*c.blk }
+	ph := c.findMOE(start, false)
 	if !ph.exists {
 		return true
 	}
-	owner := c.isMOEOwner(&ph.moe)
-	nbrInfo := c.sparsify(bs, ph, owner).nbrInfo
-
-	// --- Step (ii): Fast-Awake-Coloring over N ID stages ----------------
-	myColor, _ := c.fastAwakeColoring(bs, nbrInfo)
+	sp := c.sparsify(bs, ph)
+	myColor := color(c, bs, sp)
 	c.stepDone(trace.StepColoring)
 
 	// Pass 1: Blue fragments with supergraph neighbors merge into an
 	// arbitrary (non-Blue) neighbor.
-	mergeBase := int64(dbColorBase) + stageBlocks*maxID
+	mergeBase := phaseBlocks - postColorSpan
 	var cmdPayload mergeCmd
-	if c.st.IsRoot() && myColor == Blue && len(nbrInfo) > 0 {
-		e := nbrInfo[0] // deterministic arbitrary choice
+	if c.st.IsRoot() && myColor == Blue && len(sp.nbrInfo) > 0 {
+		e := sp.nbrInfo[0] // deterministic arbitrary choice
 		cmdPayload = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
 	}
 	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase+postColor1), cmdPayload)
@@ -215,11 +204,8 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	// along their original MOE. The decision is fragment-wide knowledge,
 	// so no extra broadcast is needed.
 	dec = ldt.NoMerge
-	if myColor == Blue && len(nbrInfo) == 0 {
-		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if owner {
-			dec.AttachPort = ph.moe.ownerPort
-		}
+	if myColor == Blue && len(sp.nbrInfo) == 0 {
+		dec = ldt.MergeDecision{Merging: true, AttachPort: sp.ownerPort}
 	}
 	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+postColorM2), dec)
 	c.stepDone(trace.StepMerge)
@@ -231,6 +217,9 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 // owner's view of its own edge that the log* orientation needs.
 type sparsified struct {
 	nbrInfo nbrList
+	// ownerPort is the fragment MOE's port at its owner, -1 at every
+	// other node; the flags below are meaningful only at the owner.
+	ownerPort int
 	// outAccepted: the target fragment accepted this owner's MOE;
 	// mutualMOE: the MOE edge is also the target fragment's MOE;
 	// inAccepted: this fragment accepted that reverse direction.
@@ -242,9 +231,13 @@ type sparsified struct {
 // incoming MOEs fragment-wide (count per subtree, then hand out tokens
 // top-down), tell each incoming-MOE sender whether it was accepted,
 // and gather the accepted supergraph edges (NBR-INFO) at the root and
-// broadcast them. owner reports whether this node owns the MOE in ph.
-func (c *nodeCtx) sparsify(bs func(int64) int64, ph bcastMOEMsg, owner bool) sparsified {
-	var s sparsified
+// broadcast them. ph is the fragment MOE found in step (i).
+func (c *nodeCtx) sparsify(bs func(int64) int64, ph bcastMOEMsg) sparsified {
+	owner := c.isMOEOwner(&ph.moe)
+	s := sparsified{ownerPort: -1}
+	if owner {
+		s.ownerPort = ph.moe.ownerPort
+	}
 	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
 	out := c.nd.Outbox()
 	mark := interface{}(taMOEMsg{fragID: c.st.FragID})
@@ -345,7 +338,8 @@ func (c *nodeCtx) sparsify(bs func(int64) int64, ph bcastMOEMsg, owner bool) spa
 // already-colored supergraph neighbors, and the choice is propagated to
 // every node of every neighboring fragment. A node is awake only in
 // the stages of its own fragment and of its <= 4 supergraph neighbors.
-func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Color, map[int64]Color) {
+func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, sp sparsified) Color {
+	nbrInfo := sp.nbrInfo
 	nbrColors := make(map[int64]Color)
 	myColor := ColorNone
 
@@ -374,23 +368,7 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 			// Block 0: the root picks the color; Fragment-Broadcast.
 			var payload colorMsg
 			if c.st.IsRoot() {
-				used := make(map[Color]bool, len(nbrInfo))
-				for _, e := range nbrInfo {
-					if col, ok := nbrColors[e.fragID]; ok {
-						used[col] = true
-					}
-				}
-				pick := ColorNone
-				for _, col := range palette {
-					if !used[col] {
-						pick = col
-						break
-					}
-				}
-				if pick == ColorNone {
-					panic("core: palette exhausted — supergraph degree bound violated")
-				}
-				payload = colorMsg{fragID: c.st.FragID, color: pick}
+				payload = colorMsg{fragID: c.st.FragID, color: pickColor(nbrInfo, nbrColors)}
 			}
 			myColor = ldt.Broadcast(c.nd, c.st, stageStart(s.id, 0), payload).color
 			// Block 1: hosts push the color across supergraph edges.
@@ -441,51 +419,50 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 			nbrColors[cm.fragID] = cm.color
 		}
 	}
-	return myColor, nbrColors
+	return myColor
+}
+
+// pickColor returns the highest-priority palette color that no
+// supergraph neighbor in nbrInfo is known (nbrColors) to hold. The
+// palette has five colors and a fragment at most four G' neighbors, so
+// it runs out only if the supergraph degree bound is broken.
+func pickColor(nbrInfo nbrList, nbrColors map[int64]Color) Color {
+	var used [len(palette) + 1]bool // indexed by Color
+	for _, e := range nbrInfo {
+		used[nbrColors[e.fragID]] = true
+	}
+	for _, col := range palette {
+		if !used[col] {
+			return col
+		}
+	}
+	panic("core: palette exhausted — supergraph degree bound violated")
 }
 
 // RunDeterministic executes Algorithm Deterministic-MST on g: O(log n)
 // awake complexity and O(nN log n) rounds, where N is the largest node
 // ID (which all nodes are assumed to know).
 func RunDeterministic(g *graph.Graph, opts Options) (*Outcome, error) {
+	return runSparse(g, opts, detPhaseBlocks, (*nodeCtx).fastAwakeColoring)
+}
+
+// runSparse runs the sparse-phase algorithm whose coloring is color and
+// whose phase spans phaseBlocks(N) blocks for the ID space size N.
+func runSparse(g *graph.Graph, opts Options, phaseBlocks func(maxID int64) int64, color coloring) (*Outcome, error) {
 	if err := checkInput(g); err != nil {
 		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = DeterministicPhaseBound(g.N())
 	}
 	budget, err := opts.acceptBudget()
 	if err != nil {
 		return nil, err
 	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
+	blocks := phaseBlocks(g.MaxID())
+	out, err := runPhases(g, opts, DeterministicPhaseBound(g.N()), blocks, func(c *nodeCtx, start int64) bool {
 		c.acceptBudget = budget
-		phaseLen := detPhaseBlocks(nd.MaxID()) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.detPhase(1 + int64(p)*phaseLen)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
+		return c.sparsePhase(start, blocks, color)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+	return finishOutcome(g, out)
 }

@@ -138,23 +138,31 @@ func TestAwakeDistributionTight(t *testing.T) {
 	}
 }
 
-// TestPhaseRecorderColumns sanity-checks the decay recording plumbing.
+// TestPhaseRecorderColumns sanity-checks the decay recording plumbing
+// of runPhases: distinct fragment IDs per executed phase, nodes that
+// halted earlier left out, and nothing without RecordPhases.
 func TestPhaseRecorderColumns(t *testing.T) {
-	pr := newPhaseRecorder(true, 3, 4)
-	pr.record(0, 0, 10)
-	pr.record(0, 1, 10)
-	pr.record(0, 2, 20)
-	pr.record(1, 0, 10)
-	pr.record(1, 1, 10)
-	pr.record(1, 2, 10)
-	got := pr.counts(2)
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Errorf("counts = %v, want [2 1]", got)
+	g := graph.Path(3, graph.GenConfig{Seed: 1})
+	frags := [][]int64{{10, 10, 20}, {10, 10, 10}, {30, 30, 0}}
+	phase := func(c *nodeCtx, start int64) bool {
+		p := c.phase - 1
+		c.st.FragID = frags[p][c.nd.Index()]
+		// Node 2 halts after phase 2, the others after phase 3.
+		return p == 2 || (p == 1 && c.nd.Index() == 2)
 	}
-	disabled := newPhaseRecorder(false, 3, 4)
-	disabled.record(0, 0, 1)
-	if disabled.counts(1) != nil {
-		t.Error("disabled recorder returned data")
+	out, err := runPhases(g, Options{RecordPhases: true}, 5, 1, phase, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.FragmentsPerPhase; out.Phases != 3 || len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("phases = %d, counts = %v, want 3 and [2 1 1]", out.Phases, got)
+	}
+	out, err = runPhases(g, Options{}, 5, 1, phase, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FragmentsPerPhase != nil {
+		t.Error("recording without RecordPhases")
 	}
 }
 

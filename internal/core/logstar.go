@@ -5,8 +5,6 @@ import (
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/sim"
-	"sleepmst/internal/trace"
 )
 
 // This file implements the Corollary 1 variant (§2.3 Remark): the
@@ -108,15 +106,16 @@ func (parentInfo) MsgKind() string { return "cv-parent" }
 // logStarBlocks returns the block count of one LogStar-MST phase.
 func logStarBlocks(maxID int64) int64 {
 	k := int64(CVIterations(maxID))
-	// 9 step-(i) blocks, 2 orientation blocks, 3 per CV iteration,
-	// 4 per mini-stage (8 stages), then 1+3+3 merge blocks.
-	return 9 + 2 + 3*k + 4*cvMaxColors + 7
+	// 9 step-(i) and sparsification blocks, 2 orientation blocks, 3
+	// per CV iteration, 4 per mini-stage (8 stages), then 1+3+3 merge
+	// blocks.
+	return dbColorBase + 2 + 3*k + 4*cvMaxColors + postColorSpan
 }
 
 // logStarColoring produces the 5-color priority palette for this
 // node's fragment using CV + 8 mini-stages, from the sparsification
-// result sp; its per-edge flags are meaningful only at the MOE owner.
-func (c *nodeCtx) logStarColoring(bs func(int64) int64, sp sparsified, owner bool, ownerPort int) Color {
+// result sp.
+func (c *nodeCtx) logStarColoring(bs func(int64) int64, sp sparsified) Color {
 	nbrInfo := sp.nbrInfo
 	if len(nbrInfo) == 0 {
 		// Isolated in G': Blue by the priority rule (no used colors).
@@ -133,10 +132,10 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, sp sparsified, owner boo
 	// the accepted direction — treating it as a tie to break would
 	// leave the edge uncovered by the forest and break CV properness.
 	var mine interface{}
-	if owner {
+	if sp.ownerPort >= 0 {
 		pi := parentInfo{}
 		if sp.outAccepted {
-			target := c.nbrFragID[ownerPort]
+			target := c.nbrFragID[sp.ownerPort]
 			bothAccepted := sp.mutualMOE && sp.inAccepted
 			if !bothAccepted || target < c.st.FragID {
 				pi = parentInfo{hasParent: true, fragID: target}
@@ -247,23 +246,7 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 			// Member: pick color, broadcast, push to neighbors.
 			var payload colorMsg
 			if c.st.IsRoot() {
-				used := make(map[Color]bool, len(nbrInfo))
-				for _, e := range nbrInfo {
-					if col, ok := nbrColors[e.fragID]; ok {
-						used[col] = true
-					}
-				}
-				pick := ColorNone
-				for _, col := range palette {
-					if !used[col] {
-						pick = col
-						break
-					}
-				}
-				if pick == ColorNone {
-					panic("core: palette exhausted in log* coloring")
-				}
-				payload = colorMsg{fragID: c.st.FragID, color: pick}
+				payload = colorMsg{fragID: c.st.FragID, color: pickColor(nbrInfo, nbrColors)}
 			}
 			myColor = ldt.Broadcast(c.nd, c.st, sb(0), payload).color
 			if len(hostPorts) > 0 {
@@ -324,109 +307,9 @@ func (l colorMsgList) Bits() int {
 
 func (colorMsgList) MsgKind() string { return "color-list" }
 
-// logStarPhase is detPhase with the coloring swapped out.
-func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
-	bs := func(b int64) int64 { return phaseStart + b*c.blk }
-
-	// --- Step (i): identical to Deterministic-MST ----------------------
-	c.taFragment(bs(dbTAFrag))
-	moe := c.upcastMOE(bs(dbUpMOE))
-	var rootMsg *bcastMOEMsg
-	if c.st.IsRoot() {
-		rootMsg = &bcastMOEMsg{}
-		if moe != nil {
-			rootMsg.exists = true
-			rootMsg.moe = *moe
-		}
-	}
-	ph := c.broadcastMOE(bs(dbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
-	if !ph.exists {
-		return true
-	}
-	owner := c.isMOEOwner(&ph.moe)
-	sp := c.sparsify(bs, ph, owner)
-	nbrInfo := sp.nbrInfo
-
-	// --- Step (ii): log* coloring + merging -----------------------------
-	ownerPort := -1
-	if owner {
-		ownerPort = ph.moe.ownerPort
-	}
-	myColor := c.logStarColoring(bs, sp, owner, ownerPort)
-	c.stepDone(trace.StepColoring)
-
-	mergeBase := logStarBlocks(c.nd.MaxID()) - 7
-	var cmdPayload mergeCmd
-	if c.st.IsRoot() && myColor == Blue && len(nbrInfo) > 0 {
-		e := nbrInfo[0]
-		cmdPayload = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
-	}
-	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase), cmdPayload)
-	c.stepDone(trace.StepDecide)
-	dec := ldt.NoMerge
-	if cmd.merging {
-		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if cmd.hostID == c.nd.ID() {
-			dec.AttachPort = cmd.hostPort
-		}
-	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+1), dec)
-
-	dec = ldt.NoMerge
-	if myColor == Blue && len(nbrInfo) == 0 {
-		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if owner {
-			dec.AttachPort = ph.moe.ownerPort
-		}
-	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+4), dec)
-	c.stepDone(trace.StepMerge)
-	return false
-}
-
 // RunLogStar executes the Corollary 1 algorithm: O(log n log* n) awake
 // complexity and O(n log n log* n) rounds, independent of the ID
-// space size.
+// space size. It is Deterministic-MST with the coloring swapped.
 func RunLogStar(g *graph.Graph, opts Options) (*Outcome, error) {
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = DeterministicPhaseBound(g.N())
-	}
-	budget, err := opts.acceptBudget()
-	if err != nil {
-		return nil, err
-	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		c.acceptBudget = budget
-		phaseLen := logStarBlocks(nd.MaxID()) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.logStarPhase(1 + int64(p)*phaseLen)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+	return runSparse(g, opts, logStarBlocks, (*nodeCtx).logStarColoring)
 }

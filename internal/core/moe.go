@@ -183,14 +183,26 @@ func (m bcastMOEMsg) Bits() int { return 2 + m.moe.Bits() }
 
 func (bcastMOEMsg) MsgKind() string { return "bcast-moe" }
 
-// broadcastMOE distributes the root's MOE knowledge (and coin) to the
-// whole fragment.
-func (c *nodeCtx) broadcastMOE(start int64, rootMsg *bcastMOEMsg) bcastMOEMsg {
+// findMOE runs step (i) of every phase from the phase's first round
+// start: refresh the per-port neighbor knowledge, upcast the fragment
+// MOE to the root, and broadcast it to the whole fragment. With flip
+// (Randomized-MST) the root also flips the phase coin. The result's
+// exists is false when the fragment has no outgoing edge, i.e. spans
+// the graph.
+func (c *nodeCtx) findMOE(start int64, flip bool) bcastMOEMsg {
+	c.taFragment(start + rbTAFrag*c.blk)
+	moe := c.upcastMOE(start + rbUpMOE*c.blk)
 	var payload bcastMOEMsg
 	if c.st.IsRoot() {
-		payload = *rootMsg
+		payload.coin = flip && c.nd.Rand().Intn(2) == 0
+		if moe != nil {
+			payload.exists = true
+			payload.moe = *moe
+		}
 	}
-	return ldt.Broadcast(c.nd, c.st, start, payload)
+	ph := ldt.Broadcast(c.nd, c.st, start+rbBcastMOE*c.blk, payload)
+	c.stepDone(trace.StepFindMOE)
+	return ph
 }
 
 // isMOEOwner reports whether this node owns the fragment MOE described

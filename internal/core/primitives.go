@@ -84,54 +84,29 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 	if err := checkInput(g); err != nil {
 		return nil, err
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
 	perNode := make([]int64, g.N())
-	phasesRun := make([]int, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		donePhase := -1
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			if c.randPhase(1 + int64(p)*blkPerPhase) {
-				donePhase = p
-				break
+	// Epilogue: one Upcast-Min block, then one Fragment-Broadcast block.
+	out, err := runPhases(g, opts, RandomizedPhaseBound(g.N()), randPhaseBlocks, (*nodeCtx).randPhase,
+		func(c *nodeCtx, start int64) error {
+			v := values[c.nd.Index()]
+			rootMin := ldt.UpcastMin(c.nd, c.st, start, &ldt.MinItem{Key: graph.WeightKey{W: v}, Payload: intPayload(v)})
+			var payload intPayload
+			if c.st.IsRoot() {
+				payload = intPayload(rootMin.Key.W)
 			}
-		}
-		if donePhase < 0 {
-			return errors.New("mst construction did not converge")
-		}
-		phasesRun[nd.Index()] = donePhase + 1
-		// Epilogue: all nodes finished in the same phase (the spanning
-		// fragment detects termination globally), so two more blocks at
-		// a globally known offset complete the aggregation.
-		epi := 1 + int64(donePhase+1)*blkPerPhase
-		mine := &ldt.MinItem{Key: graph.WeightKey{W: values[nd.Index()]}, Payload: intPayload(values[nd.Index()])}
-		rootMin := ldt.UpcastMin(c.nd, c.st, epi, mine)
-		var payload intPayload
-		if c.st.IsRoot() {
-			payload = intPayload(rootMin.Key.W)
-		}
-		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload)
-		perNode[nd.Index()] = int64(got)
-		return nil
-	})
+			perNode[c.nd.Index()] = int64(ldt.Broadcast(c.nd, c.st, start+c.blk, payload))
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := &AggregateResult{PerNode: perNode, Result: res, Phases: phasesRun[0]}
-	out.Value = perNode[0]
+	res := &AggregateResult{PerNode: perNode, Result: out.Result, Phases: out.Phases, Value: perNode[0]}
 	for v, x := range perNode {
-		if x != out.Value {
-			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, out.Value)
+		if x != res.Value {
+			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, res.Value)
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // BroadcastFrom delivers the value held by the source node to every
@@ -144,52 +119,33 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 	if err := checkInput(g); err != nil {
 		return nil, err
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
 	perNode := make([]int64, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		donePhase := -1
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			if c.randPhase(1 + int64(p)*blkPerPhase) {
-				donePhase = p
-				break
+	// Epilogue: upcast the source's value to the root, then broadcast it.
+	out, err := runPhases(g, opts, RandomizedPhaseBound(g.N()), randPhaseBlocks, (*nodeCtx).randPhase,
+		func(c *nodeCtx, start int64) error {
+			var mine interface{}
+			if c.nd.Index() == source {
+				mine = intPayload(value)
 			}
-		}
-		if donePhase < 0 {
-			return errors.New("mst construction did not converge")
-		}
-		epi := 1 + int64(donePhase+1)*blkPerPhase
-		var mine interface{}
-		if nd.Index() == source {
-			mine = intPayload(value)
-		}
-		rootGot := c.upcastFirst(epi, mine)
-		var payload intPayload
-		if c.st.IsRoot() {
-			if rootGot == nil {
-				return errors.New("source value never reached the root")
+			rootGot := c.upcastFirst(start, mine)
+			var payload intPayload
+			if c.st.IsRoot() {
+				if rootGot == nil {
+					return errors.New("source value never reached the root")
+				}
+				payload = rootGot.(intPayload)
 			}
-			payload = rootGot.(intPayload)
-		}
-		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload)
-		perNode[nd.Index()] = int64(got)
-		return nil
-	})
+			perNode[c.nd.Index()] = int64(ldt.Broadcast(c.nd, c.st, start+c.blk, payload))
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := &AggregateResult{PerNode: perNode, Result: res, Value: perNode[0]}
+	res := &AggregateResult{PerNode: perNode, Result: out.Result, Value: perNode[0]}
 	for v, x := range perNode {
 		if x != value {
 			return nil, fmt.Errorf("core: broadcast failed at node %d: got %d want %d", v, x, value)
 		}
 	}
-	return out, nil
+	return res, nil
 }

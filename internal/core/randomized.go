@@ -3,13 +3,14 @@ package core
 import (
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
 
 // Block layout of one Randomized-MST phase (§2.2). Each entry is one
 // transmission-schedule block of 2n+1 rounds; a phase is the fixed
-// sequence below, so every node derives its wake rounds locally.
+// sequence below, so every node derives its wake rounds locally. The
+// first three blocks are step (i), which opens every phase layout
+// (findMOE).
 const (
 	rbTAFrag     = 0 // Transmit-Adjacent: refresh (ID, fragID, level)
 	rbUpMOE      = 1 // Upcast-Min: fragment MOE to root
@@ -33,25 +34,13 @@ func (m taMOEMsg) Bits() int { return ldt.FieldBits(m.fragID) + 2 }
 
 func (taMOEMsg) MsgKind() string { return "ta-moe" }
 
-// randPhase runs one phase. It returns (done, merged): done means the
+// randPhase runs one phase from its first round start; done means the
 // fragment spans the graph (no outgoing edge) and the node may halt.
-func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
-	bs := func(b int) int64 { return phaseStart + int64(b)*c.blk }
+func (c *nodeCtx) randPhase(start int64) (done bool) {
+	bs := func(b int64) int64 { return start + b*c.blk }
 
-	// Step (i): find the fragment MOE.
-	c.taFragment(bs(rbTAFrag))
-	moe := c.upcastMOE(bs(rbUpMOE))
-
-	var rootMsg *bcastMOEMsg
-	if c.st.IsRoot() {
-		rootMsg = &bcastMOEMsg{coin: c.nd.Rand().Intn(2) == 0}
-		if moe != nil {
-			rootMsg.exists = true
-			rootMsg.moe = *moe
-		}
-	}
-	ph := c.broadcastMOE(bs(rbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
+	// Step (i): find the fragment MOE; the root flips the phase coin.
+	ph := c.findMOE(start, true)
 	if !ph.exists {
 		// No outgoing edge: the fragment spans the (connected) graph.
 		return true
@@ -110,36 +99,9 @@ func RunRandomized(g *graph.Graph, opts Options) (*Outcome, error) {
 	if err := checkInput(g); err != nil {
 		return nil, err
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.randPhase(1 + int64(p)*blkPerPhase)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
+	out, err := runPhases(g, opts, RandomizedPhaseBound(g.N()), randPhaseBlocks, (*nodeCtx).randPhase, nil)
 	if err != nil {
 		return nil, err
 	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+	return finishOutcome(g, out)
 }

@@ -1,10 +1,15 @@
 package service
 
-import "sleepmst/internal/conform"
+import (
+	"sleepmst/internal/conform"
+	"sleepmst/internal/graph"
+	"sleepmst/internal/problem"
+	"sleepmst/internal/transport"
+)
 
 // ArtifactSchema versions the per-request service artifact. It tracks
-// cmd/mstserve's one-shot artifact shape (same run and wire summaries)
-// with the request correlation id added.
+// cmd/mstserve's one-shot artifact shape (the same RunSummary and
+// WireSummary) with the request correlation id added.
 const ArtifactSchema = 1
 
 // Artifact is the per-request JSON artifact carried in
@@ -50,6 +55,27 @@ type RunSummary struct {
 	VerifyPassed bool    `json:"verify_passed"`
 }
 
+// NewRunSummary summarizes the completed run r; verified reports
+// whether the problem's correctness oracle accepted it.
+func NewRunSummary(r *problem.Result, verified bool) RunSummary {
+	s := RunSummary{
+		AwakeMax:     r.Sim.MaxAwake(),
+		AwakeAvg:     r.Sim.MeanAwake(),
+		Rounds:       r.Sim.Rounds,
+		BusyRounds:   r.Sim.BusyRounds,
+		Sent:         r.Sim.MessagesSent,
+		Delivered:    r.Sim.MessagesDelivered,
+		Lost:         r.Sim.MessagesLost,
+		BitsSent:     r.Sim.BitsSent,
+		Phases:       r.Phases,
+		VerifyPassed: verified,
+	}
+	if r.Outcome != nil {
+		s.MSTWeight = graph.TotalWeight(r.Outcome.MSTEdges)
+	}
+	return s
+}
+
 // WireSummary is the physical wire accounting of one request that ran
 // over the tcp backend.
 type WireSummary struct {
@@ -61,4 +87,19 @@ type WireSummary struct {
 	SendRetries    int64 `json:"send_retries,omitempty"`
 	InjectedDrops  int64 `json:"injected_drops,omitempty"`
 	InjectedDelays int64 `json:"injected_delays,omitempty"`
+}
+
+// NewWireSummary copies a metered backend's counters into the
+// artifact's wire section.
+func NewWireSummary(w transport.Stats) WireSummary {
+	return WireSummary{
+		FramesSent:     w.FramesSent,
+		FramesRecv:     w.FramesRecv,
+		WireBytes:      w.WireBytes,
+		Dials:          w.Dials,
+		Redials:        w.Redials,
+		SendRetries:    w.SendRetries,
+		InjectedDrops:  w.InjectedDrops,
+		InjectedDelays: w.InjectedDelays,
+	}
 }

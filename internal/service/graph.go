@@ -7,12 +7,16 @@ import (
 	"sleepmst/internal/graph"
 )
 
-// BuildGraph constructs the named topology, mirroring cmd/sleepsim's
-// flags with a sparser random default (m = 2n): every undirected edge
-// of a request run over a tcp backend costs two socket connections.
-// Shared by the service's per-request execution and cmd/mstserve's
-// one-shot mode.
+// BuildGraph constructs the named topology, or returns an error for a
+// kind or size it cannot build. Its random default is sparse (m = 2n):
+// every undirected edge of a request run over a tcp backend costs two
+// socket connections. Shared by the service's per-request execution,
+// cmd/mstserve's one-shot mode and cmd/sleepsim, which passes its own
+// denser default.
 func BuildGraph(kind string, n, m, rows int, radius float64, seed int64) (*graph.Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("service: n must be >= 1, got %d", n)
+	}
 	cfg := graph.GenConfig{Seed: seed}
 	switch kind {
 	case "random":

@@ -40,7 +40,6 @@ import (
 
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
-	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/sim"
@@ -298,34 +297,11 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		Seed:      req.Seed,
 		Transport: req.Transport,
 		Verdict:   verdict,
-		Run: RunSummary{
-			AwakeMax:     r.Sim.MaxAwake(),
-			AwakeAvg:     r.Sim.MeanAwake(),
-			Rounds:       r.Sim.Rounds,
-			BusyRounds:   r.Sim.BusyRounds,
-			Sent:         r.Sim.MessagesSent,
-			Delivered:    r.Sim.MessagesDelivered,
-			Lost:         r.Sim.MessagesLost,
-			BitsSent:     r.Sim.BitsSent,
-			Phases:       r.Phases,
-			VerifyPassed: verify == nil,
-		},
-	}
-	if r.Outcome != nil {
-		a.Run.MSTWeight = graph.TotalWeight(r.Outcome.MSTEdges)
+		Run:       NewRunSummary(r, verify == nil),
 	}
 	if st, ok := tx.(transport.Statser); ok {
-		w := st.TransportStats()
-		a.Wire = &WireSummary{
-			FramesSent:     w.FramesSent,
-			FramesRecv:     w.FramesRecv,
-			WireBytes:      w.WireBytes,
-			Dials:          w.Dials,
-			Redials:        w.Redials,
-			SendRetries:    w.SendRetries,
-			InjectedDrops:  w.InjectedDrops,
-			InjectedDelays: w.InjectedDelays,
-		}
+		w := NewWireSummary(st.TransportStats())
+		a.Wire = &w
 	}
 
 	resp = Response{ID: req.ID, Status: StatusOK}

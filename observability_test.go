@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sleepmst/internal/sweep"
+	"sleepmst/internal/trace"
 )
 
 // traceJSONL runs algorithm a on g with a fresh recorder and returns
@@ -55,7 +56,7 @@ func TestTraceJSONLGolden(t *testing.T) {
 		t.Fatalf("trace differs from golden (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the schema change is intended", len(got), len(want))
 	}
 	// The golden trace must also round-trip through the reader.
-	meta, events, err := ReadTraceJSONL(bytes.NewReader(want))
+	meta, events, err := trace.ReadJSONL(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
@@ -102,7 +103,7 @@ func TestTraceJSONLGoldenMIS(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("MIS trace differs from golden (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the schema change is intended", len(got), len(want))
 	}
-	meta, events, err := ReadTraceJSONL(bytes.NewReader(want))
+	meta, events, err := trace.ReadJSONL(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}

@@ -21,24 +21,21 @@
 //	fmt.Println("round complexity:", rep.RoundComplexity()) // O(n log n)
 //
 // The package is a thin facade over the implementation packages under
-// internal/; everything a downstream user needs is re-exported here.
+// internal/: it re-exports what the examples, the commands and the
+// README use, and the types those names carry.
 package sleepmst
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"sleepmst/internal/chaos"
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
-	"sleepmst/internal/ldt"
 	"sleepmst/internal/lowerbound"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/modelcheck"
 	"sleepmst/internal/problem"
-	"sleepmst/internal/service"
 	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 	"sleepmst/internal/transport"
@@ -166,19 +163,7 @@ func Run(a Algorithm, g *Graph, opts Options) (*Report, error) {
 	return &Report{Outcome: out, Algorithm: a, Graph: g}, nil
 }
 
-// ReferenceMST returns the unique MST via sequential Kruskal.
-func ReferenceMST(g *Graph) []Edge { return graph.Kruskal(g) }
-
-// TotalWeight sums the weights of an edge set.
-func TotalWeight(edges []Edge) int64 { return graph.TotalWeight(edges) }
-
 // Graph constructors -----------------------------------------------------
-
-// NewGraph builds a graph from explicit edges; see graph.New.
-func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.New(n, edges) }
-
-// Path returns the path graph with distinct random weights.
-func Path(n int, seed int64) *Graph { return graph.Path(n, graph.GenConfig{Seed: seed}) }
 
 // Ring returns the cycle graph (the Theorem 3 topology).
 func Ring(n int, seed int64) *Graph { return graph.Cycle(n, graph.GenConfig{Seed: seed}) }
@@ -187,9 +172,6 @@ func Ring(n int, seed int64) *Graph { return graph.Cycle(n, graph.GenConfig{Seed
 func Grid(rows, cols int, seed int64) *Graph {
 	return graph.Grid(rows, cols, graph.GenConfig{Seed: seed})
 }
-
-// Complete returns the complete graph K_n.
-func Complete(n int, seed int64) *Graph { return graph.Complete(n, graph.GenConfig{Seed: seed}) }
 
 // RandomConnected returns a connected random graph with ~m edges.
 func RandomConnected(n, m int, seed int64) *Graph {
@@ -247,34 +229,15 @@ func MSTPorts(rep *Report) [][]int {
 	return out
 }
 
-// LDTState re-exports the per-node Labeled Distance Tree state for
-// advanced users building their own sleeping-model procedures.
-type LDTState = ldt.State
-
 // Sleeping-model primitives ------------------------------------------------
 
 // LeaderResult re-exports the leader-election result.
 type LeaderResult = core.LeaderResult
 
-// AggregateResult re-exports the aggregation/broadcast result.
-type AggregateResult = core.AggregateResult
-
 // ElectLeader elects a unique leader known to every node in O(log n)
 // awake rounds w.h.p.
 func ElectLeader(g *Graph, opts Options) (*LeaderResult, error) {
 	return core.ElectLeader(g, opts)
-}
-
-// AggregateMin computes the global minimum of one value per node and
-// delivers it to every node in O(log n) awake rounds w.h.p.
-func AggregateMin(g *Graph, values []int64, opts Options) (*AggregateResult, error) {
-	return core.AggregateMin(g, values, opts)
-}
-
-// BroadcastFrom delivers the source node's value to every node in
-// O(log n) awake rounds w.h.p.
-func BroadcastFrom(g *Graph, source int, value int64, opts Options) (*AggregateResult, error) {
-	return core.BroadcastFrom(g, source, value, opts)
 }
 
 // Observability ------------------------------------------------------------
@@ -293,25 +256,9 @@ type TraceEvent = trace.Event
 // dropped-event counts.
 type TraceMeta = trace.Meta
 
-// TraceSummary aggregates a trace into per-phase awake budgets and
-// message totals; see SummarizeTrace.
-type TraceSummary = trace.Summary
-
 // NewTraceRecorder returns an event recorder with the given total
 // ring capacity in events (0 = the package default).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// SummarizeTrace reduces a trace to its per-phase awake-budget table
-// (the same report as `mstbench -exp trace`).
-func SummarizeTrace(meta TraceMeta, events []TraceEvent) TraceSummary {
-	return trace.Summarize(meta, events)
-}
-
-// ReadTraceJSONL parses a JSONL trace written by
-// TraceRecorder.WriteJSONL back into its meta record and events.
-func ReadTraceJSONL(r io.Reader) (TraceMeta, []TraceEvent, error) {
-	return trace.ReadJSONL(r)
-}
 
 // Conformance ---------------------------------------------------------------
 
@@ -348,19 +295,8 @@ func CheckTraceConformance(meta TraceMeta, events []TraceEvent, info ConformRunI
 // the simulator's measurement record above.)
 type MetricsRegistry = metrics.Registry
 
-// Metric is one named counter (or running max) snapshotted from a
-// MetricsRegistry.
-type Metric = metrics.Metric
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
-
-// MergeMetricsRegistries folds per-worker registries into one in
-// deterministic order; use it to aggregate sweeps (every counter is
-// commutative, so the result is worker-count independent).
-func MergeMetricsRegistries(regs []*MetricsRegistry) *MetricsRegistry {
-	return metrics.MergeAll(regs)
-}
 
 // Chaos runtime ------------------------------------------------------------
 
@@ -384,15 +320,6 @@ type CrashEvent = chaos.CrashEvent
 // Classification is the oracle's verdict for one perturbed run.
 type Classification = chaos.Classification
 
-// Oracle verdicts.
-const (
-	CorrectMST       = chaos.CorrectMST
-	WrongTree        = chaos.WrongTree
-	Disconnected     = chaos.Disconnected
-	Deadlock         = chaos.Deadlock
-	AwakeBudgetBlown = chaos.AwakeBudgetBlown
-)
-
 // NewChaosPolicy builds a deterministic fault-injection policy.
 func NewChaosPolicy(opts ChaosOptions) *ChaosPolicy { return chaos.New(opts) }
 
@@ -405,15 +332,8 @@ func ClassifyRun(g *Graph, out *Outcome, err error) Classification {
 // Fault names one fault process for a sweep.
 type Fault = chaos.Fault
 
-// Sweepable fault kinds.
-const (
-	FaultDrop      = chaos.FaultDrop
-	FaultDelay     = chaos.FaultDelay
-	FaultDup       = chaos.FaultDup
-	FaultFlip      = chaos.FaultFlip
-	FaultCrash     = chaos.FaultCrash
-	FaultOversleep = chaos.FaultOversleep
-)
+// FaultDrop names the message-drop fault process for a sweep.
+const FaultDrop = chaos.FaultDrop
 
 // ChaosSweepConfig configures an outcome-frequency sweep; see
 // ChaosSweep.
@@ -455,28 +375,14 @@ type ProblemResult = problem.Result
 // unknown name is an error listing every valid choice.
 func LookupProblem(name string) (Problem, error) { return problem.Lookup(name) }
 
-// ProblemNames returns the qualified problem registry names, sorted.
-func ProblemNames() []string { return problem.Names() }
-
 // RunMIS computes a maximal independent set of g in the sleeping model
 // with O(log log n) worst-case awake complexity w.h.p.
 func RunMIS(g *Graph, opts Options) (*ProblemResult, error) { return problem.RunMIS(g, opts) }
-
-// MISAwakeBudget returns the calibrated per-node awake envelope for an
-// n-node MIS run (BudgetCMIS · (log2 log2 n + 1), rounded up).
-func MISAwakeBudget(n int) (int64, bool) { return problem.MISAwakeBudget(n) }
 
 // MISViolations counts independence and maximality violations of the
 // node set marked by inMIS; a valid MIS returns (0, 0).
 func MISViolations(g *Graph, inMIS []bool) (notIndependent, notMaximal int64) {
 	return graph.MISViolations(g, inMIS)
-}
-
-// MISCheck builds the MIS-validity conformance check from the
-// violation counts returned by MISViolations, for appending to a
-// ConformVerdict.
-func MISCheck(notIndependent, notMaximal int64) ConformCheck {
-	return conform.MISCheck(notIndependent, notMaximal)
 }
 
 // NodeAvgAwake returns the node-averaged awake complexity recorded in
@@ -487,15 +393,6 @@ func NodeAvgAwake(r *MetricsRegistry) float64 { return metrics.NodeAvgAwake(r) }
 // MISClassification is the MIS outcome oracle's verdict for one
 // perturbed run.
 type MISClassification = chaos.MISClassification
-
-// MIS oracle verdicts.
-const (
-	CorrectMIS     = chaos.CorrectMIS
-	NotIndependent = chaos.NotIndependent
-	NotMaximal     = chaos.NotMaximal
-	MISDeadlock    = chaos.MISDeadlock
-	MISAwakeBlown  = chaos.MISAwakeBlown
-)
 
 // ClassifyMISRun maps an MIS run's membership vector and error to an
 // oracle verdict.
@@ -521,11 +418,6 @@ type ModelCheckConfig = modelcheck.Config
 // pruned branches) plus deviation-minimal counterexamples.
 type ModelCheckVerdict = modelcheck.Verdict
 
-// ModelCheckViolation is one schedule on which an invariant or the
-// problem's correctness oracle failed, with its replayable choice
-// prefix and counterexample trace.
-type ModelCheckViolation = modelcheck.Violation
-
 // ModelCheck exhaustively explores every admissible schedule of the
 // problem on the given small topology up to the configured deviation
 // bound, checking the conformance invariant catalog plus the
@@ -550,30 +442,6 @@ type Transport = transport.Transport
 // bytes, dials, retries, injected faults.
 type TransportStats = transport.Stats
 
-// TCPTransportConfig parameterizes NewTCPTransport; the zero value
-// uses the package defaults (loopback, 8 retries, exponential
-// backoff).
-type TCPTransportConfig = transport.TCPConfig
-
-// TransportFaultConfig parameterizes WithTransportFaults: seeded
-// drop/delay probabilities and the retry budget that masks injected
-// drops.
-type TransportFaultConfig = transport.FaultConfig
-
-// NewTCPTransport returns the TCP backend: every node a long-lived
-// server on a loopback ephemeral port, with per-link retry and
-// graceful shutdown.
-func NewTCPTransport(cfg TCPTransportConfig) Transport { return transport.NewTCP(cfg) }
-
-// WithTransportFaults wraps a backend with deterministic wire-level
-// fault injection (the chaos drop/delay policies reinterpreted as
-// transport faults); injected drops are masked by the retry budget,
-// so the run's outcome is unchanged while the retry path is
-// exercised.
-func WithTransportFaults(inner Transport, cfg TransportFaultConfig) Transport {
-	return transport.WithFaults(inner, cfg)
-}
-
 // TransportStatsOf extracts the wire accounting from a backend, ok =
 // false when the backend does not meter traffic.
 func TransportStatsOf(tx Transport) (TransportStats, bool) {
@@ -595,59 +463,4 @@ func ParseTransport(s string) (Transport, error) {
 	default:
 		return nil, fmt.Errorf("sleepmst: unknown transport %q (want none or tcp)", s)
 	}
-}
-
-// Persistent service ------------------------------------------------------
-
-// Service is the persistent concurrent MST service: a request
-// scheduler over a bounded worker pool with explicit admission
-// control, per-request isolation (seed, transport, trace, deadline),
-// and a deterministic merged metrics registry. See internal/service
-// and DESIGN.md §14.
-type Service = service.Service
-
-// ServiceConfig parameterizes NewService: worker count, admission
-// queue depth, default per-request deadline, and per-request caps.
-type ServiceConfig = service.Config
-
-// ServiceRequest is one certified-computation request submitted to a
-// Service, in process or over the wire protocol.
-type ServiceRequest = service.Request
-
-// ServiceResponse is the service's answer to one request: a status
-// code, the JSON artifact for completed runs, and optionally the full
-// JSONL trace for client-side re-certification.
-type ServiceResponse = service.Response
-
-// ServiceStatus classifies one request's outcome (ok, violation,
-// invalid, overloaded, deadline, shutting-down, internal).
-type ServiceStatus = service.Status
-
-// ServiceArtifact is the decoded per-request JSON artifact: verdict,
-// run summary, and wire accounting.
-type ServiceArtifact = service.Artifact
-
-// ServiceServer exposes a Service over length-prefixed request and
-// response frames on TCP connections, with pipelining and a graceful
-// drain; mstserve -serve is the daemon around it.
-type ServiceServer = service.Server
-
-// NewService starts a persistent service; pair it with
-// Service.Drain.
-func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
-
-// NewServiceServer wraps a service for the wire protocol; run it with
-// ServiceServer.Serve and stop it with ServiceServer.Shutdown.
-func NewServiceServer(svc *Service) *ServiceServer { return service.NewServer(svc) }
-
-// WriteServiceRequest writes one request frame — the client side of
-// the service wire protocol.
-func WriteServiceRequest(w io.Writer, req ServiceRequest) error {
-	return service.WriteRequest(w, req)
-}
-
-// ReadServiceResponse reads one response frame off a buffered client
-// connection.
-func ReadServiceResponse(br *bufio.Reader) (ServiceResponse, error) {
-	return service.ReadResponse(br)
 }

@@ -3,11 +3,13 @@ package sleepmst
 import (
 	"math"
 	"testing"
+
+	"sleepmst/internal/graph"
 )
 
 func TestRunAllAlgorithmsAgree(t *testing.T) {
 	g := RandomConnected(48, 120, 7)
-	want := ReferenceMST(g)
+	want := graph.Kruskal(g)
 	for _, a := range []Algorithm{Randomized, Deterministic, LogStar, Baseline, ClassicGHS} {
 		t.Run(a.String(), func(t *testing.T) {
 			rep, err := Run(a, g, Options{Seed: 3})
@@ -17,22 +19,14 @@ func TestRunAllAlgorithmsAgree(t *testing.T) {
 			if !rep.Verified() {
 				t.Error("MST does not match reference")
 			}
-			if rep.MSTWeight() != totalWeight(want) {
-				t.Errorf("weight %d, want %d", rep.MSTWeight(), totalWeight(want))
+			if rep.MSTWeight() != graph.TotalWeight(want) {
+				t.Errorf("weight %d, want %d", rep.MSTWeight(), graph.TotalWeight(want))
 			}
 			if len(rep.MSTEdges) != g.N()-1 {
 				t.Errorf("edges = %d, want %d", len(rep.MSTEdges), g.N()-1)
 			}
 		})
 	}
-}
-
-func totalWeight(edges []Edge) int64 {
-	var s int64
-	for _, e := range edges {
-		s += e.Weight
-	}
-	return s
 }
 
 func TestAlgorithmParseRoundTrip(t *testing.T) {
@@ -114,7 +108,7 @@ func TestSolveSDViaMSTFacade(t *testing.T) {
 }
 
 func TestWithRandomIDs(t *testing.T) {
-	g := WithRandomIDs(Path(10, 1), 1000, 2)
+	g := WithRandomIDs(graph.Path(10, graph.GenConfig{Seed: 1}), 1000, 2)
 	rep, err := Run(Deterministic, g, Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -125,7 +119,7 @@ func TestWithRandomIDs(t *testing.T) {
 }
 
 func TestRunInvalidAlgorithm(t *testing.T) {
-	if _, err := Run(Algorithm(99), Path(4, 1), Options{}); err == nil {
+	if _, err := Run(Algorithm(99), graph.Path(4, graph.GenConfig{Seed: 1}), Options{}); err == nil {
 		t.Fatal("want error for invalid algorithm")
 	}
 	if Algorithm(99).String() == "" {
