@@ -7,8 +7,10 @@
 package core_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"sleepmst"
@@ -16,6 +18,7 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
+	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
 )
 
@@ -106,20 +109,35 @@ func BenchmarkCheckTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceStages times the post-run stages of one traced
-// service-sized request — Deterministic-MST on a random graph with
-// n=48 and m=2n, the largest cell of the service benchmark's mix:
-// ordering the recorded events, the verdict over them, and the JSONL
-// render (DESIGN §14.5).
+// BenchmarkTraceStages times the stages of one traced service-sized
+// request — Deterministic-MST on a random graph with n=48 and m=2n,
+// the largest cell of the service benchmark's mix: the traced run,
+// ordering the recorded events, the verdict over them, the JSONL
+// render as the service does it, and writing and reading the response
+// frame (DESIGN §14.5).
 func BenchmarkTraceStages(b *testing.B) {
 	g := sleepmst.RandomConnected(48, 96, 48000)
-	rec := trace.NewRecorder(1 << 18)
-	if _, err := sleepmst.Deterministic.Runner()(g, sleepmst.Options{Seed: 1, Trace: rec}); err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B) *trace.Recorder {
+		rec := trace.NewRecorder(1 << 18)
+		if _, err := sleepmst.Deterministic.Runner()(g, sleepmst.Options{Seed: 1, Trace: rec}); err != nil {
+			b.Fatal(err)
+		}
+		return rec
 	}
+	rec := run(b)
 	meta, events := rec.Meta(), rec.Events()
 	info := conform.RunInfo{Algorithm: "deterministic", N: 48, Seed: 1}
+	render := func() []byte {
+		return trace.AppendEventsJSONL(make([]byte, 0, trace.JSONLSize(meta, events)), meta, events)
+	}
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b)
+		}
+	})
 	b.Run("order", func(b *testing.B) {
+		b.ReportAllocs()
 		b.ReportMetric(float64(len(events)), "events")
 		for i := 0; i < b.N; i++ {
 			if got := rec.Events(); len(got) != len(events) {
@@ -128,6 +146,7 @@ func BenchmarkTraceStages(b *testing.B) {
 		}
 	})
 	b.Run("verdict", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if v := conform.CheckTrace(meta, events, info); !v.Pass {
 				b.Fatalf("unexpected failure:\n%s", v)
@@ -135,9 +154,24 @@ func BenchmarkTraceStages(b *testing.B) {
 		}
 	})
 	b.Run("jsonl", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := trace.WriteEventsJSONL(&buf, meta, events); err != nil {
+			render()
+		}
+	})
+	b.Run("respond", func(b *testing.B) {
+		b.ReportAllocs()
+		resp := service.Response{ID: 1, Status: service.StatusOK, Trace: render()}
+		frame, err := service.AppendResponse(nil, resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := service.WriteResponse(io.Discard, resp); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := service.ReadResponse(bufio.NewReader(bytes.NewReader(frame))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"sort"
 )
 
 // WeightMode selects how generators assign edge weights.
@@ -221,29 +221,69 @@ func RandomGeometric(n int, radius float64, cfg GenConfig) *Graph {
 			}
 		}
 	}
-	// Bridge components by repeatedly connecting the globally nearest
-	// cross-component pair.
 	uf := NewUnionFind(n)
 	for _, e := range edges {
 		uf.Union(e.U, e.V)
 	}
-	for uf.Count() > 1 {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if uf.Connected(i, j) {
-					continue
-				}
-				if d := dist2(i, j); d < best {
-					best, bi, bj = d, i, j
-				}
-			}
-		}
-		edges = append(edges, Edge{U: bi, V: bj})
-		uf.Union(bi, bj)
+	if uf.Count() > 1 {
+		edges = append(edges, bridges(uf, dist2)...)
 	}
 	assignWeights(edges, cfg)
 	return MustNew(n, edges)
+}
+
+// pairKey ranks a pair i < j for bridges: pairs inside a component
+// below pairs across two, then by (dist², i, j).
+type pairKey struct {
+	cross bool
+	d     float64
+	i, j  int
+}
+
+func (a pairKey) less(b pairKey) bool {
+	if a.cross != b.cross {
+		return b.cross
+	}
+	return a.d < b.d || a.d == b.d && (a.i < b.i || a.i == b.i && a.j < b.j)
+}
+
+// bridges returns the edges that join the components of uf when the
+// nearest cross-component pair, lowest (i, j) first, is joined until
+// one component remains, in joining order. That is Kruskal over the
+// cross-component pairs by pairKey, so they are the cross-component
+// edges of the unique minimum spanning tree of all pairs by pairKey,
+// which one dense Prim pass finds in O(n²) time and O(n) memory.
+func bridges(uf *UnionFind, dist2 func(i, j int) float64) []Edge {
+	n := len(uf.parent)
+	key := func(u, v int) pairKey {
+		return pairKey{cross: !uf.Connected(u, v), d: dist2(u, v), i: min(u, v), j: max(u, v)}
+	}
+	inTree := make([]bool, n)
+	best := make([]pairKey, n) // the lightest pair joining v to the tree
+	for v := 1; v < n; v++ {
+		best[v] = key(0, v)
+	}
+	inTree[0] = true
+	var edges []Edge
+	for added := 1; added < n; added++ {
+		u := -1
+		for v := range best {
+			if !inTree[v] && (u < 0 || best[v].less(best[u])) {
+				u = v
+			}
+		}
+		inTree[u] = true
+		if best[u].cross {
+			edges = append(edges, Edge{U: best[u].i, V: best[u].j})
+		}
+		for v := range best {
+			if k := key(u, v); !inTree[v] && k.less(best[v]) {
+				best[v] = k
+			}
+		}
+	}
+	sort.Slice(edges, func(x, y int) bool { return key(edges[x].U, edges[x].V).less(key(edges[y].U, edges[y].V)) })
+	return edges
 }
 
 // RandomIDs replaces node IDs with distinct random values in [1, space],

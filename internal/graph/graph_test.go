@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -339,5 +341,114 @@ func TestRandomGeometricAlwaysConnected(t *testing.T) {
 	g := RandomGeometric(40, 0.05, GenConfig{Seed: 13})
 	if !IsConnected(g) {
 		t.Error("geometric graph not connected after bridging")
+	}
+}
+
+// referenceRandomGeometric is RandomGeometric as it was before bridges:
+// it joins the globally nearest cross-component pair, lowest (i, j)
+// first, rescanning every pair once per bridge (O(n³) when a tiny
+// radius leaves about n components).
+func referenceRandomGeometric(n int, radius float64, cfg GenConfig) *Graph {
+	r := cfg.rng()
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := 0; i < n; i++ {
+		xs[i], ys[i] = r.Float64(), r.Float64()
+	}
+	dist2 := func(i, j int) float64 {
+		dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+		return dx*dx + dy*dy
+	}
+	var edges []Edge
+	rad2 := radius * radius
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if dist2(i, j) <= rad2 {
+				edges = append(edges, Edge{U: i, V: j})
+			}
+		}
+	}
+	uf := NewUnionFind(n)
+	for _, e := range edges {
+		uf.Union(e.U, e.V)
+	}
+	edges = append(edges, referenceBridges(uf, dist2)...)
+	assignWeights(edges, cfg)
+	return MustNew(n, edges)
+}
+
+// referenceBridges is the bridging loop bridges replaced.
+func referenceBridges(uf *UnionFind, dist2 func(i, j int) float64) []Edge {
+	n := len(uf.parent)
+	var edges []Edge
+	for uf.Count() > 1 {
+		bi, bj, best := -1, -1, math.Inf(1)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if uf.Connected(i, j) {
+					continue
+				}
+				if d := dist2(i, j); d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		edges = append(edges, Edge{U: bi, V: bj})
+		uf.Union(bi, bj)
+	}
+	return edges
+}
+
+// TestRandomGeometricMatchesReference: the Prim-based bridging builds
+// the graph the per-bridge rescan built, edge for edge and weight for
+// weight, over 280 (seed, n, radius) cells in every weight mode — from
+// radius 0 (n components) through 1e-4 and middle radii to radii past
+// √2 (one component, no bridges).
+func TestRandomGeometricMatchesReference(t *testing.T) {
+	for _, mode := range []WeightMode{WeightsDistinctRandom, WeightsUnit, WeightsRandomLarge} {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, n := range []int{1, 2, 3, 7, 24, 48, 97, 128} {
+				for _, radius := range []float64{0, 1e-4, 0.05, 0.12, 0.3, math.Sqrt2, 2} {
+					cfg := GenConfig{Seed: seed, Weights: mode}
+					got, want := RandomGeometric(n, radius, cfg).Edges(), referenceRandomGeometric(n, radius, cfg).Edges()
+					if !slices.Equal(got, want) {
+						t.Fatalf("mode %d seed %d n %d radius %g: edges differ from the reference\n got %v\nwant %v",
+							mode, seed, n, radius, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBridgesBreakTiesLikeReference: on lattice points, where many
+// pairs share a distance and many points coincide, bridges joins the
+// same pairs in the same order as the rescan.
+func TestBridgesBreakTiesLikeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		side := 1 + rng.Intn(6)
+		xs, ys := make([]int, n), make([]int, n)
+		for i := range xs {
+			xs[i], ys[i] = rng.Intn(side), rng.Intn(side)
+		}
+		dist2 := func(i, j int) float64 {
+			dx, dy := float64(xs[i]-xs[j]), float64(ys[i]-ys[j])
+			return dx*dx + dy*dy
+		}
+		a, b := NewUnionFind(n), NewUnionFind(n)
+		for k := rng.Intn(n); k > 0; k-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			a.Union(i, j)
+			b.Union(i, j)
+		}
+		var got []Edge
+		if a.Count() > 1 {
+			got = bridges(a, dist2)
+		}
+		if want := referenceBridges(b, dist2); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: bridges %v, reference %v", trial, got, want)
+		}
 	}
 }

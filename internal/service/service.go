@@ -30,7 +30,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -316,20 +315,13 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	}
 	resp.Artifact = data
 	if req.WantTrace {
-		var b bytes.Buffer
-		if err := trace.WriteEventsJSONL(&b, meta, events); err != nil {
-			return s.finish(req, Response{ID: req.ID, Status: StatusInternal,
-				Detail: fmt.Sprintf("trace render: %v", err)}, "")
-		}
-		resp.Trace = b.Bytes()
+		resp.Trace = trace.AppendEventsJSONL(make([]byte, 0, trace.JSONLSize(meta, events)), meta, events)
 	}
 	// A response over the frame cap cannot be written, and the client
 	// would wait for it until its own deadline; reject it, as the
 	// built-graph check above rejects a graph over the admitted cap.
-	if size := responseFrameBound(resp); size > MaxFrameBytes {
-		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
-			Detail: fmt.Sprintf("response would be %d bytes (artifact %d, trace %d), over the %d-byte frame cap",
-				size, len(resp.Artifact), len(resp.Trace), MaxFrameBytes)}, "")
+	if _, err := responseHead(resp); err != nil {
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: err.Error()}, "")
 	}
 	// Fold the completed run's counters into the service registry —
 	// only completed runs: a canceled cell's partial counters would

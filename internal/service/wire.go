@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"time"
 
@@ -123,7 +124,9 @@ type Request struct {
 	// (in-memory), or "tcp".
 	Transport string
 	// TraceCap is the trace-recorder event capacity (0 = service
-	// default; bounded by the service's MaxTraceCap).
+	// default; bounded by the service's MaxTraceCap). Each of the
+	// recorder's n+1 streams keeps at least 64 events, so a small cap
+	// on a large run keeps more (see trace.NewRecorder).
 	TraceCap int
 	// Deadline bounds the request end to end (0 = service default); an
 	// expired deadline cancels the running cell at a round barrier.
@@ -195,13 +198,16 @@ func init() {
 			w.Bytes(p.Trace)
 		},
 		Decode: func(r *transport.Reader) interface{} {
-			return Response{
+			p := Response{
 				ID:       r.Int(),
 				Status:   decodeStatus(r.Uvarint()),
 				Detail:   string(r.Bytes()),
 				Artifact: append([]byte(nil), r.Bytes()...),
-				Trace:    append([]byte(nil), r.Bytes()...),
 			}
+			if trace := r.Bytes(); len(trace) > 0 {
+				p.Trace = trace // aliases the body: see DecodeResponse
+			}
+			return p
 		},
 	})
 }
@@ -217,11 +223,26 @@ func decodeStatus(raw uint64) Status {
 	return Status(raw)
 }
 
-// responseFrameBound bounds the encoded frame body of p from its field
-// lengths without encoding it: the codec adds one varint per field and
-// one for the kind, each at most binary.MaxVarintLen64 bytes.
-func responseFrameBound(p Response) int {
-	return len(p.Detail) + len(p.Artifact) + len(p.Trace) + 6*binary.MaxVarintLen64
+// responseHead encodes the frame of p up to its trace bytes: the
+// length prefix, then the body's kind, ID, status, detail, artifact
+// and the trace's length prefix. The frame is the head followed by
+// p.Trace. It fails if the body would exceed MaxFrameBytes.
+func responseHead(p Response) ([]byte, error) {
+	trace := p.Trace
+	p.Trace = nil
+	body, err := transport.EncodeMessage(nil, p)
+	if err != nil {
+		return nil, err
+	}
+	// The codec writes Trace last, as a length-prefixed byte string, so
+	// the body ends in the one-byte length prefix of an empty trace.
+	body = binary.AppendUvarint(body[:len(body)-1], uint64(len(trace)))
+	size := len(body) + len(trace)
+	if size > MaxFrameBytes {
+		return nil, fmt.Errorf("response would be %d bytes (artifact %d, trace %d), over the %d-byte frame cap",
+			size, len(p.Artifact), len(trace), MaxFrameBytes)
+	}
+	return append(binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(size)), body...), nil
 }
 
 // appendFrame appends the length-prefixed encoding of a registered
@@ -296,12 +317,18 @@ func WriteRequest(w io.Writer, req Request) error {
 
 // AppendResponse appends the length-prefixed frame encoding of resp.
 func AppendResponse(buf []byte, resp Response) ([]byte, error) {
-	return appendFrame(buf, resp)
+	head, err := responseHead(resp)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(buf, head...), resp.Trace...), nil
 }
 
 // DecodeResponse decodes one response frame body (without the length
 // prefix), rejecting unknown status codes on top of the structural
-// checks DecodeRequest applies.
+// checks DecodeRequest applies. The response's Trace aliases body, so
+// body must not change while Trace is in use; Detail and Artifact are
+// copies, so keeping them does not keep body alive.
 func DecodeResponse(body []byte) (Response, error) {
 	msg, err := transport.DecodePayload(body)
 	if err != nil {
@@ -317,7 +344,9 @@ func DecodeResponse(body []byte) (Response, error) {
 	return resp, nil
 }
 
-// ReadResponse reads and decodes one response frame off br.
+// ReadResponse reads and decodes one response frame off br. The
+// response's Trace aliases the frame body it read, which nothing else
+// references.
 func ReadResponse(br *bufio.Reader) (Response, error) {
 	body, err := readFrameBody(br)
 	if err != nil {
@@ -326,12 +355,13 @@ func ReadResponse(br *bufio.Reader) (Response, error) {
 	return DecodeResponse(body)
 }
 
-// WriteResponse writes one response frame to w.
+// WriteResponse writes one response frame to w: its head, then
+// resp.Trace from resp's own slice, never copied into a frame.
 func WriteResponse(w io.Writer, resp Response) error {
-	buf, err := AppendResponse(nil, resp)
+	head, err := responseHead(resp)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
+	_, err = (&net.Buffers{head, resp.Trace}).WriteTo(w)
 	return err
 }

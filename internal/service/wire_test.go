@@ -1,0 +1,144 @@
+package service
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"sleepmst/internal/trace"
+)
+
+// TestResponseWireFormat pins the response frame. For every status,
+// with and without a detail, an artifact and a trace — including
+// traces whose length prefix takes two and three bytes —
+// AppendResponse and WriteResponse produce the bytes of the generic
+// codec frame (appendFrame, which responses used before they were
+// written around their trace), and ReadResponse round-trips them. A
+// decoded response's Detail and Artifact must survive its frame body
+// being overwritten: only Trace may alias the body, so keeping an
+// artifact never keeps a whole frame alive.
+func TestResponseWireFormat(t *testing.T) {
+	long := bytes.Repeat([]byte(`{"k":"awake","r":1,"v":0}`+"\n"), 1000)
+	traces := [][]byte{nil, []byte(`{"k":"begin","n":1}` + "\n"), long[:200], long}
+	for st := Status(0); st < statusCount; st++ {
+		for _, detail := range []string{"", "failed: awake-budget"} {
+			for _, artifact := range [][]byte{nil, []byte(`{"schema":1,"id":7}`)} {
+				for _, tr := range traces {
+					resp := Response{ID: int64(st)*1000 - 1, Status: st, Detail: detail, Artifact: artifact, Trace: tr}
+					want, err := appendFrame(nil, resp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := AppendResponse([]byte("prefix"), resp)
+					if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+						t.Fatalf("%+v: AppendResponse differs from the codec frame (err %v)", resp, err)
+					}
+					var w bytes.Buffer
+					if err := WriteResponse(&w, resp); err != nil || !bytes.Equal(w.Bytes(), want) {
+						t.Fatalf("%+v: WriteResponse differs from the codec frame (err %v)", resp, err)
+					}
+					dec, err := ReadResponse(bufio.NewReader(&w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dec.ID != resp.ID || dec.Status != st || dec.Detail != detail ||
+						!bytes.Equal(dec.Artifact, artifact) || !bytes.Equal(dec.Trace, tr) {
+						t.Fatalf("ReadResponse = %+v, want %+v", dec, resp)
+					}
+					_, k := binary.Uvarint(want)
+					body := want[k:]
+					dec, err = DecodeResponse(body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range body {
+						body[i] = 0xff
+					}
+					if dec.Detail != detail || !bytes.Equal(dec.Artifact, artifact) {
+						t.Fatalf("%+v: overwriting the body changed the decoded detail or artifact", resp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestResponseFrameCap: the cap applies to the exact frame body on
+// both encoders, at the same length the codec frame's cap does.
+func TestResponseFrameCap(t *testing.T) {
+	// A body of kind, ID, status, empty detail and artifact (one byte
+	// each) and a four-byte trace length prefix is the trace plus 9.
+	fits := make([]byte, MaxFrameBytes-9)
+	for _, tc := range []struct {
+		trace []byte
+		ok    bool
+	}{{fits, true}, {append(fits, '\n'), false}} {
+		resp := Response{ID: 1, Trace: tc.trace}
+		_, refErr := appendFrame(nil, resp)
+		_, appendErr := AppendResponse(nil, resp)
+		var w bytes.Buffer
+		writeErr := WriteResponse(&w, resp)
+		if (refErr == nil) != tc.ok || (appendErr == nil) != tc.ok || (writeErr == nil) != tc.ok {
+			t.Errorf("%d trace bytes: codec frame err %v, AppendResponse err %v, WriteResponse err %v; want ok=%v",
+				len(tc.trace), refErr, appendErr, writeErr, tc.ok)
+		}
+		if !tc.ok && w.Len() != 0 {
+			t.Errorf("over-cap WriteResponse wrote %d bytes", w.Len())
+		}
+	}
+}
+
+// TestTracedRequestAllocations gates what one traced request allocates
+// from Submit through WriteResponse and ReadResponse, in units of its
+// trace: the benchmark's stage request (Deterministic-MST, random
+// n=48, m=96; 27,454 events, 1.2 MB of JSONL) must allocate under 4
+// event arrays plus 2.5 JSONL renders, 9.1 MB. Chunked rings, the
+// ordering's two buffers, one exactly sized render and one frame body
+// read back come to 8.1 MB with the simulation itself; rings that
+// regrow, an unsized render and a frame that copies the trace came to
+// 19.7 MB. The minimum of five tries discounts allocation by anything
+// else running.
+func TestTracedRequestAllocations(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Drain()
+	req := Request{ID: 1, Problem: "mst/deterministic", Graph: "random", N: 48, M: 96, Seed: 48000, WantTrace: true}
+	var (
+		best   uint64
+		events int64
+		jsonl  int
+		ms     runtime.MemStats
+	)
+	frame := make([]byte, 0, 4<<20) // the socket's side of the wire: not the request's cost
+	for try := 0; try < 5; try++ {
+		w := bytes.NewBuffer(frame)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		resp := svc.Submit(req)
+		if err := WriteResponse(w, resp); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := ReadResponse(bufio.NewReader(w))
+		runtime.ReadMemStats(&ms)
+		if err != nil || dec.Status != StatusOK {
+			t.Fatalf("status %v (%s), err %v", dec.Status, dec.Detail, err)
+		}
+		if used := ms.TotalAlloc - before; try == 0 || used < best {
+			best = used
+		}
+		meta, _, err := trace.ReadJSONL(bytes.NewReader(dec.Trace))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, jsonl = meta.Events, len(dec.Trace)
+	}
+	eventBytes := float64(events) * float64(unsafe.Sizeof(trace.Event{}))
+	limit := 4*eventBytes + 2.5*float64(jsonl)
+	if float64(best) > limit {
+		t.Errorf("a traced request allocated %d bytes, over the band of %.0f (4 × %.0f event bytes + 2.5 × %d JSONL bytes)",
+			best, limit, eventBytes, jsonl)
+	}
+}

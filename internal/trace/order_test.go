@@ -18,8 +18,16 @@ import (
 func referenceEvents(r *Recorder) []Event {
 	var all []Event
 	gather := func(s *stream) {
+		var flat []Event
+		oldest := 0
+		for k, c := range s.chunks {
+			if k == s.head {
+				oldest = len(flat) + s.off
+			}
+			flat = append(flat, c...)
+		}
 		for i := 0; i < s.n; i++ {
-			all = append(all, s.buf[(s.head+i)%len(s.buf)])
+			all = append(all, flat[(oldest+i)%len(flat)])
 		}
 	}
 	gather(&r.sched)
@@ -215,6 +223,46 @@ func TestAppendEventMatchesFmt(t *testing.T) {
 		}
 		if want := fmtJSONL(meta, all); b.String() != want {
 			t.Errorf("meta %+v: WriteEventsJSONL differs from the fmt rendering (%d vs %d bytes)", meta, b.Len(), len(want))
+		}
+	}
+}
+
+// TestJSONLSizeMatchesRender: AppendEventsJSONL writes the bytes
+// WriteEventsJSONL does, and JSONLSize is their exact length, on
+// randomized recorders (ring overflow, negative and extreme rounds and
+// nodes, every kind) plus events of every step, StepNone, an unknown
+// step and an unknown kind, under ordinary and extreme metadata.
+func TestJSONLSizeMatchesRender(t *testing.T) {
+	extra := []Event{
+		{Kind: KindNbrs + 1, Round: 5, Node: 1},
+		{Kind: KindStep, Step: StepNone},
+		{Kind: KindStep, Round: math.MinInt64, Node: math.MinInt32, Phase: math.MaxInt32, Step: Step(200), Aux: math.MaxInt64},
+	}
+	for _, st := range Steps {
+		extra = append(extra, Event{Kind: KindStep, Round: -1, Node: 7, Phase: 2, Step: st, Aux: -9})
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, capacity := range []int{64, 512, 0} {
+		for _, bits := range []int{0, 9, 31, 63} {
+			for _, negative := range []bool{false, true} {
+				r := randomRecorder(rng, capacity, bits, min(bits, 31), negative)
+				events := append(r.Events(), extra...)
+				for _, meta := range []Meta{r.Meta(), {N: math.MaxInt32, Rounds: math.MinInt64, Events: -1, Dropped: math.MaxInt64}} {
+					var w bytes.Buffer
+					if err := WriteEventsJSONL(&w, meta, events); err != nil {
+						t.Fatal(err)
+					}
+					got := AppendEventsJSONL([]byte("prefix"), meta, events)
+					if string(got) != "prefix"+w.String() {
+						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: AppendEventsJSONL differs from WriteEventsJSONL",
+							capacity, bits, negative, meta)
+					}
+					if size := JSONLSize(meta, events); size != w.Len() {
+						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: JSONLSize = %d, rendered %d bytes",
+							capacity, bits, negative, meta, size, w.Len())
+					}
+				}
+			}
 		}
 	}
 }

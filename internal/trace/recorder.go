@@ -14,10 +14,10 @@ import (
 type Kind uint8
 
 // The event taxonomy. Scheduler-side events (KindAwake, KindSend,
-// KindDeliver, KindLost) are emitted by the simulator's scheduler
-// goroutine; node-side events (KindSleep, KindCrash, KindPhase,
-// KindStep, KindMerge) land in per-node streams written either by the
-// node's own goroutine or by the scheduler while that node is parked.
+// KindDeliver, KindLost) are emitted by the simulator's scheduler;
+// node-side events (KindSleep, KindCrash, KindPhase, KindStep,
+// KindMerge, KindNbrs) land in per-node streams written either by the
+// node's program or by the scheduler while that node is parked.
 const (
 	// KindPhase marks a node entering an algorithm phase.
 	KindPhase Kind = iota
@@ -205,38 +205,52 @@ type Event struct {
 // DefaultCapacity is the recorder's default total event capacity.
 const DefaultCapacity = 1 << 18
 
-// stream is one bounded ring of events, written by exactly one
-// goroutine at a time (see Recorder).
+// A stream's first chunk holds minChunk events and each later one
+// twice its predecessor, up to maxChunk (56 KiB).
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
+// stream is one bounded ring of events, stored in chunks that are
+// allocated on demand and never copied or regrown.
 type stream struct {
-	buf     []Event
-	head    int // index of the oldest event
+	chunks  [][]Event
 	n       int // live events
+	head    int // chunk holding the oldest event once the ring is full
+	off     int // the oldest event's index within chunks[head]
 	dropped int64
 }
 
-// push appends an event, evicting the oldest when the ring is full.
-func (s *stream) push(cap int, ev Event) {
-	if len(s.buf) < cap {
-		s.buf = append(s.buf, ev)
+// push appends an event, evicting the oldest once limit events are live.
+func (s *stream) push(limit int, ev Event) {
+	if s.n < limit {
+		k := len(s.chunks) - 1
+		if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
+			size := minChunk
+			if k >= 0 {
+				size = min(2*cap(s.chunks[k]), maxChunk)
+			}
+			s.chunks = append(s.chunks, make([]Event, 0, min(size, limit-s.n)))
+			k++
+		}
+		s.chunks[k] = append(s.chunks[k], ev)
 		s.n++
 		return
 	}
-	if s.n == len(s.buf) { // full: overwrite the oldest
-		s.buf[s.head] = ev
-		s.head = (s.head + 1) % len(s.buf)
-		s.dropped++
-		return
+	s.chunks[s.head][s.off] = ev
+	s.dropped++
+	if s.off++; s.off == len(s.chunks[s.head]) {
+		s.off, s.head = 0, (s.head+1)%len(s.chunks)
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
 }
 
 // Recorder is a bounded, allocation-limited structured event recorder
-// for one simulation run. It keeps one ring buffer per writer — the
-// scheduler goroutine plus each node goroutine — so recording never
-// takes a lock; the canonical event order is reconstructed at read
-// time (see Events), which is deterministic because every stream's
-// content is deterministic for a fixed seed.
+// for one simulation run. It keeps one ring per event source — the
+// scheduler plus each node, all written from the simulator's goroutine
+// — and reconstructs the canonical event order at read time (see
+// Events), which is deterministic because every stream's content is
+// deterministic for a fixed seed.
 //
 // A Recorder serves one run at a time: sim.Run calls Begin, which
 // resets all streams. It must not be shared by concurrent runs (give
@@ -251,12 +265,14 @@ type Recorder struct {
 	nodeCap  int
 }
 
-// NewRecorder returns a Recorder bounding its memory to capacity
-// events in total (0 means DefaultCapacity). Half the budget goes to
-// the scheduler stream (awake/send/deliver/lost events dominate), the
+// NewRecorder returns a Recorder bounding its memory by capacity
+// events (0 means DefaultCapacity). Half the budget goes to the
+// scheduler stream (awake/send/deliver/lost events dominate), the
 // other half is split evenly across node streams; when a stream
 // overflows its share, its oldest events are discarded and counted in
-// Dropped.
+// Dropped. Every stream holds at least 64 events, so a small capacity
+// on many nodes holds more than capacity events: at capacity 64 and
+// n = 48, up to 64 + 48·64 = 3,136.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -334,8 +350,7 @@ func (r *Recorder) Lost(round int64, from, port, to int) {
 
 // Sleep records a real sleep gap for node: it was last awake in
 // lastAwake (0 = never) and wakes next in wake. Called by the
-// scheduler while the node is parked, so it shares the node's stream
-// without racing the node goroutine.
+// scheduler while the node is parked.
 func (r *Recorder) Sleep(node int, lastAwake, wake int64) {
 	r.nodes[node].push(r.nodeCap, Event{Kind: KindSleep, Round: wake, Node: int32(node), Aux: lastAwake})
 }
@@ -373,12 +388,18 @@ func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
 
 // appendTo appends the stream's live events to dst, oldest first.
 func (s *stream) appendTo(dst []Event) []Event {
-	end := s.head + s.n
-	if end <= len(s.buf) {
-		return append(dst, s.buf[s.head:end]...)
+	if s.n == 0 {
+		return dst
 	}
-	dst = append(dst, s.buf[s.head:]...)
-	return append(dst, s.buf[:end-len(s.buf)]...)
+	oldest := s.chunks[s.head]
+	dst = append(dst, oldest[s.off:]...)
+	for _, c := range s.chunks[s.head+1:] {
+		dst = append(dst, c...)
+	}
+	for _, c := range s.chunks[:s.head] {
+		dst = append(dst, c...)
+	}
+	return append(dst, oldest[:s.off]...)
 }
 
 // Events returns the live events in canonical order: ascending
@@ -497,18 +518,15 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // WriteEventsJSONL writes a (meta, events) pair in the canonical JSONL
 // trace format — the same stream WriteJSONL produces from a live
 // recorder. Callers already holding a finished run's events (the
-// service certifying them, the model checker emitting a
-// counterexample) write them with it instead of ordering them again
-// through WriteJSONL; events must already be in canonical order.
+// model checker emitting a counterexample, mstbench summarizing a
+// run) write them with it instead of ordering them again through
+// WriteJSONL; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
 	const (
 		chunk   = 32 << 10
 		maxLine = 128 // longer than any rendered event line
 	)
-	buf := make([]byte, 0, chunk)
-	buf = append(buf, `{"k":"begin","n":`...)
-	buf = strconv.AppendInt(buf, int64(meta.N), 10)
-	buf = append(buf, "}\n"...)
+	buf := appendBegin(make([]byte, 0, chunk), meta)
 	for _, ev := range events {
 		if len(buf) > chunk-maxLine {
 			if _, err := w.Write(buf); err != nil {
@@ -518,11 +536,42 @@ func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
 		}
 		buf = appendEvent(buf, ev)
 	}
-	buf = appendField(append(buf, `{"k":"end"`...), `,"rounds":`, meta.Rounds)
-	buf = appendField(buf, `,"events":`, meta.Events)
-	buf = appendField(buf, `,"dropped":`, meta.Dropped)
-	_, err := w.Write(append(buf, "}\n"...))
+	_, err := w.Write(appendEnd(buf, meta))
 	return err
+}
+
+// AppendEventsJSONL appends the stream WriteEventsJSONL writes for
+// (meta, events) to dst; JSONLSize is its exact length.
+func AppendEventsJSONL(dst []byte, meta Meta, events []Event) []byte {
+	dst = appendBegin(dst, meta)
+	for _, ev := range events {
+		dst = appendEvent(dst, ev)
+	}
+	return appendEnd(dst, meta)
+}
+
+// JSONLSize returns len(AppendEventsJSONL(nil, meta, events)) without
+// rendering the events.
+func JSONLSize(meta Meta, events []Event) int {
+	var line [128]byte // longer than the begin and end lines
+	n := len(appendBegin(line[:0], meta)) + len(appendEnd(line[:0], meta))
+	for i := range events {
+		n += lineSize(&events[i])
+	}
+	return n
+}
+
+// appendBegin appends the stream's begin line.
+func appendBegin(dst []byte, meta Meta) []byte {
+	dst = appendField(append(dst, `{"k":"begin"`...), `,"n":`, int64(meta.N))
+	return append(dst, "}\n"...)
+}
+
+// appendEnd appends the stream's end line.
+func appendEnd(dst []byte, meta Meta) []byte {
+	dst = appendField(append(dst, `{"k":"end"`...), `,"rounds":`, meta.Rounds)
+	dst = appendField(appendField(dst, `,"events":`, meta.Events), `,"dropped":`, meta.Dropped)
+	return append(dst, "}\n"...)
 }
 
 // appendEvent appends ev's JSONL line, newline included, with a fixed
@@ -566,6 +615,42 @@ func appendEvent(dst []byte, ev Event) []byte {
 // quotes and colon.
 func appendField(dst []byte, name string, v int64) []byte {
 	return strconv.AppendInt(append(dst, name...), v, 10)
+}
+
+// lineSize returns len(appendEvent(nil, *ev)) without rendering it.
+func lineSize(ev *Event) int {
+	n := len(`{"k":"","r":,"v":}`+"\n") + len(ev.Kind.String()) + intLen(ev.Round) + intLen(int64(ev.Node))
+	switch ev.Kind {
+	case KindAwake, KindCrash:
+		return n
+	case KindPhase:
+		return n + len(`,"ph":,"f":`) + intLen(int64(ev.Phase)) + intLen(ev.Frag)
+	case KindStep:
+		return n + len(`,"ph":,"st":"","aw":`) + intLen(int64(ev.Phase)) + len(ev.Step.String()) + intLen(ev.Aux)
+	case KindMerge:
+		return n + len(`,"f":,"pf":`) + intLen(ev.Frag) + intLen(ev.Prev)
+	case KindSleep:
+		return n + len(`,"from":`) + intLen(ev.Aux)
+	case KindSend, KindLost:
+		return n + len(`,"p":,"to":`) + intLen(int64(ev.Port)) + intLen(int64(ev.Peer))
+	case KindDeliver:
+		return n + len(`,"p":,"from":`) + intLen(int64(ev.Port)) + intLen(int64(ev.Peer))
+	case KindNbrs:
+		return n + len(`,"ph":,"deg":`) + intLen(int64(ev.Phase)) + intLen(ev.Aux)
+	}
+	return 0 // an unknown kind renders as nothing
+}
+
+// intLen returns len(strconv.AppendInt(nil, v, 10)).
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // String renders the event as its JSONL line (without the trailing

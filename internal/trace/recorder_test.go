@@ -114,6 +114,43 @@ func TestRecorderOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// TestStreamKeepsNewest: a stream with a limit of L events keeps the
+// newest min(pushed, L) events, oldest first, counts the rest as
+// dropped, and never allocates more than L events of storage, for
+// limits on and off the chunk boundaries and pushes that wrap the ring
+// several times.
+func TestStreamKeepsNewest(t *testing.T) {
+	for _, limit := range []int{64, 65, 100, 1024, 3000} {
+		for _, pushed := range []int{0, 1, limit - 1, limit, limit + 1, 2*limit + 17, 5 * limit} {
+			var s stream
+			for i := 0; i < pushed; i++ {
+				s.push(limit, Event{Round: int64(i)})
+			}
+			keep := min(pushed, limit)
+			got := s.appendTo([]Event{{Round: -1}})
+			if len(got) != 1+keep || s.n != keep || s.dropped != int64(pushed-keep) {
+				t.Fatalf("limit %d, %d pushed: gathered %d, n %d, dropped %d; want %d live, %d dropped",
+					limit, pushed, len(got)-1, s.n, s.dropped, keep, pushed-keep)
+			}
+			for i, ev := range got[1:] {
+				if want := int64(pushed - keep + i); ev.Round != want {
+					t.Fatalf("limit %d, %d pushed: event %d is round %d, want %d", limit, pushed, i, ev.Round, want)
+				}
+			}
+			storage := 0
+			for _, c := range s.chunks {
+				if cap(c) > maxChunk {
+					t.Errorf("limit %d: a chunk of %d events, over %d", limit, cap(c), maxChunk)
+				}
+				storage += cap(c)
+			}
+			if storage > limit || storage < keep {
+				t.Errorf("limit %d, %d pushed: %d events of storage", limit, pushed, storage)
+			}
+		}
+	}
+}
+
 func TestRecorderBeginResets(t *testing.T) {
 	r := record()
 	r.Begin(2)
