@@ -21,8 +21,7 @@ import (
 // oversleepBugMsg is the one-bit payload of the fixture problem.
 type oversleepBugMsg struct{}
 
-func (oversleepBugMsg) Bits() int       { return 1 }
-func (oversleepBugMsg) MsgKind() string { return "osbug" }
+func (oversleepBugMsg) Bits() int { return 1 }
 
 // oversleepBugProblem is the seeded-bug fixture: two awake rounds of
 // all-port chatter, plus one extra awake round whenever the scheduler

@@ -3,7 +3,6 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"sleepmst/internal/core"
@@ -266,15 +265,4 @@ func (r *SweepResult) Table() string {
 // artifact.
 func (r *SweepResult) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
-}
-
-// SortCells orders cells by (algorithm, rate) — handy for stable
-// diffing when runners were added out of order.
-func (r *SweepResult) SortCells() {
-	sort.SliceStable(r.Cells, func(i, j int) bool {
-		if r.Cells[i].Algorithm != r.Cells[j].Algorithm {
-			return r.Cells[i].Algorithm < r.Cells[j].Algorithm
-		}
-		return r.Cells[i].Rate < r.Cells[j].Rate
-	})
 }

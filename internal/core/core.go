@@ -73,7 +73,7 @@ type Options struct {
 	Transport transport.Transport
 	// Metrics, if non-nil, receives the run's counters: awake rounds
 	// per phase and per step, MOE probes and candidates, merge waves
-	// and depth, and per-kind message tallies (see internal/metrics).
+	// and depth, and per-label message tallies (see internal/metrics).
 	Metrics *metrics.Registry
 	// Cancel, if non-nil, aborts the run at the next busy-round
 	// barrier once the channel is closed; the run returns
@@ -83,9 +83,10 @@ type Options struct {
 	Cancel <-chan struct{}
 }
 
-// simConfig translates the option fields shared with the simulator
-// into a sim.Config for graph g.
-func (o Options) simConfig(g *graph.Graph) sim.Config {
+// SimConfig translates the option fields shared with the simulator
+// into a sim.Config for graph g. Every runner over Options builds its
+// sim.Config here, so a field added to both reaches all of them.
+func (o Options) SimConfig(g *graph.Graph) sim.Config {
 	return sim.Config{
 		Graph:             g,
 		Seed:              o.Seed,
@@ -213,7 +214,7 @@ func runPhases(g *graph.Graph, opts Options, bound int, phaseBlocks int64,
 	if opts.RecordPhases {
 		frags = make([][]int64, g.N())
 	}
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
+	res, err := sim.Run(opts.SimConfig(g), func(nd *sim.Node) error {
 		v := nd.Index()
 		c := newNodeCtx(nd, states[v])
 		start, done := int64(1), false

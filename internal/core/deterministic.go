@@ -99,21 +99,15 @@ func (l nbrList) Bits() int {
 	return b
 }
 
-func (nbrList) MsgKind() string { return "nbr-info" }
-
 // intPayload is a Sizer-friendly integer wire value.
 type intPayload int64
 
 func (p intPayload) Bits() int { return ldt.FieldBits(int64(p)) }
 
-func (intPayload) MsgKind() string { return "int" }
-
 // validMsg tells the sender of an incoming MOE whether it was selected.
 type validMsg struct{ accepted bool }
 
 func (validMsg) Bits() int { return 1 }
-
-func (validMsg) MsgKind() string { return "valid" }
 
 // colorMsg announces a fragment's chosen color.
 type colorMsg struct {
@@ -123,8 +117,6 @@ type colorMsg struct {
 
 func (m colorMsg) Bits() int { return ldt.FieldBits(m.fragID) + 3 }
 
-func (colorMsg) MsgKind() string { return "color" }
-
 // mergeCmd is the pass-1 merge decision broadcast to the fragment.
 type mergeCmd struct {
 	merging  bool
@@ -133,8 +125,6 @@ type mergeCmd struct {
 }
 
 func (m mergeCmd) Bits() int { return 1 + ldt.FieldBits(m.hostID) + ldt.FieldBits(int64(m.hostPort)) }
-
-func (mergeCmd) MsgKind() string { return "merge-cmd" }
 
 // mergeEntries deduplicates and sorts supergraph entries.
 func mergeEntries(lists ...[]nbrEntry) nbrList {

@@ -78,8 +78,6 @@ type cvColorMsg struct {
 
 func (m cvColorMsg) Bits() int { return ldt.FieldBits(m.fragID) + ldt.FieldBits(m.color) }
 
-func (cvColorMsg) MsgKind() string { return "cv-color" }
-
 // cvColorList is the Up/Broadcast payload: CV colors of <= 4 neighbors.
 type cvColorList []cvColorMsg
 
@@ -91,8 +89,6 @@ func (l cvColorList) Bits() int {
 	return b
 }
 
-func (cvColorList) MsgKind() string { return "cv-colors" }
-
 // parentInfo is the orientation broadcast payload.
 type parentInfo struct {
 	hasParent bool
@@ -100,8 +96,6 @@ type parentInfo struct {
 }
 
 func (m parentInfo) Bits() int { return 1 + ldt.FieldBits(m.fragID) }
-
-func (parentInfo) MsgKind() string { return "cv-parent" }
 
 // logStarBlocks returns the block count of one LogStar-MST phase.
 func logStarBlocks(maxID int64) int64 {
@@ -304,8 +298,6 @@ func (l colorMsgList) Bits() int {
 	}
 	return b
 }
-
-func (colorMsgList) MsgKind() string { return "color-list" }
 
 // RunLogStar executes the Corollary 1 algorithm: O(log n log* n) awake
 // complexity and O(n log n log* n) rounds, independent of the ID

@@ -88,8 +88,6 @@ func (m taFragMsg) Bits() int {
 	return ldt.FieldBits(m.id) + ldt.FieldBits(m.fragID) + ldt.FieldBits(int64(m.level))
 }
 
-func (taFragMsg) MsgKind() string { return "ta-frag" }
-
 // taFragment runs one Transmit-Adjacent block in which every node
 // refreshes its per-port neighbor knowledge.
 func (c *nodeCtx) taFragment(start int64) {
@@ -181,8 +179,6 @@ type bcastMOEMsg struct {
 
 func (m bcastMOEMsg) Bits() int { return 2 + m.moe.Bits() }
 
-func (bcastMOEMsg) MsgKind() string { return "bcast-moe" }
-
 // findMOE runs step (i) of every phase from the phase's first round
 // start: refresh the per-port neighbor knowledge, upcast the fragment
 // MOE to the root, and broadcast it to the whole fragment. With flip
@@ -215,8 +211,6 @@ func (c *nodeCtx) isMOEOwner(info *moeInfo) bool {
 type boolPayload bool
 
 func (boolPayload) Bits() int { return 1 }
-
-func (boolPayload) MsgKind() string { return "bool" }
 
 // upcastFirst runs an Up block that propagates the first non-nil value
 // toward the root (used for single-owner facts such as MOE validity).

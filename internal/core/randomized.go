@@ -32,8 +32,6 @@ type taMOEMsg struct {
 
 func (m taMOEMsg) Bits() int { return ldt.FieldBits(m.fragID) + 2 }
 
-func (taMOEMsg) MsgKind() string { return "ta-moe" }
-
 // randPhase runs one phase from its first round start; done means the
 // fragment spans the graph (no outgoing edge) and the node may halt.
 func (c *nodeCtx) randPhase(start int64) (done bool) {

@@ -25,7 +25,7 @@ func decodeKey(r *transport.Reader) graph.WeightKey {
 
 func init() {
 	transport.Register(transport.Codec{
-		Kind: 32, Name: "core/ta-frag", Type: reflect.TypeOf(taFragMsg{}),
+		Kind: 32, Label: "ta-frag", Type: reflect.TypeOf(taFragMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(taFragMsg)
 			w.Int(m.id)
@@ -37,7 +37,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 33, Name: "core/moe-info", Type: reflect.TypeOf(moeInfo{}),
+		Kind: 33, Type: reflect.TypeOf(moeInfo{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(moeInfo)
 			encodeKey(m.key, w)
@@ -49,7 +49,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 34, Name: "core/bcast-moe", Type: reflect.TypeOf(bcastMOEMsg{}),
+		Kind: 34, Label: "bcast-moe", Type: reflect.TypeOf(bcastMOEMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(bcastMOEMsg)
 			w.Bool(m.exists)
@@ -69,7 +69,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 35, Name: "core/bool", Type: reflect.TypeOf(boolPayload(false)),
+		Kind: 35, Label: "bool", Type: reflect.TypeOf(boolPayload(false)),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Bool(bool(msg.(boolPayload)))
 		},
@@ -78,7 +78,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 36, Name: "core/int", Type: reflect.TypeOf(intPayload(0)),
+		Kind: 36, Label: "int", Type: reflect.TypeOf(intPayload(0)),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Int(int64(msg.(intPayload)))
 		},
@@ -87,7 +87,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 37, Name: "core/valid", Type: reflect.TypeOf(validMsg{}),
+		Kind: 37, Label: "valid", Type: reflect.TypeOf(validMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Bool(msg.(validMsg).accepted)
 		},
@@ -96,7 +96,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 38, Name: "core/color", Type: reflect.TypeOf(colorMsg{}),
+		Kind: 38, Label: "color", Type: reflect.TypeOf(colorMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(colorMsg)
 			w.Int(m.fragID)
@@ -107,7 +107,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 39, Name: "core/merge-cmd", Type: reflect.TypeOf(mergeCmd{}),
+		Kind: 39, Label: "merge-cmd", Type: reflect.TypeOf(mergeCmd{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(mergeCmd)
 			w.Bool(m.merging)
@@ -119,7 +119,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 40, Name: "core/nbr-list", Type: reflect.TypeOf(nbrList(nil)),
+		Kind: 40, Label: "nbr-info", Type: reflect.TypeOf(nbrList(nil)),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			l := msg.(nbrList)
 			w.Uint(uint64(len(l)))
@@ -139,7 +139,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 41, Name: "core/cv-color", Type: reflect.TypeOf(cvColorMsg{}),
+		Kind: 41, Label: "cv-color", Type: reflect.TypeOf(cvColorMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(cvColorMsg)
 			w.Int(m.fragID)
@@ -150,7 +150,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 42, Name: "core/cv-color-list", Type: reflect.TypeOf(cvColorList(nil)),
+		Kind: 42, Label: "cv-colors", Type: reflect.TypeOf(cvColorList(nil)),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			l := msg.(cvColorList)
 			w.Uint(uint64(len(l)))
@@ -169,7 +169,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 43, Name: "core/cv-parent", Type: reflect.TypeOf(parentInfo{}),
+		Kind: 43, Label: "cv-parent", Type: reflect.TypeOf(parentInfo{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(parentInfo)
 			w.Bool(m.hasParent)
@@ -180,7 +180,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 44, Name: "core/color-list", Type: reflect.TypeOf(colorMsgList(nil)),
+		Kind: 44, Label: "color-list", Type: reflect.TypeOf(colorMsgList(nil)),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			l := msg.(colorMsgList)
 			w.Uint(uint64(len(l)))
@@ -199,7 +199,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 45, Name: "core/ta-moe", Type: reflect.TypeOf(taMOEMsg{}),
+		Kind: 45, Label: "ta-moe", Type: reflect.TypeOf(taMOEMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(taMOEMsg)
 			w.Int(m.fragID)
@@ -211,7 +211,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 46, Name: "core/ghs-frag", Type: reflect.TypeOf(ghsFragMsg{}),
+		Kind: 46, Type: reflect.TypeOf(ghsFragMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Int(msg.(ghsFragMsg).fragID)
 		},
@@ -220,12 +220,12 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 47, Name: "core/ghs-initiate", Type: reflect.TypeOf(ghsInitiate{}),
+		Kind: 47, Type: reflect.TypeOf(ghsInitiate{}),
 		Encode: func(msg interface{}, w *transport.Writer) {},
 		Decode: func(r *transport.Reader) interface{} { return ghsInitiate{} },
 	})
 	transport.Register(transport.Codec{
-		Kind: 48, Name: "core/ghs-echo", Type: reflect.TypeOf(ghsEcho{}),
+		Kind: 48, Type: reflect.TypeOf(ghsEcho{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(ghsEcho)
 			w.Bool(m.has)
@@ -236,17 +236,17 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 49, Name: "core/ghs-root-change", Type: reflect.TypeOf(ghsRootChange{}),
+		Kind: 49, Type: reflect.TypeOf(ghsRootChange{}),
 		Encode: func(msg interface{}, w *transport.Writer) {},
 		Decode: func(r *transport.Reader) interface{} { return ghsRootChange{} },
 	})
 	transport.Register(transport.Codec{
-		Kind: 50, Name: "core/ghs-halt", Type: reflect.TypeOf(ghsHalt{}),
+		Kind: 50, Type: reflect.TypeOf(ghsHalt{}),
 		Encode: func(msg interface{}, w *transport.Writer) {},
 		Decode: func(r *transport.Reader) interface{} { return ghsHalt{} },
 	})
 	transport.Register(transport.Codec{
-		Kind: 51, Name: "core/ghs-connect", Type: reflect.TypeOf(ghsConnect{}),
+		Kind: 51, Type: reflect.TypeOf(ghsConnect{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Int(msg.(ghsConnect).fragID)
 		},
@@ -255,7 +255,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 52, Name: "core/ghs-new-frag", Type: reflect.TypeOf(ghsNewFrag{}),
+		Kind: 52, Type: reflect.TypeOf(ghsNewFrag{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Int(msg.(ghsNewFrag).fragID)
 		},

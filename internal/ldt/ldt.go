@@ -16,8 +16,6 @@ package ldt
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/sim"
@@ -92,9 +90,6 @@ func NewRootState(id int64) *State {
 // IsRoot reports whether the node is its fragment's root.
 func (st *State) IsRoot() bool { return st.ParentPort == -1 }
 
-// HasChildren reports whether the node has any children.
-func (st *State) HasChildren() bool { return len(st.Children) > 0 }
-
 // AddChild inserts a child port, keeping Children sorted.
 func (st *State) AddChild(port int) {
 	i := sort.SearchInts(st.Children, port)
@@ -132,47 +127,6 @@ type wireMsg struct {
 }
 
 func (m wireMsg) Bits() int { return sim.MessageBits(m.payload) + 2 }
-
-// MsgKind tags the wave wrapper with its payload's kind so message
-// tallies distinguish e.g. wave-carried colors from direct exchanges.
-func (m wireMsg) MsgKind() string {
-	if k, ok := m.payload.(sim.Kinded); ok {
-		return waveKind(k.MsgKind())
-	}
-	return "wave"
-}
-
-// waveKinds memoizes "wave-"+kind per payload kind, so tallying a
-// delivered wave allocates nothing. Readers load the map without
-// locking; the first sighting of a kind copies it under waveKindsMu.
-var (
-	waveKinds   atomic.Pointer[map[string]string]
-	waveKindsMu sync.Mutex
-)
-
-// waveKind returns "wave-"+kind.
-func waveKind(kind string) string {
-	if m := waveKinds.Load(); m != nil {
-		if s, ok := (*m)[kind]; ok {
-			return s
-		}
-	}
-	waveKindsMu.Lock()
-	defer waveKindsMu.Unlock()
-	next := map[string]string{}
-	if m := waveKinds.Load(); m != nil {
-		if s, ok := (*m)[kind]; ok {
-			return s
-		}
-		for k, v := range *m {
-			next[k] = v
-		}
-	}
-	s := "wave-" + kind
-	next[kind] = s
-	waveKinds.Store(&next)
-	return s
-}
 
 // unwrap extracts the payload of a wave envelope taken from an inbox
 // slot. ok is false when nothing arrived or the envelope is empty; a
@@ -307,9 +261,6 @@ type MinItem struct {
 func (m MinItem) Bits() int {
 	return FieldBits(m.Key.W) + FieldBits(m.Key.A) + FieldBits(m.Key.B) + sim.MessageBits(m.Payload)
 }
-
-// MsgKind names Upcast-Min traffic in message tallies.
-func (MinItem) MsgKind() string { return "upcast-min" }
 
 // UpcastMin implements the paper's Upcast-Min: the minimum-key item
 // held by any node of the fragment reaches the root. Nodes with no

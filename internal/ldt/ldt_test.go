@@ -1,10 +1,13 @@
 package ldt
 
 import (
+	"reflect"
 	"testing"
 
 	"sleepmst/internal/graph"
+	"sleepmst/internal/metrics"
 	"sleepmst/internal/sim"
+	"sleepmst/internal/transport"
 )
 
 func TestScheduleMatchesPaperNumbering(t *testing.T) {
@@ -79,9 +82,19 @@ func runForest(t *testing.T, g *graph.Graph, parents []int,
 	return states, res
 }
 
+// testPayload is registered without a label, like the core's MOE
+// reports: a wave carrying it tallies as plain "wave".
 type testPayload struct{ v int64 }
 
 func (p testPayload) Bits() int { return FieldBits(p.v) }
+
+func init() {
+	transport.Register(transport.Codec{
+		Kind: 3, Type: reflect.TypeOf(testPayload{}),
+		Encode: func(msg interface{}, w *transport.Writer) { w.Int(msg.(testPayload).v) },
+		Decode: func(r *transport.Reader) interface{} { return testPayload{v: r.Int()} },
+	})
+}
 
 func TestBroadcastReachesAllNodes(t *testing.T) {
 	// Path 0-1-2-3-4 rooted at node 2 (levels 2,1,0,1,2).
@@ -424,24 +437,60 @@ func TestFieldBits(t *testing.T) {
 	}
 }
 
-// TestWaveKindAllocationFree pins the wave envelope's tally names —
-// "wave-"+payload kind, or "wave" for an unkinded payload — and that
-// naming a delivered wave allocates nothing once its kind was seen.
-func TestWaveKindAllocationFree(t *testing.T) {
-	for _, tc := range []struct {
-		msg  sim.Kinded
-		want string
-	}{
-		{wireMsg{payload: MinItem{}}, "wave-upcast-min"},
-		{wireMsg{payload: waveMsg{}}, "wave-merge-wave"},
-		{wireMsg{payload: testPayload{v: 1}}, "wave"},
-		{wireMsg{}, "wave"},
-	} {
-		if got := tc.msg.MsgKind(); got != tc.want {
-			t.Errorf("MsgKind() = %q, want %q", got, tc.want)
+// TestWaveTallyLabels: with metrics on, a wave tallies as "wave-" plus
+// its payload's label — Upcast-Min traffic as wave-upcast-min, a
+// broadcast merge wave as wave-merge-wave — and as plain "wave" when
+// the payload is unlabeled or nil. Extra rounds of wave deliveries
+// allocate nothing, so the tally needs no label memo.
+func TestWaveTallyLabels(t *testing.T) {
+	// Path 0-1-2-3-4 rooted at node 2: every wave crosses 4 tree edges.
+	g := graph.Path(5, graph.GenConfig{Seed: 1})
+	states, err := StatesFromParents(g, []int{1, 2, -1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	block := BlockLen(g.N())
+	_, err = sim.Run(sim.Config{Graph: g, Seed: 11, Metrics: reg}, func(nd *sim.Node) error {
+		st := states[nd.Index()]
+		UpcastMin(nd, st, 1, &MinItem{Key: graph.WeightKey{W: int64(nd.Index())}})
+		Broadcast(nd, st, 1+block, waveMsg{fragID: 2})
+		Broadcast(nd, st, 1+2*block, testPayload{v: 3})
+		Up(nd, st, 1+3*block, interface{}(nil), func(acc interface{}, _ int, _ interface{}) interface{} { return acc })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, want := range map[string]int64{"wave-upcast-min": 4, "wave-merge-wave": 4, "wave": 8, "other": 0} {
+		if got := reg.Get(metrics.MsgName(label)); got != want {
+			t.Errorf("%s tally %d, want %d", label, got, want)
 		}
-		if a := testing.AllocsPerRun(100, func() { _ = tc.msg.MsgKind() }); a != 0 {
-			t.Errorf("%s: MsgKind allocates %.1f times per call, want 0", tc.want, a)
-		}
+	}
+
+	// Every node sends pre-boxed envelopes of all four kinds around a
+	// ring, so only the runtime's own work is measured.
+	ring := graph.Cycle(16, graph.GenConfig{Seed: 1})
+	envs := []interface{}{wireMsg{payload: MinItem{}}, wireMsg{payload: waveMsg{}}, wireMsg{payload: testPayload{}}, wireMsg{}}
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, err := sim.Run(sim.Config{Graph: ring, Seed: 1, Metrics: metrics.New()}, func(nd *sim.Node) error {
+				for r := 0; r < rounds; r++ {
+					out := nd.Outbox()
+					for p := range out {
+						out[p] = envs[(r+p)%len(envs)]
+					}
+					nd.Exchange(out)
+					nd.SleepUntil(nd.Round() + 1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(8), allocs(40); long != short {
+		t.Errorf("40 rounds of waves allocate %.0f, 8 rounds %.0f, want no allocation per extra round", long, short)
 	}
 }

@@ -35,8 +35,6 @@ type taMergeMsg struct {
 
 func (m taMergeMsg) Bits() int { return FieldBits(m.fragID) + FieldBits(int64(m.level)) + 1 }
 
-func (taMergeMsg) MsgKind() string { return "ta-merge" }
-
 // waveMsg carries the NEW-FRAGMENT-ID / NEW-LEVEL-NUM pair of the
 // paper's merge waves; empty encodes the paper's ⊥.
 type waveMsg struct {
@@ -46,8 +44,6 @@ type waveMsg struct {
 }
 
 func (m waveMsg) Bits() int { return FieldBits(m.fragID) + FieldBits(int64(m.level)) + 1 }
-
-func (waveMsg) MsgKind() string { return "merge-wave" }
 
 // MergingFragments implements the paper's Procedure
 // Merging-Fragments: every merging fragment re-roots itself at its

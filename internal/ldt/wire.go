@@ -11,10 +11,13 @@ import (
 // 16-31). Registration happens at init so any run that threads a
 // transport under the simulator can ship LDT waves without further
 // setup; the encodings mirror the Bits() declarations field for field.
+// A wave tallies under its payload's label ("wave-upcast-min"), so
+// wave-carried traffic stays distinct from direct exchanges.
 
 func init() {
 	transport.Register(transport.Codec{
-		Kind: 16, Name: "ldt/wire", Type: reflect.TypeOf(wireMsg{}),
+		Kind: 16, Label: "wave", Type: reflect.TypeOf(wireMsg{}),
+		Inner: func(msg interface{}) interface{} { return msg.(wireMsg).payload },
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Nested(msg.(wireMsg).payload)
 		},
@@ -23,7 +26,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 17, Name: "ldt/min-item", Type: reflect.TypeOf(MinItem{}),
+		Kind: 17, Label: "upcast-min", Type: reflect.TypeOf(MinItem{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(MinItem)
 			w.Int(m.Key.W)
@@ -39,7 +42,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 18, Name: "ldt/ta-merge", Type: reflect.TypeOf(taMergeMsg{}),
+		Kind: 18, Label: "ta-merge", Type: reflect.TypeOf(taMergeMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(taMergeMsg)
 			w.Int(m.fragID)
@@ -51,7 +54,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 19, Name: "ldt/merge-wave", Type: reflect.TypeOf(waveMsg{}),
+		Kind: 19, Label: "merge-wave", Type: reflect.TypeOf(waveMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(waveMsg)
 			w.Int(m.fragID)

@@ -17,7 +17,7 @@
 //	moe/candidates       local MOE candidates upcast to fragment roots
 //	merge/waves          Merging-Fragments wave executions
 //	merge/depth/max      deepest pre-merge fragment level (Max metric)
-//	msgs/type/<kind>     delivered messages per wire-message kind
+//	msgs/type/<label>    delivered messages per codec label
 //	awake/node-avg/sum   total awake rounds summed over all nodes
 //	awake/node-avg/nodes node count, denominator of the node average
 //
@@ -199,9 +199,9 @@ func StepName(step string) string {
 	return "awake/step/" + step
 }
 
-// MsgName returns the canonical msgs/type/<kind> metric name.
-func MsgName(kind string) string {
-	return "msgs/type/" + kind
+// MsgName returns the canonical msgs/type/<label> metric name.
+func MsgName(label string) string {
+	return "msgs/type/" + label
 }
 
 // Service-level request accounting, recorded by internal/service for

@@ -15,8 +15,7 @@ import (
 // pingMsg is the one-bit payload of the chatter test problem.
 type pingMsg struct{}
 
-func (pingMsg) Bits() int       { return 1 }
-func (pingMsg) MsgKind() string { return "ping" }
+func (pingMsg) Bits() int { return 1 }
 
 // chatterProblem is the minimal deterministic test problem: every
 // node is awake for rounds consecutive rounds, sending one ping on

@@ -91,14 +91,10 @@ type misSampleMsg struct {
 
 func (m misSampleMsg) Bits() int { return ldt.FieldBits(m.id) + 32 + 1 }
 
-func (misSampleMsg) MsgKind() string { return "mis-sample" }
-
 // misJoinMsg announces an MIS join in round two of a sparsify phase.
 type misJoinMsg struct{}
 
 func (misJoinMsg) Bits() int { return 1 }
-
-func (misJoinMsg) MsgKind() string { return "mis-join" }
 
 // misSyncMsg is the cleanup sync exchange among residual nodes.
 type misSyncMsg struct {
@@ -107,16 +103,12 @@ type misSyncMsg struct {
 
 func (m misSyncMsg) Bits() int { return ldt.FieldBits(m.id) }
 
-func (misSyncMsg) MsgKind() string { return "mis-sync" }
-
 // misDecideMsg is a cleanup-slot announcement.
 type misDecideMsg struct {
 	join bool
 }
 
 func (misDecideMsg) Bits() int { return 1 }
-
-func (misDecideMsg) MsgKind() string { return "mis-decide" }
 
 // misProblem is the MIS entry of the problem registry.
 type misProblem struct{}
@@ -162,20 +154,7 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 	L, P := misPhases(n)
 	inMIS := make([]bool, n) // each node writes only its own index
 
-	cfg := sim.Config{
-		Graph:             g,
-		Seed:              opts.Seed,
-		BitCap:            opts.BitCap,
-		AwakeBudget:       opts.AwakeBudget,
-		RecordAwakeRounds: opts.RecordAwakeRounds,
-		Interceptor:       opts.Interceptor,
-		Chooser:           opts.Chooser,
-		Trace:             opts.Trace,
-		Metrics:           opts.Metrics,
-		Transport:         opts.Transport,
-		Cancel:            opts.Cancel,
-	}
-	res, err := sim.Run(cfg, func(nd *sim.Node) error {
+	res, err := sim.Run(opts.SimConfig(g), func(nd *sim.Node) error {
 		id := nd.ID()
 		state := misUndecided
 

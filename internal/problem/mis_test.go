@@ -8,6 +8,7 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/sim"
+	"sleepmst/internal/transport"
 )
 
 // coreOptions is the minimal run configuration the unit tests use.
@@ -163,8 +164,8 @@ func TestMISPhases(t *testing.T) {
 }
 
 // TestMISMessageBits: every MIS message kind must report a positive
-// CONGEST-sized bit count and a stable kind name (the per-kind metrics
-// key space).
+// CONGEST-sized bit count and a stable codec label (the per-label
+// metrics key space).
 func TestMISMessageBits(t *testing.T) {
 	msgs := []struct {
 		m    sim.Sizer
@@ -179,9 +180,8 @@ func TestMISMessageBits(t *testing.T) {
 		if b := tc.m.Bits(); b <= 0 || b > 128 {
 			t.Errorf("%T.Bits() = %d, want a positive CONGEST-word size", tc.m, b)
 		}
-		k, ok := tc.m.(sim.Kinded)
-		if !ok || k.MsgKind() != tc.kind {
-			t.Errorf("%T: want kind %q", tc.m, tc.kind)
+		if c := transport.CodecOf(tc.m); c == nil || c.Label != tc.kind {
+			t.Errorf("%T: want label %q", tc.m, tc.kind)
 		}
 	}
 }

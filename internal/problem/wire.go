@@ -12,7 +12,7 @@ import (
 
 func init() {
 	transport.Register(transport.Codec{
-		Kind: 64, Name: "mis/sample", Type: reflect.TypeOf(misSampleMsg{}),
+		Kind: 64, Label: "mis-sample", Type: reflect.TypeOf(misSampleMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			m := msg.(misSampleMsg)
 			w.Int(m.id)
@@ -24,12 +24,12 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 65, Name: "mis/join", Type: reflect.TypeOf(misJoinMsg{}),
+		Kind: 65, Label: "mis-join", Type: reflect.TypeOf(misJoinMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {},
 		Decode: func(r *transport.Reader) interface{} { return misJoinMsg{} },
 	})
 	transport.Register(transport.Codec{
-		Kind: 66, Name: "mis/sync", Type: reflect.TypeOf(misSyncMsg{}),
+		Kind: 66, Label: "mis-sync", Type: reflect.TypeOf(misSyncMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Int(msg.(misSyncMsg).id)
 		},
@@ -38,7 +38,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: 67, Name: "mis/decide", Type: reflect.TypeOf(misDecideMsg{}),
+		Kind: 67, Label: "mis-decide", Type: reflect.TypeOf(misDecideMsg{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			w.Bool(msg.(misDecideMsg).join)
 		},

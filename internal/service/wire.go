@@ -154,7 +154,7 @@ type Response struct {
 
 func init() {
 	transport.Register(transport.Codec{
-		Kind: KindRequest, Name: "service/request", Type: reflect.TypeOf(Request{}),
+		Kind: KindRequest, Type: reflect.TypeOf(Request{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			q := msg.(Request)
 			w.Int(q.ID)
@@ -188,7 +188,7 @@ func init() {
 		},
 	})
 	transport.Register(transport.Codec{
-		Kind: KindResponse, Name: "service/response", Type: reflect.TypeOf(Response{}),
+		Kind: KindResponse, Type: reflect.TypeOf(Response{}),
 		Encode: func(msg interface{}, w *transport.Writer) {
 			p := msg.(Response)
 			w.Int(p.ID)

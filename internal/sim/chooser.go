@@ -44,20 +44,6 @@ type Chooser interface {
 	ChooseFault(round int64, from, port, to int) bool
 }
 
-// FixedChooser is the identity Chooser: every method returns the
-// production choice, so a run configured with it is bit-identical to a
-// run with a nil Chooser (useful as the determinism control in tests).
-type FixedChooser struct{}
-
-// ChooseWake returns the intended wake round unchanged.
-func (FixedChooser) ChooseWake(node int, intended int64) int64 { return intended }
-
-// ChooseSender returns 0: route the lowest-index remaining sender.
-func (FixedChooser) ChooseSender(round int64, remaining []int) int { return 0 }
-
-// ChooseFault returns false: deliver the message.
-func (FixedChooser) ChooseFault(round int64, from, port, to int) bool { return false }
-
 // chooseSendOrder returns the order in which the round's staged
 // outboxes are routed, as selected by the configured Chooser:
 // repeatedly pick the next sender among the remaining ones.

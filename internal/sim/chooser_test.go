@@ -51,6 +51,15 @@ func traceLines(t *testing.T, g *graph.Graph, cfg Config, prog Program) []string
 	return lines
 }
 
+// FixedChooser is the identity Chooser: every method returns the
+// production choice, so a run configured with it is bit-identical to a
+// run with a nil Chooser (the determinism control below).
+type FixedChooser struct{}
+
+func (FixedChooser) ChooseWake(node int, intended int64) int64        { return intended }
+func (FixedChooser) ChooseSender(round int64, remaining []int) int    { return 0 }
+func (FixedChooser) ChooseFault(round int64, from, port, to int) bool { return false }
+
 // TestFixedChooserBitIdentical: a run with the identity chooser must
 // produce exactly the event stream of a run with no chooser at all —
 // the production path is preserved bit-identically under the hook.

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/trace"
+	"sleepmst/internal/transport"
 )
 
 // Contract tests for the port-indexed message plane (DESIGN §12.5):
@@ -36,11 +38,19 @@ func TestInboxHasDegreeLengthWhenEmpty(t *testing.T) {
 	}
 }
 
-// kindedMsg is a sized, kinded probe payload.
+// kindedMsg is a sized probe payload, registered under a test-range
+// kind so its deliveries tally as msgs/type/probe.
 type kindedMsg struct{}
 
-func (kindedMsg) Bits() int       { return 5 }
-func (kindedMsg) MsgKind() string { return "probe" }
+func (kindedMsg) Bits() int { return 5 }
+
+func init() {
+	transport.Register(transport.Codec{
+		Kind: 2, Label: "probe", Type: reflect.TypeOf(kindedMsg{}),
+		Encode: func(msg interface{}, w *transport.Writer) {},
+		Decode: func(r *transport.Reader) interface{} { return kindedMsg{} },
+	})
+}
 
 // countingInterceptor counts the messages it sees and perturbs nothing.
 type countingInterceptor struct{ seen int }
@@ -50,10 +60,9 @@ func (c *countingInterceptor) InterceptMessage(ev *MessageEvent)            { c.
 func (c *countingInterceptor) InterceptWake(node int, intended int64) int64 { return intended }
 func (c *countingInterceptor) CrashRound(node int) int64                    { return 0 }
 
-// TestNilSlotIsNotSent: on every delivery path (the bare fast path,
-// and the full path under a recorder, an interceptor and a chooser) a
-// nil outbox slot is not sent, charged, traced, intercepted, offered as
-// a fault point or tallied.
+// TestNilSlotIsNotSent: with no hook, and under a recorder, an
+// interceptor and a chooser, a nil outbox slot is not sent, charged,
+// traced, intercepted, offered as a fault point or tallied.
 func TestNilSlotIsNotSent(t *testing.T) {
 	g := pathGraph(t, 3) // node 1 is the middle, with two ports
 	prog := func(nd *Node) error {
@@ -160,34 +169,37 @@ func TestInboxLeaseEndsAtNextExchange(t *testing.T) {
 // round on a ring — every node wakes, sends one pre-boxed message on
 // every port and reads its inbox, then sleeps a round — allocates
 // nothing once the run is set up: forty extra rounds cost zero
-// allocations.
+// allocations, with or without a metrics registry tallying the
+// deliveries by label.
 func TestSteadyStateExchangeAllocatesNothing(t *testing.T) {
 	g := graph.Cycle(64, graph.GenConfig{Seed: 1})
-	allocs := func(rounds int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			_, err := Run(Config{Graph: g, Seed: 1}, func(nd *Node) error {
-				msg := interface{}(kindedMsg{})
-				for r := 0; r < rounds; r++ {
-					out := nd.Outbox()
-					for p := range out {
-						out[p] = msg
-					}
-					for _, got := range nd.Exchange(out) {
-						if got == nil {
-							t.Error("a ring neighbor's message is missing")
+	for _, reg := range []*metrics.Registry{nil, metrics.New()} {
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				_, err := Run(Config{Graph: g, Seed: 1, Metrics: reg}, func(nd *Node) error {
+					msg := interface{}(kindedMsg{})
+					for r := 0; r < rounds; r++ {
+						out := nd.Outbox()
+						for p := range out {
+							out[p] = msg
 						}
+						for _, got := range nd.Exchange(out) {
+							if got == nil {
+								t.Error("a ring neighbor's message is missing")
+							}
+						}
+						nd.SleepUntil(nd.Round() + 1)
 					}
-					nd.SleepUntil(nd.Round() + 1)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if short, long := allocs(10), allocs(50); long != short {
-		t.Errorf("50 rounds allocate %.0f, 10 rounds %.0f: %.2f allocations per extra round, want 0",
-			long, short, (long-short)/40)
+		}
+		if short, long := allocs(10), allocs(50); long != short {
+			t.Errorf("metrics=%t: 50 rounds allocate %.0f, 10 rounds %.0f: %.2f allocations per extra round, want 0",
+				reg != nil, long, short, (long-short)/40)
+		}
 	}
 }

@@ -42,20 +42,31 @@ type Sizer interface {
 	Bits() int
 }
 
-// Kinded lets a message type declare a stable kind label; delivered
-// messages are then tallied per kind into the msgs/type/<kind> metric
-// when Config.Metrics is set. Messages without a kind tally as
-// "other".
-type Kinded interface {
-	MsgKind() string
+// tallyKey identifies a delivered message's msgs/type/<label> metric:
+// the codec registered for its type and, when that codec unwraps a
+// payload (transport.Codec.Inner), the payload's codec. Either is nil
+// for an unregistered type.
+type tallyKey struct{ outer, inner *transport.Codec }
+
+func tallyKeyOf(msg interface{}) tallyKey {
+	k := tallyKey{outer: transport.CodecOf(msg)}
+	if k.outer != nil && k.outer.Inner != nil {
+		k.inner = transport.CodecOf(k.outer.Inner(msg))
+	}
+	return k
 }
 
-// kindOf returns the metric label of a message.
-func kindOf(msg interface{}) string {
-	if k, ok := msg.(Kinded); ok {
-		return k.MsgKind()
+// label returns the metric label of k: the codec's label, extended by
+// the payload's label when both have one, and "other" for a type with
+// no codec or no label.
+func (k tallyKey) label() string {
+	switch {
+	case k.outer == nil || k.outer.Label == "":
+		return "other"
+	case k.inner != nil && k.inner.Label != "":
+		return k.outer.Label + "-" + k.inner.Label
 	}
-	return "other"
+	return k.outer.Label
 }
 
 // DefaultMessageBits is the size charged to messages that do not
@@ -183,9 +194,10 @@ type Config struct {
 	// recorder's ring capacity. The recorder serves this one run: Run
 	// calls Trace.Begin itself.
 	Trace *trace.Recorder
-	// Metrics, if non-nil, receives runtime counters (msgs/type/<kind>
-	// tallies from the scheduler; node programs may add their own via
-	// Node.Metrics). Nil disables the accounting.
+	// Metrics, if non-nil, receives runtime counters (msgs/type/<label>
+	// tallies from the scheduler, labeled by each message type's codec
+	// registration; node programs may add their own via Node.Metrics).
+	// Nil disables the accounting.
 	Metrics *metrics.Registry
 	// Transport, if non-nil, carries every same-round delivery as an
 	// encoded wire frame through the given backend (see
@@ -538,11 +550,11 @@ type runtime struct {
 	res    *Result
 	failed error
 
-	// rec mirrors cfg.Trace; kindTally batches per-kind delivery
-	// counts locally (scheduler thread only) and is flushed into
-	// cfg.Metrics once at the end of the run.
-	rec       *trace.Recorder
-	kindTally map[string]int64
+	// rec mirrors cfg.Trace; tally batches per-label delivery counts
+	// locally (scheduler thread only) and is flushed into cfg.Metrics
+	// once at the end of the run.
+	rec   *trace.Recorder
+	tally map[tallyKey]int64
 
 	delayed delayHeap // in-flight messages postponed by the interceptor
 	seq     int64     // FIFO tiebreak for delayed messages
@@ -659,7 +671,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		rt.rec.Begin(n)
 	}
 	if cfg.Metrics != nil {
-		rt.kindTally = make(map[string]int64)
+		rt.tally = make(map[tallyKey]int64)
 	}
 	if cfg.Transport != nil {
 		if cfg.Chooser != nil {
@@ -695,8 +707,8 @@ func Run(cfg Config, prog Program) (*Result, error) {
 			rt.rec.Lost(d.round, d.from, d.fromPort, d.to)
 		}
 	}
-	for kind, c := range rt.kindTally {
-		cfg.Metrics.Add(metrics.MsgName(kind), c)
+	for k, c := range rt.tally {
+		cfg.Metrics.Add(metrics.MsgName(k.label()), c)
 	}
 	if cfg.Metrics != nil {
 		// Node-averaged awake accounting: the sum and the denominator
@@ -780,7 +792,9 @@ func (h *wakeHeap) pop() wakeEntry {
 // interceptor configured it also applies message verdicts and flushes
 // previously delayed copies; delayed copies land before fresh sends,
 // so a fresh message overwrites a stale replay arriving on the same
-// port in the same round.
+// port in the same round. Ports are walked in ascending order, so a
+// stateful interceptor, the recorder's event stream and the chooser's
+// fault choice points see a deterministic sequence.
 func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range participants {
 		rt.awakeStamp[idx] = round
@@ -802,33 +816,6 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range senders {
 		nd := rt.nodes[idx]
 		ports := rt.cfg.Graph.Ports(idx)
-		if itc == nil && rt.rec == nil && ch == nil && rt.tx == nil {
-			for p, msg := range nd.out {
-				if msg == nil {
-					continue
-				}
-				bits := MessageBits(msg)
-				if rt.cfg.BitCap > 0 && bits > rt.cfg.BitCap {
-					return fmt.Errorf("sim: node %d sent %d-bit message on port %d in round %d, cap %d: %w (%w)",
-						idx, bits, p, round, rt.cfg.BitCap, ErrBitCap, ErrAborted)
-				}
-				rt.res.MessagesSent++
-				rt.res.MessagesSentPerNode[idx]++
-				rt.res.BitsSent += int64(bits)
-				if rt.awakeStamp[ports[p].To] != round {
-					rt.res.MessagesLost++
-					continue
-				}
-				if err := rt.deposit(round, idx, p, ports[p].To, ports[p].RevPort, msg); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Full path, taken with an interceptor, trace recorder, chooser
-		// or transport. Both paths walk ports in ascending order, so a
-		// stateful interceptor, the recorder's event stream and the
-		// chooser's fault choice points see a deterministic sequence.
 		for p, msg := range nd.out {
 			if msg == nil {
 				continue
@@ -853,8 +840,7 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 				continue
 			}
 			if itc == nil {
-				// Recording or choosing without chaos: clean delivery
-				// semantics.
+				// Without an interceptor: clean delivery semantics.
 				if rt.awakeStamp[ports[p].To] != round {
 					rt.res.MessagesLost++
 					if rt.rec != nil {
@@ -957,8 +943,8 @@ func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interfa
 	if rt.rec != nil {
 		rt.rec.Deliver(round, to, rev, from)
 	}
-	if rt.kindTally != nil {
-		rt.kindTally[kindOf(msg)]++
+	if rt.tally != nil {
+		rt.tally[tallyKeyOf(msg)]++
 	}
 	rcv := rt.nodes[to]
 	rcv.in[rev] = msg

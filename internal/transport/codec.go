@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -14,10 +13,11 @@ import (
 // registers a Codec under a stable numeric kind; EncodeMessage writes
 // a self-describing body (uvarint kind + fields) and DecodeMessage
 // reproduces the exact concrete Go value, so receive-side type
-// assertions and Sizer/Kinded dispatch behave identically to the
-// in-memory delivery path. Codecs may nest: a wrapper message encodes
-// its payload with EncodeMessage recursively (kind KindNil carries a
-// nil payload).
+// assertions and Sizer dispatch behave identically to the in-memory
+// delivery path. Codecs may nest: a wrapper message encodes its
+// payload with EncodeMessage recursively (kind KindNil carries a nil
+// payload). A registration is the one place a message type is
+// declared: its wire kind, its tally label and its Go type.
 //
 // Kind ranges, to keep registrations collision-free across packages:
 // 0 is reserved (nil), 1-15 transport-internal/test, 16-31
@@ -28,14 +28,20 @@ import (
 // KindNil is the reserved kind of a nil payload.
 const KindNil = 0
 
-// Codec binds one concrete message type to its wire encoding.
+// Codec binds one concrete message type to its wire encoding and its
+// tally label.
 type Codec struct {
 	// Kind is the stable wire id (see the range allocation above).
 	Kind uint16
-	// Name labels the codec in errors.
-	Name string
+	// Label names the type's deliveries in the msgs/type/<label>
+	// metric; an empty label tallies as "other".
+	Label string
 	// Type is the concrete Go type the codec serves.
 	Type reflect.Type
+	// Inner, if non-nil, returns the payload a wrapper message
+	// carries; the wrapper then tallies as Label+"-"+the payload's
+	// label when the payload's codec has one, and as Label otherwise.
+	Inner func(msg interface{}) interface{}
 	// Encode appends the message body (without the kind tag) to w.
 	Encode func(msg interface{}, w *Writer)
 	// Decode reads the body back and returns the concrete value.
@@ -55,34 +61,26 @@ func Register(c Codec) {
 	codecMu.Lock()
 	defer codecMu.Unlock()
 	if c.Kind == KindNil {
-		panic(fmt.Sprintf("transport: codec %q claims reserved kind 0", c.Name))
+		panic(fmt.Sprintf("transport: codec for %v claims reserved kind 0", c.Type))
 	}
 	if prev, ok := codecsByKind[c.Kind]; ok {
-		panic(fmt.Sprintf("transport: codec kind %d already registered as %q", c.Kind, prev.Name))
+		panic(fmt.Sprintf("transport: codec kind %d already registered for %v", c.Kind, prev.Type))
 	}
 	if prev, ok := codecsByType[c.Type]; ok {
-		panic(fmt.Sprintf("transport: codec type %v already registered as %q", c.Type, prev.Name))
+		panic(fmt.Sprintf("transport: codec type %v already registered as kind %d", c.Type, prev.Kind))
 	}
 	cp := c
 	codecsByKind[c.Kind] = &cp
 	codecsByType[c.Type] = &cp
 }
 
-// RegisteredKinds returns the registered codec names sorted by kind,
-// for diagnostics and registration-coverage tests.
-func RegisteredKinds() []string {
+// CodecOf returns the codec registered for msg's concrete type, or nil
+// when there is none (a nil msg included).
+func CodecOf(msg interface{}) *Codec {
 	codecMu.RLock()
-	defer codecMu.RUnlock()
-	kinds := make([]int, 0, len(codecsByKind))
-	for k := range codecsByKind {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	out := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		out = append(out, fmt.Sprintf("%d:%s", k, codecsByKind[uint16(k)].Name))
-	}
-	return out
+	c := codecsByType[reflect.TypeOf(msg)]
+	codecMu.RUnlock()
+	return c
 }
 
 // EncodeMessage appends the self-describing encoding of msg (uvarint
@@ -93,10 +91,8 @@ func EncodeMessage(buf []byte, msg interface{}) ([]byte, error) {
 	if msg == nil {
 		return binary.AppendUvarint(buf, KindNil), nil
 	}
-	codecMu.RLock()
-	c, ok := codecsByType[reflect.TypeOf(msg)]
-	codecMu.RUnlock()
-	if !ok {
+	c := CodecOf(msg)
+	if c == nil {
 		return nil, fmt.Errorf("transport: no codec registered for message type %T", msg)
 	}
 	w := Writer{buf: binary.AppendUvarint(buf, uint64(c.Kind))}
@@ -123,7 +119,7 @@ func DecodeMessage(r *Reader) (interface{}, error) {
 	}
 	msg := c.Decode(r)
 	if r.err != nil {
-		return nil, fmt.Errorf("transport: decoding %q: %w", c.Name, r.err)
+		return nil, fmt.Errorf("transport: decoding %v: %w", c.Type, r.err)
 	}
 	return msg, nil
 }
@@ -296,19 +292,18 @@ const MaxFrameBytes = 1 << 20
 
 // AppendFrame appends the length-prefixed binary encoding of f to buf:
 // uvarint body length, then varint Round and Seq, varint routing
-// coordinates, and the uvarint-prefixed payload.
+// coordinates, and the uvarint-prefixed payload. The body is written
+// straight into buf, so a buf with spare capacity costs no allocation.
 func AppendFrame(buf []byte, f Frame) []byte {
-	body := make([]byte, 0, 32+len(f.Payload))
-	body = binary.AppendVarint(body, f.Round)
-	body = binary.AppendVarint(body, f.Seq)
-	body = binary.AppendVarint(body, int64(f.From))
-	body = binary.AppendVarint(body, int64(f.Port))
-	body = binary.AppendVarint(body, int64(f.To))
-	body = binary.AppendVarint(body, int64(f.Rev))
-	body = binary.AppendUvarint(body, uint64(len(f.Payload)))
-	body = append(body, f.Payload...)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	buf = binary.AppendUvarint(buf, uint64(frameBodyBytes(f)))
+	buf = binary.AppendVarint(buf, f.Round)
+	buf = binary.AppendVarint(buf, f.Seq)
+	buf = binary.AppendVarint(buf, int64(f.From))
+	buf = binary.AppendVarint(buf, int64(f.Port))
+	buf = binary.AppendVarint(buf, int64(f.To))
+	buf = binary.AppendVarint(buf, int64(f.Rev))
+	buf = binary.AppendUvarint(buf, uint64(len(f.Payload)))
+	return append(buf, f.Payload...)
 }
 
 // ReadFrame reads one length-prefixed frame from br.
@@ -347,11 +342,17 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 // count AppendFrame would produce — without building the encoding, so
 // wire accounting costs no allocation.
 func FrameWireBytes(f Frame) int64 {
-	body := varintLen(f.Round) + varintLen(f.Seq) +
+	body := frameBodyBytes(f)
+	return uvarintLen(uint64(body)) + body
+}
+
+// frameBodyBytes returns the size of f's body: everything AppendFrame
+// writes after the length prefix, which encodes this value.
+func frameBodyBytes(f Frame) int64 {
+	return varintLen(f.Round) + varintLen(f.Seq) +
 		varintLen(int64(f.From)) + varintLen(int64(f.Port)) +
 		varintLen(int64(f.To)) + varintLen(int64(f.Rev)) +
 		uvarintLen(uint64(len(f.Payload))) + int64(len(f.Payload))
-	return uvarintLen(uint64(body)) + body
 }
 
 // uvarintLen returns the encoded size of x as a uvarint.

@@ -3,7 +3,9 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +23,7 @@ type testMsg struct {
 
 func init() {
 	Register(Codec{
-		Kind: 1, Name: "test/msg", Type: reflect.TypeOf(testMsg{}),
+		Kind: 1, Type: reflect.TypeOf(testMsg{}),
 		Encode: func(msg interface{}, w *Writer) {
 			m := msg.(testMsg)
 			w.Int(m.A)
@@ -87,15 +89,49 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
+// appendFrameReference is the frame encoding built body first and
+// then copied behind its length prefix: the reference AppendFrame's
+// single pass must reproduce byte for byte.
+func appendFrameReference(buf []byte, f Frame) []byte {
+	body := binary.AppendVarint(nil, f.Round)
+	body = binary.AppendVarint(body, f.Seq)
+	for _, v := range []int32{f.From, f.Port, f.To, f.Rev} {
+		body = binary.AppendVarint(body, int64(v))
+	}
+	body = binary.AppendUvarint(body, uint64(len(f.Payload)))
+	body = append(body, f.Payload...)
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	return append(buf, body...)
+}
+
 func TestFrameRoundTripAndWireBytes(t *testing.T) {
 	frames := []Frame{
 		{},
 		{Round: 3, Seq: 0, From: 1, Port: 2, To: 4, Rev: 0, Payload: []byte{1, 2, 3}},
 		{Round: 1 << 30, Seq: 17, From: 1000, Port: 63, To: 999, Rev: 62, Payload: bytes.Repeat([]byte{0xab}, 300)},
+		{Round: -1, Seq: -5, From: -1, Port: -64, To: -65, Rev: -1 << 31},
+		{Round: math.MaxInt64, Seq: math.MinInt64, From: math.MaxInt32, Port: math.MinInt32,
+			To: math.MaxInt32, Rev: math.MinInt32, Payload: []byte{0}},
+	}
+	// Bodies of 126 to 16,384 bytes straddle the one-, two- and
+	// three-byte length prefixes: the prefix encodes the body length,
+	// so a 127-byte body makes a 128-byte frame.
+	for _, body := range []int64{126, 127, 128, 16383, 16384} {
+		f := Frame{Round: 2, From: 1, Port: 1, To: 3, Payload: bytes.Repeat([]byte{0x5a}, int(body))}
+		for frameBodyBytes(f) > body {
+			f.Payload = f.Payload[1:]
+		}
+		if frameBodyBytes(f) != body {
+			t.Fatalf("no payload gives a %d-byte body", body)
+		}
+		frames = append(frames, f)
 	}
 	var stream []byte
 	for _, f := range frames {
 		enc := AppendFrame(nil, f)
+		if ref := appendFrameReference(nil, f); !bytes.Equal(enc, ref) {
+			t.Fatalf("AppendFrame(%+v) differs from the body-then-copy encoding:\n got %x\nwant %x", f, enc, ref)
+		}
 		if got, want := FrameWireBytes(f), int64(len(enc)); got != want {
 			t.Fatalf("FrameWireBytes(%+v) = %d, encoding is %d bytes", f, got, want)
 		}
@@ -112,6 +148,16 @@ func TestFrameRoundTripAndWireBytes(t *testing.T) {
 			!bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame round trip: got %+v want %+v", got, want)
 		}
+	}
+}
+
+// TestAppendFrameAllocatesNothing: a frame is encoded straight into a
+// buffer with spare capacity, as tcpLink.Send reuses its buffer.
+func TestAppendFrameAllocatesNothing(t *testing.T) {
+	f := Frame{Round: 9, Seq: 2, From: 3, Port: 1, To: 4, Rev: 0, Payload: bytes.Repeat([]byte{7}, 40)}
+	buf := make([]byte, 0, 256)
+	if a := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f) }); a != 0 {
+		t.Errorf("AppendFrame allocates %.1f times per frame, want 0", a)
 	}
 }
 

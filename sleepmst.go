@@ -291,7 +291,7 @@ func CheckTraceConformance(meta TraceMeta, events []TraceEvent, info ConformRunI
 // MetricsRegistry is the deterministic counter registry: set
 // Options.Metrics to one and the run reports awake rounds per phase
 // and per step, MOE probes and candidates, merge waves and depth, and
-// per-kind message tallies. (The shorter name Metrics already names
+// per-label message tallies. (The shorter name Metrics already names
 // the simulator's measurement record above.)
 type MetricsRegistry = metrics.Registry
 
