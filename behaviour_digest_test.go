@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sleepmst/internal/chaos"
-	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
@@ -85,28 +84,19 @@ func digestFaults() *chaos.Policy {
 // returns the run's message count so the chaos cell can calibrate.
 func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Policy) (cellDigest, int64) {
 	t.Helper()
-	rec := trace.NewRecorder(0)
 	reg := metrics.New()
-	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: rec, Metrics: reg}
+	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: trace.NewRecorder(0), Metrics: reg}
 	if itc != nil {
 		opts.Interceptor = itc
 	}
-	r, err := p.Run(g, opts)
+	c, err := problem.Certify(p, g, opts)
+	r := c.Result
 
-	var tr bytes.Buffer
-	if werr := rec.WriteJSONL(&tr); werr != nil {
+	var tr, vj bytes.Buffer
+	if werr := trace.WriteEventsJSONL(&tr, c.Meta, c.Events); werr != nil {
 		t.Fatalf("%s: write trace: %v", p.Name(), werr)
 	}
-	suite := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: 1, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
-	}
-	if r != nil {
-		suite.Extra = []conform.Check{p.ConformCheck(g, r)}
-	}
-	var vj bytes.Buffer
-	if werr := suite.Verdict().WriteJSON(&vj); werr != nil {
+	if werr := c.Verdict.WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
 	}
 	var msgs int64

@@ -92,8 +92,6 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 				return 1
 			}
 			g := sleepmst.RandomConnected(n, h.deg*n, int64(n*1000))
-			rec := sleepmst.NewTraceRecorder(traceCap)
-			opts := sleepmst.Options{Seed: 1, Trace: rec}
 			// With -transport, the checked trace is produced over the
 			// wire backend; the verdict must not change (the transport
 			// differential suite pins this).
@@ -102,8 +100,7 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 				fmt.Fprintln(os.Stderr, "mstbench:", err)
 				return 1
 			}
-			opts.Transport = tx
-			r, err := p.Run(g, opts)
+			c, err := problem.Certify(p, g, sleepmst.Options{Seed: 1, Trace: sleepmst.NewTraceRecorder(traceCap), Transport: tx})
 			if tx != nil {
 				tx.Close()
 			}
@@ -111,12 +108,7 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 				fmt.Fprintln(os.Stderr, "mstbench:", err)
 				return 1
 			}
-			v := conform.Suite{
-				Info:   conform.RunInfo{Algorithm: p.Name(), N: n, Seed: 1, Budget: p.Budget},
-				Meta:   rec.Meta(),
-				Events: rec.Events(),
-				Extra:  []conform.Check{p.ConformCheck(g, r)},
-			}.Verdict()
+			v := c.Verdict
 			fmt.Print(v)
 			fmt.Println()
 			verdicts = append(verdicts, v)

@@ -14,13 +14,6 @@
 // byte-identical to an in-memory run of the same cell; only the wire
 // section knows that sockets carried the frames.
 //
-// Chaos, reinterpreted: -drop and -delay inject wire-level faults
-// (transient send failures and latency) below the model. With a
-// positive -retries budget every injected drop is masked by
-// retransmission, so the artifact must still certify a correct tree;
-// with -retries 0 drops become permanent and the run fails loudly at
-// the round barrier rather than silently miscomputing.
-//
 // With -serve the command becomes a persistent daemon instead of a
 // one-shot cell: it listens on the given address and serves concurrent
 // certified-computation requests over the internal/service wire
@@ -36,8 +29,7 @@
 // Usage:
 //
 //	mstserve -n 64 -m 128 -problem mst/randomized -out verdict.json
-//	mstserve -n 32 -drop 0.05 -delay 0.05 -retries 8   # faulty wire, clean tree
-//	mstserve -serve 127.0.0.1:7600 -workers 8 -queue 64        # daemon
+//	mstserve -serve 127.0.0.1:7600 -workers 8 -queue 64   # daemon
 package main
 
 import (
@@ -51,9 +43,7 @@ import (
 	"syscall"
 	"time"
 
-	"sleepmst"
-	"sleepmst/internal/conform"
-	"sleepmst/internal/graph"
+	"sleepmst/internal/core"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
@@ -65,36 +55,6 @@ import (
 // infrastructure failures (exit code 2).
 var errViolation = errors.New("conformance violation")
 
-// artifactSchema versions the mstserve JSON artifact.
-const artifactSchema = 1
-
-// wireName is the artifact's transport field: TCP is the one wire
-// backend.
-const wireName = "tcp"
-
-// artifact is the JSON output: the conformance verdict (transport
-// independent) plus the run and wire summaries.
-type artifact struct {
-	Schema    int    `json:"schema"`
-	Problem   string `json:"problem"`
-	Graph     string `json:"graph"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	Seed      int64  `json:"seed"`
-	Transport string `json:"transport"`
-
-	// Verdict is the conformance verdict over the run's trace plus the
-	// problem's correctness oracle — byte-identical across backends.
-	Verdict *conform.Verdict `json:"verdict"`
-
-	// Run summarizes the sleeping-model accounting.
-	Run service.RunSummary `json:"run"`
-
-	// Wire is the physical transport accounting; timing-dependent
-	// counters (retries, redials) live here and only here.
-	Wire service.WireSummary `json:"wire"`
-}
-
 func main() {
 	var (
 		graphKind = flag.String("graph", "random", "topology: "+service.GraphKindList)
@@ -104,12 +64,6 @@ func main() {
 		radius    = flag.Float64("radius", 0.2, "radius for -graph sensor")
 		seed      = flag.Int64("seed", 1, "seed for topology, weights and algorithm randomness")
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
-		retries   = flag.Int("retries", transport.DefaultRetries, "per-frame send retry budget (masks injected drops; 0 = single-attempt sends, drops are permanent)")
-		timeout   = flag.Duration("timeout", transport.DefaultRecvTimeout, "round-barrier receive deadline")
-		dropProb  = flag.Float64("drop", 0, "injected per-attempt wire drop probability in [0,1]")
-		delayProb = flag.Float64("delay", 0, "injected per-frame wire delay probability in [0,1]")
-		maxDelay  = flag.Duration("max-delay", 2*time.Millisecond, "injected delay upper bound")
-		faultSeed = flag.Uint64("fault-seed", 1, "seed of the deterministic fault hash")
 		outPath   = flag.String("out", "", "write the JSON artifact to this file ('-' = stdout; default stdout)")
 		traceOut  = flag.String("trace-out", "", "also write the structured JSONL event trace to this file")
 		traceCap  = flag.Int("trace-cap", 1<<21, "trace-recorder event capacity")
@@ -126,9 +80,7 @@ func main() {
 	if *serveAddr != "" {
 		err = daemon(*serveAddr, *workers, *queue, *deadline, *maxN, *metricsOut)
 	} else {
-		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName,
-			*retries, *timeout, *dropProb, *delayProb, *maxDelay, *faultSeed,
-			*outPath, *traceOut, *traceCap)
+		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName, *outPath, *traceOut, *traceCap)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mstserve:", err)
@@ -200,11 +152,11 @@ func daemonOn(ln net.Listener, workers, queue int, deadline time.Duration, maxN 
 }
 
 // serve runs one certified cell end to end over TCP and writes the
-// artifact.
+// artifact. Its verdict and run sections depend only on the problem,
+// the graph and the seed: the wire shows up in the transport and wire
+// sections alone.
 func serve(graphKind string, n, m, rows int, radius float64, seed int64,
-	probName string, retries int, timeout time.Duration,
-	dropProb, delayProb float64, maxDelay time.Duration, faultSeed uint64,
-	outPath, traceOut string, traceCap int) error {
+	probName, outPath, traceOut string, traceCap int) error {
 	p, err := problem.Lookup(probName)
 	if err != nil {
 		return err
@@ -213,32 +165,24 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	if err != nil {
 		return err
 	}
-
-	if retries <= 0 {
-		// TCPConfig treats 0 as "use the default"; -retries 0 must
-		// genuinely disable the wire retry budget.
-		retries = transport.NoRetries
-	}
-	var tx sleepmst.Transport = transport.NewTCP(transport.TCPConfig{Retries: retries, RecvTimeout: timeout})
-	if dropProb > 0 || delayProb > 0 {
-		tx = transport.WithFaults(tx, transport.FaultConfig{
-			Seed:      faultSeed,
-			DropProb:  dropProb,
-			DelayProb: delayProb,
-			MaxDelay:  maxDelay,
-			Retries:   retries,
-		})
-	}
-	defer tx.Close()
-
-	rec := sleepmst.NewTraceRecorder(traceCap)
-	a, err := certify(p, g, graphKind, seed, tx, rec)
+	tcp := transport.NewTCP(transport.TCPConfig{})
+	defer tcp.Close()
+	c, err := problem.Certify(p, g, core.Options{Seed: seed, Trace: trace.NewRecorder(traceCap), Transport: tcp})
 	if err != nil {
-		return fmt.Errorf("run failed (wire faults beyond the retry budget surface here): %w", err)
+		return fmt.Errorf("run failed: %w", err)
 	}
-	a.Transport = wireName
-	if s, ok := sleepmst.TransportStatsOf(tx); ok {
-		a.Wire = service.NewWireSummary(s)
+	wire := service.NewWireSummary(tcp.TransportStats())
+	a := service.Artifact{
+		Schema:    service.ArtifactSchema,
+		Problem:   p.Name(),
+		Graph:     graphKind,
+		N:         g.N(),
+		M:         g.M(),
+		Seed:      seed,
+		Transport: "tcp",
+		Verdict:   c.Verdict,
+		Run:       service.NewRunSummary(c.Result, p.Verify(g, c.Result) == nil),
+		Wire:      &wire,
 	}
 
 	if traceOut != "" {
@@ -246,7 +190,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteJSONL(f); err != nil {
+		if err := trace.WriteEventsJSONL(f, c.Meta, c.Events); err != nil {
 			f.Close()
 			return err
 		}
@@ -270,32 +214,4 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		return fmt.Errorf("%w: %s on %s n=%d", errViolation, p.Name(), graphKind, g.N())
 	}
 	return nil
-}
-
-// certify runs p on g, every delivery carried over tx (nil = in
-// memory), into rec, and builds the artifact's verdict and run
-// sections from the certified trace. Those sections depend only on
-// (p, g, seed): the backend shows up in the wire section alone, which
-// the caller fills in.
-func certify(p problem.Problem, g *graph.Graph, graphKind string, seed int64, tx sleepmst.Transport, rec *trace.Recorder) (artifact, error) {
-	r, err := p.Run(g, sleepmst.Options{Seed: seed, Trace: rec, Transport: tx})
-	if err != nil {
-		return artifact{}, err
-	}
-	verdict := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: seed, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}.Verdict()
-	return artifact{
-		Schema:  artifactSchema,
-		Problem: p.Name(),
-		Graph:   graphKind,
-		N:       g.N(),
-		M:       g.M(),
-		Seed:    seed,
-		Verdict: verdict,
-		Run:     service.NewRunSummary(r, p.Verify(g, r) == nil),
-	}, nil
 }

@@ -349,7 +349,7 @@ func TestVerdictJSONRoundTrip(t *testing.T) {
 
 func TestSuiteAssertReportsFailures(t *testing.T) {
 	meta, events := cleanTrace()
-	s := Suite{Info: info(), Meta: meta, Events: events, TreeWeight: 5, WantWeight: 7, CheckWeight: true}
+	s := Suite{Info: info(), Meta: meta, Events: events, Extra: []Check{WeightCheck(5, 7)}}
 	var ft tb
 	v := s.Assert(&ft)
 	if v.Pass {
@@ -359,7 +359,7 @@ func TestSuiteAssertReportsFailures(t *testing.T) {
 		t.Fatalf("want 1 reported failure, got %d", len(ft.errors))
 	}
 	// Without the weight check the same suite passes silently.
-	s.CheckWeight = false
+	s.Extra = nil
 	var ok tb
 	if v := s.Assert(&ok); !v.Pass || len(ok.errors) != 0 {
 		t.Fatalf("clean suite reported failures: %v", ok.errors)

@@ -12,11 +12,10 @@ type TB interface {
 }
 
 // Suite bundles one recorded run for conformance assertion in tests:
-// the trace, its run context, and (optionally) the computed tree
-// weight against the Kruskal reference. Callers run the algorithm with
-// a trace.Recorder, then hand the recorder's Meta()/Events() here —
-// the suite itself runs nothing, which keeps it usable from any
-// package without import cycles.
+// the trace, its run context, and the problem's oracle checks.
+// Callers run the algorithm with a trace.Recorder, then hand the
+// recorder's Meta()/Events() here — the suite itself runs nothing,
+// which keeps it usable from any package without import cycles.
 type Suite struct {
 	// Info is the run context (algorithm, n, seed, relaxations).
 	Info RunInfo
@@ -24,26 +23,15 @@ type Suite struct {
 	Meta trace.Meta
 	// Events is the trace in canonical order.
 	Events []trace.Event
-	// TreeWeight and WantWeight, when CheckWeight is set, feed the
-	// mst-weight agreement check.
-	TreeWeight int64
-	// WantWeight is the sequential reference (Kruskal) weight.
-	WantWeight int64
-	// CheckWeight enables the mst-weight check (the zero Suite skips
-	// it: a weight of 0 is not distinguishable from "not provided").
-	CheckWeight bool
-	// Extra holds problem-specific checks appended after the trace
-	// catalog — e.g. the mis-valid check built by MISCheck. Problems
-	// outside the MST suite supply their oracle here.
+	// Extra holds the checks appended after the trace catalog: the
+	// problem's oracle, such as the mst-weight check built by
+	// WeightCheck or the mis-valid check built by MISCheck.
 	Extra []Check
 }
 
 // Verdict runs the invariant catalog and returns the verdict.
 func (s Suite) Verdict() *Verdict {
 	v := CheckTrace(s.Meta, s.Events, s.Info)
-	if s.CheckWeight {
-		v.Append(WeightCheck(s.TreeWeight, s.WantWeight))
-	}
 	for _, c := range s.Extra {
 		v.Append(c)
 	}

@@ -18,6 +18,7 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
+	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
 )
@@ -59,28 +60,25 @@ func TestConformanceCleanMatrix(t *testing.T) {
 				if testing.Short() && n > 64 {
 					t.Skip("n=256 cell skipped in short mode")
 				}
-				g := conformGraph(n)
-				rec := trace.NewRecorder(conformCap)
-				out, err := a.Runner()(g, sleepmst.Options{Seed: 1, Trace: rec})
+				p, err := problem.Lookup(a.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := problem.Certify(p, conformGraph(n), sleepmst.Options{Seed: 1, Trace: trace.NewRecorder(conformCap)})
 				if err != nil {
 					t.Fatalf("%s n=%d: %v", a, n, err)
 				}
-				if d := rec.Dropped(); d != 0 {
+				if d := c.Meta.Dropped; d != 0 {
 					t.Fatalf("recorder dropped %d events; raise conformCap", d)
 				}
-				v := conform.Suite{
-					Info:        conform.RunInfo{Algorithm: a.String(), N: n, Seed: 1},
-					Meta:        rec.Meta(),
-					Events:      rec.Events(),
-					TreeWeight:  graph.TotalWeight(out.MSTEdges),
-					WantWeight:  graph.TotalWeight(graph.Kruskal(g)),
-					CheckWeight: true,
-				}.Assert(t)
+				if !c.Verdict.Pass {
+					t.Errorf("strict conformance failed:\n%s", c.Verdict)
+				}
 				// The deterministic variants must actually exercise the
 				// sparsification check, not skip it.
 				if a != sleepmst.Randomized {
-					if c := v.Lookup(conform.CheckSparsifyDegree); c == nil || c.Status != conform.StatusPass {
-						t.Errorf("sparsify-degree not exercised: %+v", c)
+					if ch := c.Verdict.Lookup(conform.CheckSparsifyDegree); ch == nil || ch.Status != conform.StatusPass {
+						t.Errorf("sparsify-degree not exercised: %+v", ch)
 					}
 				}
 			})
@@ -229,11 +227,9 @@ func TestConformanceChaosMatrix(t *testing.T) {
 						conform.Suite{
 							Info: conform.RunInfo{Algorithm: a.String(), N: n, Seed: 1,
 								Relaxed: true, BudgetSlack: 2},
-							Meta:        rec.Meta(),
-							Events:      rec.Events(),
-							TreeWeight:  graph.TotalWeight(out.MSTEdges),
-							WantWeight:  wantWeight,
-							CheckWeight: true,
+							Meta:   rec.Meta(),
+							Events: rec.Events(),
+							Extra:  []conform.Check{conform.WeightCheck(graph.TotalWeight(out.MSTEdges), wantWeight)},
 						}.Assert(t)
 						return
 					}

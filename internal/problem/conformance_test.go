@@ -34,20 +34,6 @@ func conformGraph(n int) *sleepmst.Graph {
 	return sleepmst.RandomConnected(n, 3*n, int64(n*1000))
 }
 
-// misSuite bundles a recorded MIS run for conformance assertion: the
-// registry budget wired through RunInfo.Budget and the mis-valid
-// oracle appended via Extra.
-func misSuite(p problem.Problem, g *sleepmst.Graph, rec *trace.Recorder, r *problem.Result, info conform.RunInfo) conform.Suite {
-	info.Algorithm = p.Name()
-	info.Budget = p.Budget
-	return conform.Suite{
-		Info:   info,
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}
-}
-
 // TestMISConformanceCleanMatrix runs the strict catalog — no slack,
 // no relaxations — on drop-free MIS traces, and demands that both the
 // awake-budget envelope and the mis-valid oracle are exercised (not
@@ -63,19 +49,19 @@ func TestMISConformanceCleanMatrix(t *testing.T) {
 			if testing.Short() && n > 64 {
 				t.Skip("n=256 cell skipped in short mode")
 			}
-			g := conformGraph(n)
-			rec := trace.NewRecorder(conformCap)
-			r, err := p.Run(g, sleepmst.Options{Seed: 1, Trace: rec})
+			c, err := problem.Certify(p, conformGraph(n), sleepmst.Options{Seed: 1, Trace: trace.NewRecorder(conformCap)})
 			if err != nil {
 				t.Fatalf("mis n=%d: %v", n, err)
 			}
-			if d := rec.Dropped(); d != 0 {
+			if d := c.Meta.Dropped; d != 0 {
 				t.Fatalf("recorder dropped %d events; raise conformCap", d)
 			}
-			v := misSuite(p, g, rec, r, conform.RunInfo{N: n, Seed: 1}).Assert(t)
+			if !c.Verdict.Pass {
+				t.Errorf("strict conformance failed:\n%s", c.Verdict)
+			}
 			for _, name := range []string{conform.CheckAwakeBudget, conform.CheckMISValid} {
-				if c := v.Lookup(name); c == nil || c.Status != conform.StatusPass {
-					t.Errorf("%s not exercised: %+v", name, c)
+				if ch := c.Verdict.Lookup(name); ch == nil || ch.Status != conform.StatusPass {
+					t.Errorf("%s not exercised: %+v", name, ch)
 				}
 			}
 		})
@@ -133,8 +119,13 @@ func TestMISConformanceChaosMatrix(t *testing.T) {
 					if seed > 2 {
 						t.Logf("surviving chaos seed drifted to %d (calibrated ≤ 2)", seed)
 					}
-					misSuite(p, g, rec, r, conform.RunInfo{N: n, Seed: 1,
-						Relaxed: true, BudgetSlack: 2}).Assert(t)
+					conform.Suite{
+						Info: conform.RunInfo{Algorithm: p.Name(), N: n, Seed: 1, Budget: p.Budget,
+							Relaxed: true, BudgetSlack: 2},
+						Meta:   rec.Meta(),
+						Events: rec.Events(),
+						Extra:  []conform.Check{p.ConformCheck(g, r)},
+					}.Assert(t)
 					return
 				}
 				t.Fatalf("no chaos seed in 1..12 yields correct-mis at rate %.3g", rate)

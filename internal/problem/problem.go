@@ -12,7 +12,9 @@
 // trace-checker check that encodes that oracle for verdicts
 // (ConformCheck). Problems are addressed by qualified registry names
 // (`mis`, `mst/randomized`, ...); the bare MST spellings used by older
-// CLIs (`randomized`, `ghs`, ...) resolve as aliases.
+// CLIs (`randomized`, `ghs`, ...) resolve as aliases. Certify runs a
+// problem and checks its trace plus that oracle in one step; every
+// entry point that answers with a verdict goes through it.
 //
 // All runs flow through internal/sim, so every problem inherits the
 // sleeping-model accounting for free: worst-case awake per node,

@@ -4,6 +4,7 @@
 package problem_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/problem"
+	"sleepmst/internal/sim"
 )
 
 // TestNamesSortedAndComplete pins the registry surface: the qualified
@@ -136,6 +138,48 @@ func TestNodeAvgRecordedForAllProblems(t *testing.T) {
 		avg := metrics.NodeAvgAwake(reg)
 		if avg <= 0 || avg > float64(r.Sim.MaxAwake()) {
 			t.Errorf("%s: node-avg awake %.2f outside (0, max=%d]", name, avg, r.Sim.MaxAwake())
+		}
+	}
+}
+
+// TestCertifyAppendsOracleOnlyOnSuccess pins Certify's three outcomes:
+// a completed run ends its verdict with the problem's oracle, a failed
+// run is still checked but without it, and a canceled run comes back
+// unchecked, its trace never ordered.
+func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
+	p, err := problem.Lookup("mst/randomized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sleepmst.RandomConnected(16, 32, 16)
+	canceled := make(chan struct{})
+	close(canceled)
+	for _, c := range []struct {
+		name   string
+		opts   sleepmst.Options
+		wantOK bool
+	}{
+		{"completed", sleepmst.Options{Seed: 1}, true},
+		{"failed", sleepmst.Options{Seed: 1, AwakeBudget: 1}, false},
+		{"canceled", sleepmst.Options{Seed: 1, Cancel: canceled}, false},
+	} {
+		c.opts.Trace = sleepmst.NewTraceRecorder(0)
+		got, err := problem.Certify(p, g, c.opts)
+		if (err == nil) != c.wantOK {
+			t.Fatalf("%s: err = %v", c.name, err)
+		}
+		switch {
+		case c.name == "canceled":
+			if !errors.Is(err, sim.ErrCanceled) || got.Verdict != nil || got.Events != nil {
+				t.Errorf("canceled: err %v, verdict %v, %d events; want ErrCanceled and nothing checked", err, got.Verdict, len(got.Events))
+			}
+		case got.Verdict == nil || len(got.Events) == 0:
+			t.Errorf("%s: no verdict or no ordered events", c.name)
+		default:
+			last := got.Verdict.Checks[len(got.Verdict.Checks)-1].Name
+			if hasOracle := last == conform.CheckMSTWeight; hasOracle != c.wantOK {
+				t.Errorf("%s: verdict ends with %q; oracle wanted %v", c.name, last, c.wantOK)
+			}
 		}
 	}
 }

@@ -2,13 +2,14 @@ package problem_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"sleepmst/internal/chaos"
-	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
@@ -66,42 +67,32 @@ func firstLineDiff(a, b []byte) string {
 // enabled, after applying mut to the base options.
 func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core.Options)) cellRun {
 	t.Helper()
-	rec := trace.NewRecorder(1 << 15)
 	reg := metrics.New()
 	opts := core.Options{
 		Seed:              1,
 		RecordAwakeRounds: true,
-		Trace:             rec,
+		Trace:             trace.NewRecorder(1 << 15),
 		Metrics:           reg,
 	}
 	mut(&opts)
-	r, err := p.Run(g, opts)
+	c, err := problem.Certify(p, g, opts)
 
-	var tr bytes.Buffer
-	if werr := rec.WriteJSONL(&tr); werr != nil {
+	var tr, vj bytes.Buffer
+	if werr := trace.WriteEventsJSONL(&tr, c.Meta, c.Events); werr != nil {
 		t.Fatalf("%s: write trace: %v", p.Name(), werr)
 	}
-	suite := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: 1, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
-	}
-	if r != nil {
-		suite.Extra = []conform.Check{p.ConformCheck(g, r)}
-	}
-	var vj bytes.Buffer
-	if werr := suite.Verdict().WriteJSON(&vj); werr != nil {
+	if werr := c.Verdict.WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
 	}
 	out := cellRun{
 		trace:   tr.Bytes(),
 		verdict: vj.Bytes(),
 		metrics: reg.String(),
-		result:  r,
+		result:  c.Result,
 		err:     err,
 	}
-	if r != nil {
-		out.sim = r.Sim
+	if c.Result != nil {
+		out.sim = c.Result.Sim
 	}
 	return out
 }
@@ -196,25 +187,26 @@ func TestTransportAllProblems(t *testing.T) {
 	}
 }
 
-// dupTransport wraps a backend to act like the worst legal
-// at-least-once wire: every frame is shipped twice, and the first
-// send of each new round re-ships the link's previous frame — a
-// retransmission surfacing after its round already drained. The
-// simulator's drain must filter both duplicate kinds (same-round by
-// frame coordinates, stale by round), so a run over this wire stays
-// byte-identical to the plain in-memory run.
-type dupTransport struct {
+// linkWrap is a test wire: the TCP backend with every link it dials
+// wrapped by wrap.
+type linkWrap struct {
 	transport.Transport
+	wrap func(transport.Link) transport.Link
 }
 
-func (d dupTransport) Dial(from, to int) (transport.Link, error) {
-	l, err := d.Transport.Dial(from, to)
+func (w linkWrap) Dial(from, to int) (transport.Link, error) {
+	l, err := w.Transport.Dial(from, to)
 	if err != nil {
 		return nil, err
 	}
-	return &dupLink{inner: l}, nil
+	return w.wrap(l), nil
 }
 
+// dupLink acts like the worst legal at-least-once wire: every frame is
+// shipped twice, and the first send of each new round re-ships the
+// link's previous frame — a retransmission surfacing after its round
+// already drained. The simulator's drain must filter both duplicate
+// kinds (same-round by frame coordinates, stale by round).
 type dupLink struct {
 	inner transport.Link
 	last  transport.Frame
@@ -228,7 +220,10 @@ func (l *dupLink) Send(f transport.Frame) error {
 			return err
 		}
 	}
+	// Keep a copy: the sender reuses f.Payload once Send returns.
+	payload := append(l.last.Payload[:0], f.Payload...)
 	l.last, l.has = f, true
+	l.last.Payload = payload
 	if err := l.inner.Send(f); err != nil {
 		return err
 	}
@@ -236,17 +231,41 @@ func (l *dupLink) Send(f transport.Frame) error {
 	return l.inner.Send(f)
 }
 
-// TestTransportDuplicateDelivery pins the receiver-side dedup: TCP
+// delayLink sleeps before sending about one frame in sixteen, for up
+// to a millisecond hashed from the frame's coordinates, as a slow
+// network would: a round's frames leave late and reach their
+// receivers in a different interleaving.
+type delayLink struct{ inner transport.Link }
+
+func (l delayLink) Send(f transport.Frame) error {
+	h := (uint64(f.Round)<<32 ^ uint64(f.From)<<16 ^ uint64(f.Port)) * 0x9e3779b97f4a7c15
+	if h>>60 == 0 {
+		time.Sleep(time.Duration(h>>50&1023) * time.Microsecond)
+	}
+	return l.inner.Send(f)
+}
+
+// TestTransportDuplicateDelivery pins the receiver-side drain against
+// misbehaving but legal wires: each must stay byte-identical to the
+// plain in-memory run. The dup wire checks the dedup — TCP
 // redial-and-resend can deliver a frame twice (a send error does not
-// prove loss), and the drain must not let a duplicate displace a real
-// frame or abort a later round as a stray. The delays mode adds a
-// delay/dup interceptor to produce Seq > 0 delayed-copy frames, so
-// their dedup key is exercised too; like the chaos cells of the main
-// sweep, that mode only demands byte-identical behavior (chaos may
-// legitimately break the algorithm, but it must break both runs
-// identically — before the dedup fix the dup wire aborted with
+// prove loss), and a duplicate must neither displace a real frame nor
+// abort a later round as a stray. The delay wire checks the canonical
+// deposit order under late, reordered arrivals. The delays mode adds
+// a delay/dup interceptor to produce Seq > 0 delayed-copy frames, so
+// their dedup key and order are exercised too; like the chaos cells
+// of the main sweep, that mode only demands byte-identical behavior
+// (chaos may legitimately break the algorithm, but it must break both
+// runs identically — before the dedup fix the dup wire aborted with
 // "drained stray frame" errors the plain run never produced).
 func TestTransportDuplicateDelivery(t *testing.T) {
+	wires := []struct {
+		name string
+		wrap func(transport.Link) transport.Link
+	}{
+		{"dup-wire", func(l transport.Link) transport.Link { return &dupLink{inner: l} }},
+		{"delay-wire", func(l transport.Link) transport.Link { return delayLink{inner: l} }},
+	}
 	for _, name := range []string{"mst/randomized", "mis"} {
 		p, err := problem.Lookup(name)
 		if err != nil {
@@ -271,44 +290,54 @@ func TestTransportDuplicateDelivery(t *testing.T) {
 					})
 				}
 				plain := run(nil)
-				dup := run(dupTransport{transport.NewTCP(transport.TCPConfig{})})
 				if !withDelays && plain.err != nil {
 					t.Fatalf("plain run failed: %v", plain.err)
 				}
-				diffTxCompare(t, "plain", "dup-wire", plain, dup)
+				for _, w := range wires {
+					diffTxCompare(t, "plain", w.name, plain, run(linkWrap{transport.NewTCP(transport.TCPConfig{}), w.wrap}))
+				}
 			})
 		}
 	}
 }
 
-// TestTransportFaultInjection runs MST over TCP with injected wire
-// drops and delays. The retry budget must mask every injected drop,
-// so the run still produces a correct MST — transport faults below
-// the model leave the sleeping-model semantics untouched.
-func TestTransportFaultInjection(t *testing.T) {
+// lossyLink swallows the frame shipped when *left reaches zero and
+// reports success, as a lossy network would.
+type lossyLink struct {
+	inner transport.Link
+	left  *int
+}
+
+func (l lossyLink) Send(f transport.Frame) error {
+	if *l.left--; *l.left == 0 {
+		return nil
+	}
+	return l.inner.Send(f)
+}
+
+// TestTransportLostFrameAborts drives a frame the wire swallows through
+// sim.Run: the receiver's round barrier waits out its receive deadline
+// and the run aborts with the timeout instead of computing on a
+// missing message, leaving no goroutine behind.
+func TestTransportLostFrameAborts(t *testing.T) {
 	p, err := problem.Lookup("mst/randomized")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.RandomConnected(32, 64, graph.GenConfig{Seed: 32})
-	tx := transport.WithFaults(transport.NewTCP(transport.TCPConfig{}), transport.FaultConfig{
-		Seed:      3,
-		DropProb:  0.05,
-		DelayProb: 0.05,
-		MaxDelay:  500 * time.Microsecond,
-		Retries:   8,
-	})
-	faulty := runTxCell(t, p, g, tx, false)
-	if faulty.err != nil {
-		t.Fatalf("faulty run failed: %v", faulty.err)
+	g := graph.RandomConnected(16, 32, graph.GenConfig{Seed: 16})
+	before := runtime.NumGoroutine()
+	left := 100 // the 100th frame shipped is swallowed
+	tx := linkWrap{transport.NewTCP(transport.TCPConfig{RecvTimeout: 100 * time.Millisecond}), func(l transport.Link) transport.Link {
+		return lossyLink{inner: l, left: &left}
+	}}
+	_, err = p.Run(g, core.Options{Seed: 1, Transport: tx})
+	tx.Close()
+	if !errors.Is(err, sim.ErrAborted) || !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("run over a lossy wire returned %v, want an abort wrapping %v", err, transport.ErrTimeout)
 	}
-	if err := p.Verify(g, faulty.result); err != nil {
-		t.Fatalf("faulty run produced incorrect output: %v", err)
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before the run, %d after", before, runtime.NumGoroutine())
+		}
 	}
-	s := tx.TransportStats()
-	if s.InjectedDrops == 0 && s.InjectedDelays == 0 {
-		t.Fatalf("fault injector idle: stats %+v", s)
-	}
-	clean := runTxCell(t, p, g, nil, false)
-	diffTxCompare(t, "clean", "faulty-tcp", clean, faulty)
 }

@@ -7,16 +7,15 @@ import (
 	"sleepmst/internal/transport"
 )
 
-// ArtifactSchema versions the per-request service artifact. It tracks
-// cmd/mstserve's one-shot artifact shape (the same RunSummary and
-// WireSummary) with the request correlation id added.
+// ArtifactSchema versions the certified-run artifact.
 const ArtifactSchema = 1
 
-// Artifact is the per-request JSON artifact carried in
-// Response.Artifact for every completed run (StatusOK or
-// StatusViolation): the conformance verdict, the sleeping-model run
-// summary, and — when the request ran over a metered wire backend —
-// the physical transport accounting.
+// Artifact is the JSON artifact of one certified run: carried in
+// Response.Artifact for every completed request (StatusOK or
+// StatusViolation), and written by cmd/mstserve's one-shot cell (ID
+// 0). It holds the conformance verdict, the sleeping-model run
+// summary, and — when the run went over the tcp wire — the physical
+// transport accounting.
 type Artifact struct {
 	Schema    int    `json:"schema"`
 	ID        int64  `json:"id"`
@@ -79,27 +78,23 @@ func NewRunSummary(r *problem.Result, verified bool) RunSummary {
 // WireSummary is the physical wire accounting of one request that ran
 // over the tcp backend.
 type WireSummary struct {
-	FramesSent     int64 `json:"frames_sent"`
-	FramesRecv     int64 `json:"frames_recv"`
-	WireBytes      int64 `json:"wire_bytes"`
-	Dials          int64 `json:"dials"`
-	Redials        int64 `json:"redials,omitempty"`
-	SendRetries    int64 `json:"send_retries,omitempty"`
-	InjectedDrops  int64 `json:"injected_drops,omitempty"`
-	InjectedDelays int64 `json:"injected_delays,omitempty"`
+	FramesSent  int64 `json:"frames_sent"`
+	FramesRecv  int64 `json:"frames_recv"`
+	WireBytes   int64 `json:"wire_bytes"`
+	Dials       int64 `json:"dials"`
+	Redials     int64 `json:"redials,omitempty"`
+	SendRetries int64 `json:"send_retries,omitempty"`
 }
 
-// NewWireSummary copies a metered backend's counters into the
+// NewWireSummary copies the tcp backend's counters into the
 // artifact's wire section.
 func NewWireSummary(w transport.Stats) WireSummary {
 	return WireSummary{
-		FramesSent:     w.FramesSent,
-		FramesRecv:     w.FramesRecv,
-		WireBytes:      w.WireBytes,
-		Dials:          w.Dials,
-		Redials:        w.Redials,
-		SendRetries:    w.SendRetries,
-		InjectedDrops:  w.InjectedDrops,
-		InjectedDelays: w.InjectedDelays,
+		FramesSent:  w.FramesSent,
+		FramesRecv:  w.FramesRecv,
+		WireBytes:   w.WireBytes,
+		Dials:       w.Dials,
+		Redials:     w.Redials,
+		SendRetries: w.SendRetries,
 	}
 }

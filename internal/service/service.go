@@ -249,25 +249,21 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
 			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted cap %d", req.Graph, g.M(), s.maxEdges())}, "")
 	}
-	var tx transport.Transport
-	if req.Transport == "tcp" {
-		tx = transport.NewTCP(transport.TCPConfig{})
-		defer tx.Close()
-	}
 	traceCap := req.TraceCap
 	if traceCap == 0 {
 		traceCap = DefaultTraceCap
 	}
-
-	rec := trace.NewRecorder(traceCap)
 	reg := metrics.New()
-	r, err := p.Run(g, core.Options{
-		Seed:      req.Seed,
-		Trace:     rec,
-		Metrics:   reg,
-		Transport: tx,
-		Cancel:    cancel,
-	})
+	opts := core.Options{Seed: req.Seed, Trace: trace.NewRecorder(traceCap), Metrics: reg, Cancel: cancel}
+	// A nil *TCP must stay out of opts.Transport: as a non-nil
+	// interface it would switch the wire on.
+	var tcp *transport.TCP
+	if req.Transport == "tcp" {
+		tcp = transport.NewTCP(transport.TCPConfig{})
+		defer tcp.Close()
+		opts.Transport = tcp
+	}
+	c, err := problem.Certify(p, g, opts)
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
@@ -275,16 +271,7 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		}
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
-
-	// Order the trace once: the verdict and the JSONL render share it.
-	meta, events := rec.Meta(), rec.Events()
-	verdict := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: req.Seed, Budget: p.Budget},
-		Meta:   meta,
-		Events: events,
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}.Verdict()
-	verify := p.Verify(g, r)
+	verify := p.Verify(g, c.Result)
 
 	a := Artifact{
 		Schema:    ArtifactSchema,
@@ -295,18 +282,18 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		M:         g.M(),
 		Seed:      req.Seed,
 		Transport: req.Transport,
-		Verdict:   verdict,
-		Run:       NewRunSummary(r, verify == nil),
+		Verdict:   c.Verdict,
+		Run:       NewRunSummary(c.Result, verify == nil),
 	}
-	if st, ok := tx.(transport.Statser); ok {
-		w := NewWireSummary(st.TransportStats())
+	if tcp != nil {
+		w := NewWireSummary(tcp.TransportStats())
 		a.Wire = &w
 	}
 
 	resp = Response{ID: req.ID, Status: StatusOK}
-	if !verdict.Pass || verify != nil {
+	if !c.Verdict.Pass || verify != nil {
 		resp.Status = StatusViolation
-		resp.Detail = violationDetail(verdict, verify)
+		resp.Detail = violationDetail(c.Verdict, verify)
 	}
 	data, err := json.Marshal(a)
 	if err != nil {
@@ -315,7 +302,7 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	}
 	resp.Artifact = data
 	if req.WantTrace {
-		resp.Trace = trace.AppendEventsJSONL(make([]byte, 0, trace.JSONLSize(meta, events)), meta, events)
+		resp.Trace = trace.AppendEventsJSONL(make([]byte, 0, trace.JSONLSize(c.Meta, c.Events)), c.Meta, c.Events)
 	}
 	// A response over the frame cap cannot be written, and the client
 	// would wait for it until its own deadline; reject it, as the

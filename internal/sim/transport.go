@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sleepmst/internal/transport"
 )
@@ -38,6 +39,7 @@ type txState struct {
 	pending []int
 	frames  []transport.Frame     // drain scratch
 	seen    map[frameKey]struct{} // per-drain dedup scratch
+	payload []byte                // encode scratch: Send keeps no payload
 }
 
 // frameKey identifies one routed copy within a (round, receiver)
@@ -69,10 +71,7 @@ func (rt *runtime) route(round, seq int64, from, fromPort, to, rev int, msg inte
 // ship encodes the payload and hands the frame to the backend.
 func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interface{}) (err error) {
 	defer transport.RecoverEncode(&err)
-	// Each frame owns its payload: backends hold the slice until the
-	// drain, so the encode buffer cannot be recycled across sends.
-	payload, err := transport.EncodeMessage(nil, msg)
-	if err != nil {
+	if s.payload, err = transport.EncodeMessage(s.payload[:0], msg); err != nil {
 		return err
 	}
 	key := int64(from)*int64(s.n) + int64(to)
@@ -87,7 +86,7 @@ func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interf
 		Round: round, Seq: seq,
 		From: int32(from), Port: int32(fromPort),
 		To: int32(to), Rev: int32(rev),
-		Payload: payload,
+		Payload: s.payload,
 	}
 	if err := link.Send(f); err != nil {
 		return err
@@ -106,7 +105,7 @@ func (rt *runtime) txDrain(round int64) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	sort.Ints(s.pending)
+	slices.Sort(s.pending)
 	if s.seen == nil {
 		s.seen = make(map[frameKey]struct{})
 	}
@@ -144,18 +143,20 @@ func (rt *runtime) txDrain(round int64) error {
 		// their FIFO sequence, then fresh sends by (sender, port) — the
 		// order the in-memory path deposits in, so a fresh message
 		// overwrites a stale same-port replay, not vice versa.
-		sort.Slice(s.frames, func(i, j int) bool {
-			a, b := s.frames[i], s.frames[j]
+		slices.SortFunc(s.frames, func(a, b transport.Frame) int {
 			if (a.Seq > 0) != (b.Seq > 0) {
-				return a.Seq > 0
+				if a.Seq > 0 {
+					return -1
+				}
+				return 1
 			}
 			if a.Seq > 0 {
-				return a.Seq < b.Seq
+				return cmp.Compare(a.Seq, b.Seq)
 			}
-			if a.From != b.From {
-				return a.From < b.From
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
 			}
-			return a.Port < b.Port
+			return cmp.Compare(a.Port, b.Port)
 		})
 		for _, f := range s.frames {
 			msg, err := transport.DecodePayload(f.Payload)

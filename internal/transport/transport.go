@@ -11,13 +11,6 @@
 // to a run without any transport, which is what proves codec fidelity
 // (the transport differential suite in internal/problem enforces it).
 //
-// WithFaults wraps any backend with transport-level fault injection —
-// the chaos drop/delay policies reinterpreted as wire faults: an
-// injected drop is a transient send failure masked by the link's
-// retry budget, an injected delay is real latency. With retries
-// enabled the sleeping-model semantics above the wire are unchanged,
-// which is exactly the claim the fault-injection tests certify.
-//
 // The division of labor with internal/sim: the simulator remains the
 // round scheduler and the model's source of truth — it decides which
 // receivers are awake (a frame to a sleeping radio is lost at the
@@ -63,7 +56,8 @@ type Frame struct {
 // duplicate a frame the receiver already has (the failure can surface
 // after the bytes arrived), so receivers must dedup by the frame's
 // routing coordinates (Round, Seq, From, Port) — the simulator's
-// round drain does.
+// round drain does. Send must not keep f.Payload after it returns:
+// the simulator encodes every frame into one reused buffer.
 type Link interface {
 	// Send transmits one frame.
 	Send(Frame) error
@@ -102,24 +96,13 @@ type Stats struct {
 	Dials, Redials int64
 	// SendRetries counts frame send attempts beyond the first.
 	SendRetries int64
-	// InjectedDrops and InjectedDelays count WithFaults perturbations.
-	InjectedDrops, InjectedDelays int64
-}
-
-// Statser is implemented by backends that meter wire traffic; the
-// callers that report wire cost (cmd/mstserve, the sim shim)
-// type-assert for it.
-type Statser interface {
-	// TransportStats returns a snapshot of the wire accounting.
-	TransportStats() Stats
 }
 
 // Typed failure causes, wrapped into returned errors so callers can
 // classify with errors.Is.
 var (
 	// ErrTimeout: a Recv passed the backend's receive deadline — in a
-	// synchronous round this means an expected frame never arrived
-	// (e.g. a fault-injected drop outlived the retry budget).
+	// synchronous round this means an expected frame never arrived.
 	ErrTimeout = errors.New("transport: receive deadline exceeded")
 	// ErrClosed: the backend was closed.
 	ErrClosed = errors.New("transport: closed")

@@ -117,18 +117,11 @@ func TestScaleConformStrict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := trace.NewRecorder(0)
-			r, err := p.Run(g, core.Options{Seed: 1, Trace: rec})
+			c, err := problem.Certify(p, g, core.Options{Seed: 1, Trace: trace.NewRecorder(0)})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			suite := conform.Suite{
-				Info:   conform.RunInfo{Algorithm: p.Name(), N: n, Seed: 1, Budget: p.Budget},
-				Meta:   rec.Meta(),
-				Events: rec.Events(),
-				Extra:  []conform.Check{p.ConformCheck(g, r)},
-			}
-			v := suite.Verdict()
+			v := c.Verdict
 			if !v.Pass {
 				var buf bytes.Buffer
 				if werr := v.WriteJSON(&buf); werr == nil {

@@ -438,19 +438,6 @@ func ModelCheck(cfg ModelCheckConfig) (*ModelCheckVerdict, error) {
 // the in-memory run. See internal/transport.
 type Transport = transport.Transport
 
-// TransportStats is the physical wire accounting of one run: frames,
-// bytes, dials, retries, injected faults.
-type TransportStats = transport.Stats
-
-// TransportStatsOf extracts the wire accounting from a backend, ok =
-// false when the backend does not meter traffic.
-func TransportStatsOf(tx Transport) (TransportStats, bool) {
-	if st, ok := tx.(transport.Statser); ok {
-		return st.TransportStats(), true
-	}
-	return TransportStats{}, false
-}
-
 // ParseTransport converts a CLI transport name into a fresh backend:
 // "" or "none" mean in-memory delivery (nil Transport), "tcp" real
 // loopback sockets.
