@@ -6,12 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"sleepmst/internal/chaos"
+	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
@@ -82,22 +84,40 @@ func digestFaults() *chaos.Policy {
 
 // digestCell runs one cell and reduces it to its digests; it also
 // returns the run's message count so the chaos cell can calibrate.
+// The trace digest pins a default-capacity recorder, which drops the
+// oldest events of a large run; the verdict is Certify's, checked as
+// the run goes. Beside it, an unbounded recorder is the oracle of the
+// streamed path: Certify's JSONL render equals the recorder's ordered
+// events rendered, and its verdict equals CheckTrace over them.
 func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Policy) (cellDigest, int64) {
 	t.Helper()
 	reg := metrics.New()
-	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: trace.NewRecorder(0), Metrics: reg}
+	rec, full := trace.NewRecorder(0), trace.NewRecorder(math.MaxInt32)
+	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: trace.Tee(rec, full), Metrics: reg}
 	if itc != nil {
 		opts.Interceptor = itc
 	}
-	c, err := problem.Certify(p, g, opts)
+	jsonl := trace.NewJSONL(math.MaxInt64, math.MaxInt)
+	c, err := problem.Certify(p, g, opts, jsonl)
 	r := c.Result
 
-	var tr, vj bytes.Buffer
-	if werr := trace.WriteEventsJSONL(&tr, c.Meta, c.Events); werr != nil {
+	var tr, vj, want bytes.Buffer
+	if werr := rec.WriteJSONL(&tr); werr != nil {
 		t.Fatalf("%s: write trace: %v", p.Name(), werr)
 	}
 	if werr := c.Verdict.WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
+	}
+	meta, events := full.Meta(), full.Events()
+	if !bytes.Equal(jsonl.Bytes(), trace.AppendEventsJSONL(nil, meta, events)) || c.Meta != meta {
+		t.Errorf("streamed trace (%+v) differs from the unbounded recorder's (%+v)", c.Meta, meta)
+	}
+	v := conform.CheckTrace(meta, events, conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: 1, Budget: p.Budget})
+	if err == nil {
+		v.Append(p.ConformCheck(g, r))
+	}
+	if werr := v.WriteJSON(&want); werr != nil || !bytes.Equal(vj.Bytes(), want.Bytes()) {
+		t.Errorf("streamed verdict differs from CheckTrace over the unbounded trace:\n%s\nwant:\n%s", c.Verdict, v)
 	}
 	var msgs int64
 	res := []byte("null")

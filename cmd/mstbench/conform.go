@@ -13,11 +13,6 @@ import (
 	"sleepmst/internal/trace"
 )
 
-// conformRecorderCap is the default recorder capacity for -exp
-// conform fresh runs: large enough that an n=512 run drops nothing
-// (drops would skip most of the invariant catalog).
-const conformRecorderCap = 1 << 21
-
 // verdictArtifact is the -conform-out JSON shape: a schema stamp plus
 // one verdict per checked run.
 type verdictArtifact struct {
@@ -41,16 +36,13 @@ func flagWasSet(name string) bool {
 // existing JSONL stream (algoHint names its problem — a qualified name
 // like mis or mst/randomized, or a bare MST alias — so its awake
 // envelope can be checked); otherwise it runs every listed problem at
-// the largest -sizes value with the recorder on and checks each fresh
-// trace, appending the problem's correctness oracle (MST-weight
-// agreement against Kruskal, or MIS validity). Unknown problem names
-// are rejected with the list of valid choices. Verdicts are printed,
-// optionally written to outPath as JSON, and any failed invariant
-// makes the exit status non-zero.
-func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, traceCap int) int {
-	if traceCap <= 0 {
-		traceCap = conformRecorderCap
-	}
+// the largest -sizes value and checks each fresh trace as the run goes
+// (problem.Certify), appending the problem's correctness oracle
+// (MST-weight agreement against Kruskal, or MIS validity). Unknown
+// problem names are rejected with the list of valid choices. Verdicts
+// are printed, optionally written to outPath as JSON, and any failed
+// invariant makes the exit status non-zero.
+func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string) int {
 	var verdicts []*conform.Verdict
 	if traceIn != "" {
 		info := conform.RunInfo{Algorithm: algoHint}
@@ -100,7 +92,7 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 				fmt.Fprintln(os.Stderr, "mstbench:", err)
 				return 1
 			}
-			c, err := problem.Certify(p, g, sleepmst.Options{Seed: 1, Trace: sleepmst.NewTraceRecorder(traceCap), Transport: tx})
+			c, err := problem.Certify(p, g, sleepmst.Options{Seed: 1, Transport: tx}, nil)
 			if tx != nil {
 				tx.Close()
 			}

@@ -15,7 +15,7 @@ import (
 func TestConformCommandFreshRuns(t *testing.T) {
 	h := &harness{ns: []int{32}, seeds: 1, deg: 3}
 	out := filepath.Join(t.TempDir(), "verdict.json")
-	if code := h.conformCommand("randomized,deterministic,logstar", "", "", out, 0); code != 0 {
+	if code := h.conformCommand("randomized,deterministic,logstar", "", "", out); code != 0 {
 		t.Fatalf("conformCommand exit %d", code)
 	}
 	data, err := os.ReadFile(out)
@@ -46,7 +46,7 @@ func TestConformCommandTraceIn(t *testing.T) {
 		t.Fatalf("traceCommand exit %d", code)
 	}
 	out := filepath.Join(dir, "verdict.json")
-	if code := h.conformCommand("", tracePath, "randomized", out, 0); code != 0 {
+	if code := h.conformCommand("", tracePath, "randomized", out); code != 0 {
 		t.Fatalf("conformCommand -trace-in exit %d", code)
 	}
 	data, err := os.ReadFile(out)
@@ -71,7 +71,7 @@ func TestConformCommandTraceIn(t *testing.T) {
 		t.Fatalf("trace-in verdict: pass=%v budget-ran=%v", v.Pass, budget)
 	}
 	// Without the hint the budget check is skipped, not failed.
-	if code := h.conformCommand("", tracePath, "", "", 0); code != 0 {
+	if code := h.conformCommand("", tracePath, "", ""); code != 0 {
 		t.Fatalf("hint-less conformCommand exit %d", code)
 	}
 }
@@ -80,10 +80,10 @@ func TestConformCommandTraceIn(t *testing.T) {
 // algorithm names and unreadable trace files.
 func TestConformCommandRejectsBadInput(t *testing.T) {
 	h := &harness{ns: []int{16}, seeds: 1, deg: 3}
-	if code := h.conformCommand("no-such-algo", "", "", "", 0); code == 0 {
+	if code := h.conformCommand("no-such-algo", "", "", ""); code == 0 {
 		t.Error("unknown algorithm accepted")
 	}
-	if code := h.conformCommand("", filepath.Join(t.TempDir(), "missing.jsonl"), "", "", 0); code == 0 {
+	if code := h.conformCommand("", filepath.Join(t.TempDir(), "missing.jsonl"), "", ""); code == 0 {
 		t.Error("missing trace file accepted")
 	}
 }

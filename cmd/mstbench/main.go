@@ -167,7 +167,7 @@ func main() {
 		if !flagWasSet("trace-algos") {
 			algos = "randomized,deterministic,logstar,mis"
 		}
-		exit(h.conformCommand(algos, *traceIn, *conformAlgo, *conformOut, *traceCap))
+		exit(h.conformCommand(algos, *traceIn, *conformAlgo, *conformOut))
 	}
 	if *exp == "trace" || *traceIn != "" {
 		exit(h.traceCommand(*traceAlgos, *traceIn, *traceOut, *traceCap))

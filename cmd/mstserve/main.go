@@ -66,7 +66,7 @@ func main() {
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
 		outPath   = flag.String("out", "", "write the JSON artifact to this file ('-' = stdout; default stdout)")
 		traceOut  = flag.String("trace-out", "", "also write the structured JSONL event trace to this file")
-		traceCap  = flag.Int("trace-cap", 1<<21, "trace-recorder event capacity")
+		traceCap  = flag.Int("trace-cap", 1<<21, "trace-recorder event capacity for -trace-out")
 
 		serveAddr  = flag.String("serve", "", "persistent daemon mode: listen address for the service wire protocol (e.g. 127.0.0.1:7600)")
 		workers    = flag.Int("workers", 0, "daemon worker-pool size (0 = GOMAXPROCS; 1 serializes requests)")
@@ -167,7 +167,13 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	}
 	tcp := transport.NewTCP(transport.TCPConfig{})
 	defer tcp.Close()
-	c, err := problem.Certify(p, g, core.Options{Seed: seed, Trace: trace.NewRecorder(traceCap), Transport: tcp})
+	opts := core.Options{Seed: seed, Transport: tcp}
+	var rec *trace.Recorder
+	if traceOut != "" {
+		rec = trace.NewRecorder(traceCap)
+		opts.Trace = rec
+	}
+	c, err := problem.Certify(p, g, opts, nil)
 	if err != nil {
 		return fmt.Errorf("run failed: %w", err)
 	}
@@ -190,7 +196,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteEventsJSONL(f, c.Meta, c.Events); err != nil {
+		if err := rec.WriteJSONL(f); err != nil {
 			f.Close()
 			return err
 		}

@@ -1,10 +1,12 @@
 // Package conform is a trace-replay invariant checker for the
-// sleeping-model simulator: it consumes a structured event trace (a
-// trace.Recorder's events or a stream parsed by trace.ReadJSONL) and
-// verifies the paper's guarantees held on that run — per-node awake
-// budgets within the Table 1 envelopes, exact attribution of awake
-// rounds to phase steps, single-hop tails-into-heads merge waves,
-// degree-≤4 supergraph sparsification, and message causality. The
+// sleeping-model simulator: it folds a structured event trace in
+// canonical order, one round at a time — the rounds a trace.Orderer
+// releases while the run goes (Fold), or a finished slice from a
+// trace.Recorder or trace.ReadJSONL (CheckTrace) — and verifies the
+// paper's guarantees held on that run: per-node awake budgets within
+// the Table 1 envelopes, exact attribution of awake rounds to phase
+// steps, single-hop tails-into-heads merge waves, degree-≤4 supergraph
+// sparsification, and message causality. The
 // result is a Verdict: one pass/fail/skip entry per invariant, with a
 // machine-readable JSON form consumed by `mstbench -exp conform` and a
 // Suite helper for asserting the catalog inside tests.
@@ -19,9 +21,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"sleepmst/internal/trace"
@@ -214,33 +216,311 @@ func MISCheck(notIndependent, notMaximal int64) Check {
 	return Check{Name: CheckMISValid, Status: StatusPass}
 }
 
-// fold is the single-pass aggregation of a trace the checks run over.
-type fold struct {
-	n int
+// Fold is the invariant catalog as a streaming fold: it takes a trace
+// one round at a time, in canonical order, and keeps per-node tallies
+// and fragment labels, per-phase fragment sets and one round's scratch
+// — O(n · phases) state, never the events. Inside a round, only the
+// order of one node's events of one kind matters, and beyond that only
+// which event a violation's detail names. problem.Certify feeds it the
+// rounds a trace.Orderer releases while the run goes; CheckTrace feeds
+// it a finished slice.
+type Fold struct {
+	info RunInfo
 
-	awakeCharged []int64 // KindAwake events per node
-	stepSum      []int64 // KindStep Aux per node
-	crashed      []bool
-	anyCrash     bool
+	wf        Check // trace-wellformed, counted as events arrive
+	events    int   // events folded: the next event's stream index
+	prevRound int64
+	rounds    int64 // rounds folded: deliver-awake's stamp
 
-	phases    []int32                   // distinct phases, ascending
+	nodes     []nodeFold
 	phaseFrag map[int32]map[int32]int64 // phase -> node -> entry fragment
-	nodeFrag  [][]trace.Event           // per node: phase + merge events, stream order
-	nbrs      []trace.Event
+	merges    map[int32]map[int64]uint8 // phase -> fragment -> mergeSource|mergeTarget
+	walk      walkNotes
 	haveSteps bool
+	sparsify  Check
+	nbrs      int64
+	causality Check
+	firstSend map[pairKey]int64 // relaxed causality: a pair's first send round
+	keys      []uint64          // strict causality: one round's pair keys
+	awake     Check             // deliver-awake
+}
+
+// nodeFold is one node's share of the fold.
+type nodeFold struct {
+	awake   int64 // KindAwake events
+	steps   int64 // KindStep awake deltas
+	frag    int64 // the label set by the node's last phase or merge event
+	awakeIn int64 // the fold's round count when the node was last awake
+	phase   int32 // the phase the node last entered (0 = none yet)
+	crashed bool
+	known   bool // frag is set
+	merged  bool // the node merged in its current phase
+}
+
+// Merge roles of a fragment within one phase.
+const (
+	mergeSource uint8 = 1 << iota
+	mergeTarget
+)
+
+// walkNotes counts the fragment walk's violations and keeps the
+// detail of the lowest node's first one: the walk visits each node's
+// label events in logical order, and the catalog reports nodes in
+// index order.
+type walkNotes struct {
+	violations int64
+	node       int32
+	detail     string
+}
+
+func (w *walkNotes) note(node int32, format string, args ...interface{}) {
+	w.violations++
+	if w.detail == "" || node < w.node {
+		w.node, w.detail = node, fmt.Sprintf(format, args...)
+	}
+}
+
+// NewFold returns an empty fold for a run on info.N nodes.
+func NewFold(info RunInfo) *Fold {
+	f := &Fold{
+		info:      info,
+		prevRound: -1,
+		wf:        Check{Name: CheckWellFormed, Status: StatusPass},
+		sparsify:  Check{Name: CheckSparsifyDegree, Status: StatusPass},
+		causality: Check{Name: CheckCausality, Status: StatusPass},
+		awake:     Check{Name: CheckDeliverAwake, Status: StatusPass},
+	}
+	if info.N <= 0 {
+		f.wf = fail(f.wf, fmt.Sprintf("non-positive node count %d", info.N))
+		return f
+	}
+	f.nodes = make([]nodeFold, info.N)
+	f.phaseFrag = map[int32]map[int32]int64{}
+	f.merges = map[int32]map[int64]uint8{}
+	if info.Relaxed {
+		f.firstSend = map[pairKey]int64{}
+	}
+	return f
 }
 
 // CheckTrace runs the invariant catalog over one trace and returns the
 // verdict. meta and events come from trace.ReadJSONL or from a live
-// Recorder (Meta()/Events()); info supplies the run context.
+// Recorder (Meta()/Events()); info supplies the run context, and a
+// zero info.N takes the node count from meta. It is the streaming
+// Fold fed the slice one equal-round run at a time.
 func CheckTrace(meta trace.Meta, events []trace.Event, info RunInfo) *Verdict {
-	n := info.N
-	if n == 0 {
-		n = meta.N
+	if info.N == 0 {
+		info.N = meta.N
 	}
-	v := &Verdict{Schema: VerdictSchema, Algo: info.Algorithm, N: n, Seed: info.Seed, Relaxed: info.Relaxed, Pass: true}
+	f := NewFold(info)
+	for lo := 0; lo < len(events); {
+		hi := lo + 1
+		for hi < len(events) && events[hi].Round == events[lo].Round {
+			hi++
+		}
+		f.Round(events[lo:hi])
+		lo = hi
+	}
+	return f.Verdict(meta)
+}
 
-	wf := checkWellFormed(meta, events, n)
+// Round folds the events of one round. Once an event is malformed,
+// only trace-wellformed keeps counting: every other check is skipped.
+func (f *Fold) Round(events []trace.Event) {
+	if f.nodes == nil {
+		return // non-positive node count: already failed
+	}
+	base := f.events
+	for i := range events {
+		f.wellFormed(base+i, &events[i])
+	}
+	f.events += len(events)
+	if f.wf.Violations > 0 {
+		return
+	}
+	f.rounds++
+	f.keys = f.keys[:0]
+	// Tallies, awake stamps, sends, and merges: a node's merges at this
+	// round close its previous phase, so they precede its phase entries
+	// at the same round, which the canonical order ranks first.
+	for i := range events {
+		ev := &events[i]
+		nd := &f.nodes[ev.Node]
+		switch ev.Kind {
+		case trace.KindAwake:
+			nd.awake++
+			nd.awakeIn = f.rounds
+		case trace.KindStep:
+			nd.steps += ev.Aux
+			f.haveSteps = true
+		case trace.KindCrash:
+			nd.crashed = true
+		case trace.KindMerge:
+			f.merge(nd, ev)
+		case trace.KindNbrs:
+			f.nbrs++
+			if ev.Aux > SupergraphDegreeBound {
+				f.sparsify.Violations++
+				if f.sparsify.Detail == "" {
+					f.sparsify.Detail = fmt.Sprintf("node %d reports supergraph degree %d > %d (phase %d)", ev.Node, ev.Aux, SupergraphDegreeBound, ev.Phase)
+				}
+			}
+		case trace.KindSend:
+			if f.firstSend == nil {
+				f.keys = append(f.keys, pairBits(ev.Node, ev.Peer))
+			} else if _, seen := f.firstSend[pairKey{ev.Node, ev.Peer}]; !seen {
+				f.firstSend[pairKey{ev.Node, ev.Peer}] = ev.Round
+			}
+		case trace.KindDeliver:
+			if f.firstSend == nil {
+				f.keys = append(f.keys, pairBits(ev.Peer, ev.Node)|1)
+			}
+		}
+	}
+	// Phase entries, and deliveries against the round's awake stamps
+	// and (relaxed) every send so far.
+	for i := range events {
+		ev := &events[i]
+		nd := &f.nodes[ev.Node]
+		switch ev.Kind {
+		case trace.KindPhase:
+			f.enterPhase(nd, ev)
+		case trace.KindDeliver:
+			if nd.awakeIn != f.rounds {
+				f.awake.Violations++
+				if f.awake.Detail == "" {
+					f.awake.Detail = fmt.Sprintf("node %d received from %d in round %d while asleep", ev.Node, ev.Peer, ev.Round)
+				}
+			}
+			if f.firstSend == nil {
+				continue
+			}
+			if sent, ok := f.firstSend[pairKey{ev.Peer, ev.Node}]; !ok || sent > ev.Round {
+				f.causality.Violations++
+				if f.causality.Detail == "" {
+					// The event index localises the violation in the
+					// canonical stream (tracediff's coordinate system).
+					f.causality.Detail = fmt.Sprintf("event %d: deliver %d->%d at round %d precedes every send",
+						base+i, ev.Peer, ev.Node, ev.Round)
+				}
+			}
+		}
+	}
+	if f.firstSend == nil && len(events) > 0 {
+		f.strictCausality(events[0].Round)
+	}
+}
+
+// wellFormed checks one event's coordinates and its place in the
+// round order.
+func (f *Fold) wellFormed(i int, ev *trace.Event) {
+	n := len(f.nodes)
+	bad := ""
+	switch {
+	case ev.Kind > trace.KindNbrs:
+		bad = fmt.Sprintf("unknown kind %d", ev.Kind)
+	case ev.Round < 0:
+		bad = fmt.Sprintf("negative round %d", ev.Round)
+	case ev.Node < 0 || int(ev.Node) >= n:
+		bad = fmt.Sprintf("node %d outside [0,%d)", ev.Node, n)
+	case (ev.Kind == trace.KindPhase || ev.Kind == trace.KindStep || ev.Kind == trace.KindNbrs) && ev.Phase < 1:
+		bad = fmt.Sprintf("non-positive phase %d", ev.Phase)
+	case ev.Kind == trace.KindStep && int(ev.Step) > len(trace.Steps):
+		bad = fmt.Sprintf("unknown step %d", ev.Step)
+	case (ev.Kind == trace.KindStep || ev.Kind == trace.KindNbrs) && ev.Aux < 0:
+		bad = fmt.Sprintf("negative aux %d", ev.Aux)
+	case (ev.Kind == trace.KindSend || ev.Kind == trace.KindDeliver || ev.Kind == trace.KindLost) &&
+		(ev.Peer < 0 || int(ev.Peer) >= n || ev.Port < 0):
+		bad = fmt.Sprintf("peer %d / port %d out of range", ev.Peer, ev.Port)
+	case ev.Round < f.prevRound:
+		bad = fmt.Sprintf("round %d after round %d breaks canonical order", ev.Round, f.prevRound)
+	}
+	if bad != "" {
+		f.wf.Violations++
+		if f.wf.Detail == "" {
+			f.wf.Detail = fmt.Sprintf("event %d (%s): %s", i, ev, bad)
+		}
+	}
+	f.prevRound = ev.Round
+}
+
+// merge walks one merge event: at most one per node per phase, never
+// a self-merge, and from the label the node holds. The merge counts
+// for the phase the node is still in.
+func (f *Fold) merge(nd *nodeFold, ev *trace.Event) {
+	if nd.merged {
+		f.walk.note(ev.Node, "node %d merges twice in phase %d", ev.Node, nd.phase)
+	}
+	nd.merged = true
+	if ev.Prev == ev.Frag {
+		f.walk.note(ev.Node, "node %d: self-merge of fragment %d in phase %d", ev.Node, ev.Frag, nd.phase)
+	}
+	if nd.known && nd.frag != ev.Prev {
+		f.walk.note(ev.Node, "node %d merges from fragment %d but was in %d (phase %d)", ev.Node, ev.Prev, nd.frag, nd.phase)
+	}
+	nd.frag, nd.known = ev.Frag, true
+	roles := f.merges[nd.phase]
+	if roles == nil {
+		roles = map[int64]uint8{}
+		f.merges[nd.phase] = roles
+	}
+	roles[ev.Prev] |= mergeSource
+	roles[ev.Frag] |= mergeTarget
+}
+
+// enterPhase walks one phase entry, which must carry the label the
+// node already holds, and records the node's entry fragment.
+func (f *Fold) enterPhase(nd *nodeFold, ev *trace.Event) {
+	if nd.known && nd.frag != ev.Frag {
+		f.walk.note(ev.Node, "node %d enters phase %d as fragment %d, was %d", ev.Node, ev.Phase, ev.Frag, nd.frag)
+	}
+	nd.phase, nd.frag, nd.known, nd.merged = ev.Phase, ev.Frag, true, false
+	entry := f.phaseFrag[ev.Phase]
+	if entry == nil {
+		entry = map[int32]int64{}
+		f.phaseFrag[ev.Phase] = entry
+	}
+	entry[ev.Node] = ev.Frag
+}
+
+// strictCausality checks one round's pair keys: sorted, each (from,
+// to) pair's sends and deliveries form one run, so a pair with more
+// deliveries than sends is found in (from, to) order whatever the
+// order of the events inside the round.
+func (f *Fold) strictCausality(round int64) {
+	keys := f.keys
+	slices.Sort(keys)
+	for i := 0; i < len(keys); {
+		pair := keys[i] >> 1
+		var sends, delivers int64
+		for ; i < len(keys) && keys[i]>>1 == pair; i++ {
+			if keys[i]&1 == 0 {
+				sends++
+			} else {
+				delivers++
+			}
+		}
+		if delivers <= sends {
+			continue
+		}
+		f.causality.Violations += delivers - sends
+		if f.causality.Detail == "" {
+			f.causality.Detail = fmt.Sprintf("round %d: %d deliveries %d->%d but %d sends",
+				round, delivers, pair>>32, pair&math.MaxUint32, sends)
+		}
+	}
+}
+
+// Verdict closes the fold: the catalog over everything folded, for the
+// trace described by meta. Checks that need the whole trace skip when
+// meta counts dropped events.
+func (f *Fold) Verdict(meta trace.Meta) *Verdict {
+	info := f.info
+	v := &Verdict{Schema: VerdictSchema, Algo: info.Algorithm, N: info.N, Seed: info.Seed, Relaxed: info.Relaxed, Pass: true}
+	wf := f.wf
+	if wf.Violations > 0 {
+		wf.Status = StatusFail
+	}
 	v.Append(wf)
 	if wf.Status == StatusFail {
 		for _, name := range []string{CheckAwakeBudget, CheckAwakeAttribution, CheckMergeConsistency,
@@ -249,113 +529,39 @@ func CheckTrace(meta trace.Meta, events []trace.Event, info RunInfo) *Verdict {
 		}
 		return v
 	}
-
-	f := foldEvents(n, events)
-	h := walkFragments(f)
-	v.Append(checkAwakeBudget(f, info, n))
-	v.Append(checkAwakeAttribution(f, meta, info))
-	consistency, direction := checkMerges(h, meta)
+	dropped := ""
+	if meta.Dropped > 0 {
+		dropped = fmt.Sprintf("%d events dropped from the trace", meta.Dropped)
+	}
+	v.Append(f.awakeBudget())
+	v.Append(f.attribution(dropped))
+	consistency, direction := f.mergeChecks(dropped)
 	v.Append(consistency)
 	v.Append(direction)
-	v.Append(checkFragmentDecay(f, h, meta))
-	v.Append(checkSparsifyDegree(f))
-	v.Append(checkCausality(events, meta, info))
-	v.Append(checkDeliverAwake(events, n, meta))
+	v.Append(f.fragmentDecay(dropped))
+	v.Append(f.sparsifyDegree())
+	for _, c := range []Check{f.causality, f.awake} {
+		if dropped != "" {
+			c = skip(Check{Name: c.Name}, dropped)
+		} else if c.Violations > 0 {
+			c.Status = StatusFail
+		}
+		v.Append(c)
+	}
 	return v
 }
 
-// checkWellFormed validates event coordinates and canonical round
-// ordering; every other check assumes it passed.
-func checkWellFormed(meta trace.Meta, events []trace.Event, n int) Check {
-	c := Check{Name: CheckWellFormed, Status: StatusPass}
-	if n <= 0 {
-		return fail(c, fmt.Sprintf("non-positive node count %d", n))
-	}
-	prevRound := int64(-1)
-	for i, ev := range events {
-		bad := ""
-		switch {
-		case ev.Kind > trace.KindNbrs:
-			bad = fmt.Sprintf("unknown kind %d", ev.Kind)
-		case ev.Round < 0:
-			bad = fmt.Sprintf("negative round %d", ev.Round)
-		case ev.Node < 0 || int(ev.Node) >= n:
-			bad = fmt.Sprintf("node %d outside [0,%d)", ev.Node, n)
-		case (ev.Kind == trace.KindPhase || ev.Kind == trace.KindStep || ev.Kind == trace.KindNbrs) && ev.Phase < 1:
-			bad = fmt.Sprintf("non-positive phase %d", ev.Phase)
-		case ev.Kind == trace.KindStep && int(ev.Step) > len(trace.Steps):
-			bad = fmt.Sprintf("unknown step %d", ev.Step)
-		case (ev.Kind == trace.KindStep || ev.Kind == trace.KindNbrs) && ev.Aux < 0:
-			bad = fmt.Sprintf("negative aux %d", ev.Aux)
-		case (ev.Kind == trace.KindSend || ev.Kind == trace.KindDeliver || ev.Kind == trace.KindLost) &&
-			(ev.Peer < 0 || int(ev.Peer) >= n || ev.Port < 0):
-			bad = fmt.Sprintf("peer %d / port %d out of range", ev.Peer, ev.Port)
-		case ev.Round < prevRound:
-			bad = fmt.Sprintf("round %d after round %d breaks canonical order", ev.Round, prevRound)
-		}
-		if bad != "" {
-			c.Violations++
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("event %d (%s): %s", i, ev, bad)
-			}
-		}
-		prevRound = ev.Round
-	}
-	if c.Violations > 0 {
-		c.Status = StatusFail
-	}
-	return c
-}
-
-// foldEvents aggregates the stream into the per-check indexes.
-func foldEvents(n int, events []trace.Event) *fold {
-	f := &fold{
-		n:            n,
-		awakeCharged: make([]int64, n),
-		stepSum:      make([]int64, n),
-		crashed:      make([]bool, n),
-		phaseFrag:    map[int32]map[int32]int64{},
-		nodeFrag:     make([][]trace.Event, n),
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case trace.KindAwake:
-			f.awakeCharged[ev.Node]++
-		case trace.KindStep:
-			f.stepSum[ev.Node] += ev.Aux
-			f.haveSteps = true
-		case trace.KindCrash:
-			f.crashed[ev.Node] = true
-			f.anyCrash = true
-		case trace.KindPhase:
-			m, ok := f.phaseFrag[ev.Phase]
-			if !ok {
-				m = map[int32]int64{}
-				f.phaseFrag[ev.Phase] = m
-				f.phases = append(f.phases, ev.Phase)
-			}
-			m[ev.Node] = ev.Frag
-			f.nodeFrag[ev.Node] = append(f.nodeFrag[ev.Node], ev)
-		case trace.KindMerge:
-			f.nodeFrag[ev.Node] = append(f.nodeFrag[ev.Node], ev)
-		case trace.KindNbrs:
-			f.nbrs = append(f.nbrs, ev)
-		}
-	}
-	sort.Slice(f.phases, func(i, j int) bool { return f.phases[i] < f.phases[j] })
-	return f
-}
-
-// checkAwakeBudget compares each node's awake rounds against the
+// awakeBudget compares each node's awake rounds against the
 // algorithm's Table 1 envelope.
-func checkAwakeBudget(f *fold, info RunInfo, n int) Check {
+func (f *Fold) awakeBudget() Check {
 	c := Check{Name: CheckAwakeBudget, Status: StatusPass}
+	info := f.info
 	var budget int64
 	var ok bool
 	if info.Budget != nil {
-		budget, ok = info.Budget(n)
+		budget, ok = info.Budget(info.N)
 	} else {
-		budget, ok = AwakeBudget(info.Algorithm, n)
+		budget, ok = AwakeBudget(info.Algorithm, info.N)
 	}
 	if !ok {
 		return skip(c, fmt.Sprintf("no awake envelope for algorithm %q", info.Algorithm))
@@ -365,12 +571,9 @@ func checkAwakeBudget(f *fold, info RunInfo, n int) Check {
 		slack = 1
 	}
 	limit := int64(float64(budget) * slack)
-	for node := 0; node < f.n; node++ {
-		awake := f.awakeCharged[node]
-		if f.stepSum[node] > awake {
-			awake = f.stepSum[node] // ring overflow can undercount charges
-		}
-		if awake > limit {
+	for node, nd := range f.nodes {
+		// A trace with dropped events can undercount the charges.
+		if awake := max(nd.awake, nd.steps); awake > limit {
 			c.Violations++
 			if c.Detail == "" {
 				c.Detail = fmt.Sprintf("node %d awake %d > budget %d (=%d×%.2g slack)", node, awake, limit, budget, slack)
@@ -385,25 +588,22 @@ func checkAwakeBudget(f *fold, info RunInfo, n int) Check {
 	return c
 }
 
-// checkAwakeAttribution verifies the attributed==charged identity: per
-// node, the step-attributed awake rounds equal the scheduler-charged
-// awake events. Crashed nodes die mid-step, so they are excluded.
-func checkAwakeAttribution(f *fold, meta trace.Meta, info RunInfo) Check {
+// attribution verifies the attributed==charged identity: per node, the
+// step-attributed awake rounds equal the scheduler-charged awake
+// events. Crashed nodes die mid-step, so they are excluded.
+func (f *Fold) attribution(dropped string) Check {
 	c := Check{Name: CheckAwakeAttribution, Status: StatusPass}
-	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
+	if dropped != "" {
+		return skip(c, dropped)
 	}
 	if !f.haveSteps {
 		return skip(c, "trace has no step events")
 	}
-	for node := 0; node < f.n; node++ {
-		if f.crashed[node] {
-			continue
-		}
-		if f.stepSum[node] != f.awakeCharged[node] {
+	for node, nd := range f.nodes {
+		if !nd.crashed && nd.steps != nd.awake {
 			c.Violations++
 			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("node %d: %d attributed != %d charged", node, f.stepSum[node], f.awakeCharged[node])
+				c.Detail = fmt.Sprintf("node %d: %d attributed != %d charged", node, nd.steps, nd.awake)
 			}
 		}
 	}
@@ -413,109 +613,31 @@ func checkAwakeAttribution(f *fold, meta trace.Meta, info RunInfo) Check {
 	return c
 }
 
-// fragHistory is the result of replaying every node's fragment-label
-// events in logical emission order.
-type fragHistory struct {
-	mergesByPhase map[int32][]trace.Event
-	finalFrag     map[int32]int64
-	violations    int64
-	firstDetail   string
-}
-
-// walkFragments replays phase-entry and merge events per node. The
-// canonical trace order sorts a phase's closing merge AFTER the next
-// phase's entry event (both are stamped with the same wake round, and
-// KindPhase ranks below KindMerge), so the walk restores the logical
-// order — merges before phase entries at equal rounds — then checks
-// label continuity and attributes each merge to the phase the node was
-// still in.
-func walkFragments(f *fold) *fragHistory {
-	h := &fragHistory{mergesByPhase: map[int32][]trace.Event{}, finalFrag: make(map[int32]int64, f.n)}
-	note := func(format string, args ...interface{}) {
-		h.violations++
-		if h.firstDetail == "" {
-			h.firstDetail = fmt.Sprintf(format, args...)
-		}
-	}
-	for node := range f.nodeFrag {
-		evs := append([]trace.Event(nil), f.nodeFrag[node]...)
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].Round != evs[j].Round {
-				return evs[i].Round < evs[j].Round
-			}
-			return evs[i].Kind == trace.KindMerge && evs[j].Kind == trace.KindPhase
-		})
-		curPhase := int32(0)
-		curFrag, known := int64(0), false
-		mergedInPhase := false
-		for _, ev := range evs {
-			if ev.Kind == trace.KindPhase {
-				if known && curFrag != ev.Frag {
-					note("node %d enters phase %d as fragment %d, was %d", node, ev.Phase, ev.Frag, curFrag)
-				}
-				curPhase, curFrag, known = ev.Phase, ev.Frag, true
-				mergedInPhase = false
-				continue
-			}
-			if mergedInPhase {
-				note("node %d merges twice in phase %d", node, curPhase)
-			}
-			mergedInPhase = true
-			if ev.Prev == ev.Frag {
-				note("node %d: self-merge of fragment %d in phase %d", node, ev.Frag, curPhase)
-			}
-			if known && curFrag != ev.Prev {
-				note("node %d merges from fragment %d but was in %d (phase %d)", node, ev.Prev, curFrag, curPhase)
-			}
-			curFrag, known = ev.Frag, true
-			h.mergesByPhase[curPhase] = append(h.mergesByPhase[curPhase], ev)
-		}
-		if known {
-			h.finalFrag[int32(node)] = curFrag
-		}
-	}
-	return h
-}
-
-// checkMerges verifies per-phase merge structure: label continuity and
-// at most one merge per node (consistency), and the tails-into-heads
-// direction (no fragment is both source and target of one phase's
-// waves) that keeps the merge supergraph single-hop.
-func checkMerges(h *fragHistory, meta trace.Meta) (consistency, direction Check) {
+// mergeChecks reports the per-phase merge structure: label continuity
+// and at most one merge per node (consistency), and the
+// tails-into-heads direction (no fragment is both source and target
+// of one phase's waves) that keeps the merge supergraph single-hop.
+func (f *Fold) mergeChecks(dropped string) (consistency, direction Check) {
 	consistency = Check{Name: CheckMergeConsistency, Status: StatusPass}
 	direction = Check{Name: CheckMergeDirection, Status: StatusPass}
-	if meta.Dropped > 0 {
-		reason := fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped)
-		return skip(consistency, reason), skip(direction, reason)
+	if dropped != "" {
+		return skip(consistency, dropped), skip(direction, dropped)
 	}
-	consistency.Violations = h.violations
-	consistency.Detail = h.firstDetail
+	consistency.Violations = f.walk.violations
+	consistency.Detail = f.walk.detail
 	if consistency.Violations > 0 {
 		consistency.Status = StatusFail
 	}
-	phases := make([]int32, 0, len(h.mergesByPhase))
-	for ph := range h.mergesByPhase {
-		phases = append(phases, ph)
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, ph := range phases {
-		srcs, dsts := map[int64]bool{}, map[int64]bool{}
+	for _, ph := range slices.Sorted(maps.Keys(f.merges)) {
 		var chained []int64
-		for _, ev := range h.mergesByPhase[ph] {
-			srcs[ev.Prev] = true
-			dsts[ev.Frag] = true
-		}
-		for frag := range dsts {
-			if srcs[frag] {
+		for frag, roles := range f.merges[ph] {
+			if roles == mergeSource|mergeTarget {
 				chained = append(chained, frag)
 			}
 		}
-		sort.Slice(chained, func(i, j int) bool { return chained[i] < chained[j] })
-		for _, frag := range chained {
-			direction.Violations++
-			if direction.Detail == "" {
-				direction.Detail = fmt.Sprintf("fragment %d is both merge source and target in phase %d", frag, ph)
-			}
+		direction.Violations += int64(len(chained))
+		if len(chained) > 0 && direction.Detail == "" {
+			direction.Detail = fmt.Sprintf("fragment %d is both merge source and target in phase %d", slices.Min(chained), ph)
 		}
 	}
 	if direction.Violations > 0 {
@@ -524,19 +646,19 @@ func checkMerges(h *fragHistory, meta trace.Meta) (consistency, direction Check)
 	return consistency, direction
 }
 
-// checkFragmentDecay verifies the Lemma 1 / Lemma 5 shape: the number
-// of distinct fragments never grows across phases, and the run ends
-// with every (non-crashed) node in one fragment.
-func checkFragmentDecay(f *fold, h *fragHistory, meta trace.Meta) Check {
+// fragmentDecay verifies the Lemma 1 / Lemma 5 shape: the number of
+// distinct fragments never grows across phases, and the run ends with
+// every (non-crashed) node in one fragment.
+func (f *Fold) fragmentDecay(dropped string) Check {
 	c := Check{Name: CheckFragmentDecay, Status: StatusPass}
-	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
+	if dropped != "" {
+		return skip(c, dropped)
 	}
-	if len(f.phases) == 0 {
+	if len(f.phaseFrag) == 0 {
 		return skip(c, "trace has no phase events")
 	}
 	prevCount := -1
-	for _, ph := range f.phases {
+	for _, ph := range slices.Sorted(maps.Keys(f.phaseFrag)) {
 		distinct := map[int64]bool{}
 		for _, frag := range f.phaseFrag[ph] {
 			distinct[frag] = true
@@ -550,11 +672,10 @@ func checkFragmentDecay(f *fold, h *fragHistory, meta trace.Meta) Check {
 		prevCount = len(distinct)
 	}
 	final := map[int64]bool{}
-	for node, frag := range h.finalFrag {
-		if f.crashed[node] {
-			continue
+	for _, nd := range f.nodes {
+		if nd.known && !nd.crashed {
+			final[nd.frag] = true
 		}
-		final[frag] = true
 	}
 	if len(final) != 1 {
 		c.Violations++
@@ -568,118 +689,17 @@ func checkFragmentDecay(f *fold, h *fragHistory, meta trace.Meta) Check {
 	return c
 }
 
-// checkSparsifyDegree verifies every recorded supergraph degree stays
-// within SupergraphDegreeBound.
-func checkSparsifyDegree(f *fold) Check {
-	c := Check{Name: CheckSparsifyDegree, Status: StatusPass}
-	if len(f.nbrs) == 0 {
+// sparsifyDegree reports whether every recorded supergraph degree
+// stayed within SupergraphDegreeBound.
+func (f *Fold) sparsifyDegree() Check {
+	c := f.sparsify
+	if f.nbrs == 0 {
 		return skip(c, "trace has no nbrs events")
 	}
-	for _, ev := range f.nbrs {
-		if ev.Aux > SupergraphDegreeBound {
-			c.Violations++
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("node %d reports supergraph degree %d > %d (phase %d)", ev.Node, ev.Aux, SupergraphDegreeBound, ev.Phase)
-			}
-		}
-	}
 	if c.Violations > 0 {
 		c.Status = StatusFail
 	} else {
-		c.Detail = fmt.Sprintf("%d degree reports ≤ %d", len(f.nbrs), SupergraphDegreeBound)
-	}
-	return c
-}
-
-// roundEnd returns the end of the equal-round run of events starting
-// at lo. A well-formed stream is sorted by round, so each round's
-// events form one run; their order inside it is not relied on.
-func roundEnd(events []trace.Event, lo int) int {
-	hi := lo + 1
-	for hi < len(events) && events[hi].Round == events[lo].Round {
-		hi++
-	}
-	return hi
-}
-
-// checkCausality verifies every delivery has a matching send: in the
-// same round (clean model), or in any earlier-or-equal round when
-// Relaxed (interceptor delays and duplicate copies arrive late).
-func checkCausality(events []trace.Event, meta trace.Meta, info RunInfo) Check {
-	c := Check{Name: CheckCausality, Status: StatusPass}
-	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
-	}
-	if info.Relaxed {
-		// Rounds ascend, so a pair's first send has its earliest round.
-		firstSend := map[pairKey]int64{}
-		for _, ev := range events {
-			if ev.Kind != trace.KindSend {
-				continue
-			}
-			pair := pairKey{ev.Node, ev.Peer}
-			if _, seen := firstSend[pair]; !seen {
-				firstSend[pair] = ev.Round
-			}
-		}
-		for i, ev := range events {
-			if ev.Kind != trace.KindDeliver {
-				continue
-			}
-			if sent, ok := firstSend[pairKey{ev.Peer, ev.Node}]; !ok || sent > ev.Round {
-				c.Violations++
-				if c.Detail == "" {
-					// The event index localises the violation in the
-					// canonical stream (tracediff's coordinate system).
-					c.Detail = fmt.Sprintf("event %d: deliver %d->%d at round %d precedes every send",
-						i, ev.Peer, ev.Node, ev.Round)
-				}
-			}
-		}
-	} else {
-		// Per round, sort the (from, to) key of every send (low bit 0)
-		// and delivery (low bit 1): each pair's sends and deliveries
-		// become one run, and rounds ascending with keys in (from, to)
-		// order visits excess deliveries in a deterministic order, so
-		// the first one reported does not depend on the order of
-		// events inside a round.
-		var keys []uint64
-		for lo := 0; lo < len(events); {
-			hi := roundEnd(events, lo)
-			keys = keys[:0]
-			for _, ev := range events[lo:hi] {
-				switch ev.Kind {
-				case trace.KindSend:
-					keys = append(keys, pairBits(ev.Node, ev.Peer))
-				case trace.KindDeliver:
-					keys = append(keys, pairBits(ev.Peer, ev.Node)|1)
-				}
-			}
-			slices.Sort(keys)
-			for i := 0; i < len(keys); {
-				pair := keys[i] >> 1
-				var sends, delivers int64
-				for ; i < len(keys) && keys[i]>>1 == pair; i++ {
-					if keys[i]&1 == 0 {
-						sends++
-					} else {
-						delivers++
-					}
-				}
-				if delivers <= sends {
-					continue
-				}
-				c.Violations += delivers - sends
-				if c.Detail == "" {
-					c.Detail = fmt.Sprintf("round %d: %d deliveries %d->%d but %d sends",
-						events[lo].Round, delivers, pair>>32, pair&math.MaxUint32, sends)
-				}
-			}
-			lo = hi
-		}
-	}
-	if c.Violations > 0 {
-		c.Status = StatusFail
+		c.Detail = fmt.Sprintf("%d degree reports ≤ %d", f.nbrs, SupergraphDegreeBound)
 	}
 	return c
 }
@@ -694,39 +714,6 @@ type pairKey struct {
 // preserving.
 func pairBits(from, to int32) uint64 {
 	return (uint64(from)<<32 | uint64(to)) << 1
-}
-
-// checkDeliverAwake verifies no delivery reached a node that was not
-// awake (and charged) in the delivery round.
-func checkDeliverAwake(events []trace.Event, n int, meta trace.Meta) Check {
-	c := Check{Name: CheckDeliverAwake, Status: StatusPass}
-	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
-	}
-	// awakeIn[v] is 1 + the start of the last round run with an awake
-	// event for v, so stamps from earlier rounds never match.
-	awakeIn := make([]int, n)
-	for lo := 0; lo < len(events); {
-		hi := roundEnd(events, lo)
-		for _, ev := range events[lo:hi] {
-			if ev.Kind == trace.KindAwake {
-				awakeIn[ev.Node] = lo + 1
-			}
-		}
-		for _, ev := range events[lo:hi] {
-			if ev.Kind == trace.KindDeliver && awakeIn[ev.Node] != lo+1 {
-				c.Violations++
-				if c.Detail == "" {
-					c.Detail = fmt.Sprintf("node %d received from %d in round %d while asleep", ev.Node, ev.Peer, ev.Round)
-				}
-			}
-		}
-		lo = hi
-	}
-	if c.Violations > 0 {
-		c.Status = StatusFail
-	}
-	return c
 }
 
 func fail(c Check, detail string) Check {

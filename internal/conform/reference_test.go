@@ -19,7 +19,7 @@ import (
 func mapCausality(events []trace.Event, meta trace.Meta, info RunInfo) Check {
 	c := Check{Name: CheckCausality, Status: StatusPass}
 	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
+		return skip(c, fmt.Sprintf("%d events dropped from the trace", meta.Dropped))
 	}
 	type sendKey struct {
 		round    int64
@@ -94,7 +94,7 @@ func mapCausality(events []trace.Event, meta trace.Meta, info RunInfo) Check {
 func mapDeliverAwake(events []trace.Event, meta trace.Meta) Check {
 	c := Check{Name: CheckDeliverAwake, Status: StatusPass}
 	if meta.Dropped > 0 {
-		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
+		return skip(c, fmt.Sprintf("%d events dropped from the trace", meta.Dropped))
 	}
 	type awakeKey struct {
 		round int64
@@ -141,21 +141,28 @@ func referenceVerdict(meta trace.Meta, events []trace.Event, info RunInfo) *Verd
 }
 
 // assertMatchesReference requires CheckTrace's verdict JSON to equal
-// the reference verdict's, strict and Relaxed.
+// the reference verdict's and the batch checker's, strict and Relaxed.
 func assertMatchesReference(t testing.TB, name string, meta trace.Meta, events []trace.Event) {
 	t.Helper()
 	for _, relaxed := range []bool{false, true} {
 		info := RunInfo{Algorithm: AlgoDeterministic, Seed: 3, Relaxed: relaxed}
-		var got, want bytes.Buffer
+		var got, want, batch bytes.Buffer
 		if err := CheckTrace(meta, events, info).WriteJSON(&got); err != nil {
 			t.Fatal(err)
 		}
 		if err := referenceVerdict(meta, events, info).WriteJSON(&want); err != nil {
 			t.Fatal(err)
 		}
+		if err := batchCheckTrace(meta, events, info).WriteJSON(&batch); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%s (relaxed=%v): verdict differs from the map-based reference\ngot:\n%s\nwant:\n%s",
 				name, relaxed, got.String(), want.String())
+		}
+		if !bytes.Equal(got.Bytes(), batch.Bytes()) {
+			t.Fatalf("%s (relaxed=%v): verdict differs from the batch checker\ngot:\n%s\nwant:\n%s",
+				name, relaxed, got.String(), batch.String())
 		}
 	}
 }
@@ -220,8 +227,9 @@ func TestChecksMatchReferenceOnCommittedTraces(t *testing.T) {
 
 // randomTrace builds a small clean-model-shaped trace whose events
 // inside each round are shuffled: awake nodes, sends, deliveries that
-// match, duplicate, lag or lack a send, and deliveries to sleeping
-// nodes.
+// match, duplicate, lag or lack a send, deliveries to sleeping nodes,
+// and phase, merge, step, nbrs and crash events over three fragments
+// and three phases.
 func randomTrace(rng *rand.Rand) (trace.Meta, []trace.Event) {
 	n := 1 + rng.Intn(5)
 	var events []trace.Event
@@ -249,6 +257,21 @@ func randomTrace(rng *rand.Rand) (trace.Meta, []trace.Event) {
 		if len(earlier) > 0 && rng.Intn(3) == 0 { // a late copy of an earlier send
 			s := earlier[rng.Intn(len(earlier))]
 			evs = append(evs, trace.Event{Kind: trace.KindDeliver, Round: round, Node: s.Peer, Port: s.Port, Peer: s.Node})
+		}
+		for k := rng.Intn(n + 1); k > 0; k-- { // node-side events over few fragments and phases
+			v, frag, phase := int32(rng.Intn(n)), int64(rng.Intn(3)), 1+int32(rng.Intn(3))
+			switch rng.Intn(6) {
+			case 0, 1:
+				evs = append(evs, trace.Event{Kind: trace.KindPhase, Round: round, Node: v, Phase: phase, Frag: frag})
+			case 2:
+				evs = append(evs, trace.Event{Kind: trace.KindMerge, Round: round, Node: v, Frag: frag, Prev: int64(rng.Intn(3))})
+			case 3:
+				evs = append(evs, trace.Event{Kind: trace.KindStep, Round: round, Node: v, Phase: phase, Step: trace.StepFindMOE, Aux: rng.Int63n(3)})
+			case 4:
+				evs = append(evs, trace.Event{Kind: trace.KindNbrs, Round: round, Node: v, Phase: phase, Aux: rng.Int63n(6)})
+			case 5:
+				evs = append(evs, trace.Event{Kind: trace.KindCrash, Round: round, Node: v})
+			}
 		}
 		rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
 		events = append(events, evs...)

@@ -62,10 +62,12 @@ type Options struct {
 	// branch-point hook (see sim.Chooser and internal/modelcheck). Nil
 	// keeps today's fixed schedule bit-identically.
 	Chooser sim.Chooser
-	// Trace, if non-nil, records structured events — scheduler events
-	// plus the algorithms' phase/step/merge markers — into the given
-	// recorder (see internal/trace). Nil keeps recording off.
-	Trace *trace.Recorder
+	// Trace, if non-nil, receives the run's structured events —
+	// scheduler events plus the algorithms' phase/step/merge markers —
+	// as they happen (see trace.Sink): a *trace.Recorder keeps them, a
+	// *trace.Orderer releases them in canonical order. Nil keeps
+	// tracing off.
+	Trace trace.Sink
 	// Transport, if non-nil, carries every delivery as an encoded wire
 	// frame through the given backend (see internal/transport and
 	// sim.Config.Transport); the run's results stay byte-identical to

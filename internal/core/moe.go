@@ -129,9 +129,9 @@ func (m moeInfo) Bits() int {
 		ldt.FieldBits(m.ownerID) + ldt.FieldBits(int64(m.ownerPort))
 }
 
-// localMOE returns this node's minimum outgoing edge candidate, or nil
-// if all neighbors are in the same fragment.
-func (c *nodeCtx) localMOE() *ldt.MinItem {
+// localMOE returns this node's minimum outgoing edge candidate, and
+// false if all neighbors are in the same fragment.
+func (c *nodeCtx) localMOE() (ldt.MinItem, bool) {
 	best := -1
 	var bestKey graph.WeightKey
 	for p := 0; p < c.nd.Degree(); p++ {
@@ -144,28 +144,27 @@ func (c *nodeCtx) localMOE() *ldt.MinItem {
 		}
 	}
 	if best < 0 {
-		return nil
+		return ldt.MinItem{}, false
 	}
-	return &ldt.MinItem{
+	return ldt.MinItem{
 		Key:     bestKey,
 		Payload: moeInfo{key: bestKey, ownerID: c.nd.ID(), ownerPort: best},
-	}
+	}, true
 }
 
 // upcastMOE runs the Upcast-Min block for MOE discovery; the root's
-// return value identifies the fragment MOE (nil = fragment spans the
-// graph).
-func (c *nodeCtx) upcastMOE(start int64) *moeInfo {
-	mine := c.localMOE()
-	if mine != nil {
+// return value identifies the fragment MOE (false = the fragment spans
+// the graph).
+func (c *nodeCtx) upcastMOE(start int64) (moeInfo, bool) {
+	mine, have := c.localMOE()
+	if have {
 		c.nd.Metrics().Add("moe/candidates", 1)
 	}
-	res := ldt.UpcastMin(c.nd, c.st, start, mine)
-	if res == nil {
-		return nil
+	res, ok := ldt.UpcastMin(c.nd, c.st, start, mine, have)
+	if !ok {
+		return moeInfo{}, false
 	}
-	info := res.Payload.(moeInfo)
-	return &info
+	return res.Payload.(moeInfo), true
 }
 
 // bcastMOEMsg is the Fragment-Broadcast payload carrying the fragment
@@ -187,14 +186,11 @@ func (m bcastMOEMsg) Bits() int { return 2 + m.moe.Bits() }
 // the graph.
 func (c *nodeCtx) findMOE(start int64, flip bool) bcastMOEMsg {
 	c.taFragment(start + rbTAFrag*c.blk)
-	moe := c.upcastMOE(start + rbUpMOE*c.blk)
+	moe, found := c.upcastMOE(start + rbUpMOE*c.blk)
 	var payload bcastMOEMsg
 	if c.st.IsRoot() {
 		payload.coin = flip && c.nd.Rand().Intn(2) == 0
-		if moe != nil {
-			payload.exists = true
-			payload.moe = *moe
-		}
+		payload.exists, payload.moe = found, moe
 	}
 	ph := ldt.Broadcast(c.nd, c.st, start+rbBcastMOE*c.blk, payload)
 	c.stepDone(trace.StepFindMOE)

@@ -89,7 +89,7 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 	out, err := runPhases(g, opts, RandomizedPhaseBound(g.N()), randPhaseBlocks, (*nodeCtx).randPhase,
 		func(c *nodeCtx, start int64) error {
 			v := values[c.nd.Index()]
-			rootMin := ldt.UpcastMin(c.nd, c.st, start, &ldt.MinItem{Key: graph.WeightKey{W: v}, Payload: intPayload(v)})
+			rootMin, _ := ldt.UpcastMin(c.nd, c.st, start, ldt.MinItem{Key: graph.WeightKey{W: v}, Payload: intPayload(v)}, true)
 			var payload intPayload
 			if c.st.IsRoot() {
 				payload = intPayload(rootMin.Key.W)

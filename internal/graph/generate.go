@@ -25,9 +25,23 @@ const (
 type GenConfig struct {
 	Seed    int64
 	Weights WeightMode
+	// Cancel, if non-nil, stops RandomGeometric's O(n²) pair scans
+	// once it is closed; the build then returns nil. The other
+	// generators run in O(n + m) time and ignore it.
+	Cancel <-chan struct{}
 }
 
 func (c GenConfig) rng() *rand.Rand { return rand.New(rand.NewSource(c.Seed)) }
+
+// canceled polls Cancel without blocking.
+func (c GenConfig) canceled() bool {
+	select {
+	case <-c.Cancel:
+		return true
+	default:
+		return false
+	}
+}
 
 // assignWeights overwrites edge weights per the configured mode.
 func assignWeights(edges []Edge, cfg GenConfig) {
@@ -200,7 +214,8 @@ func RandomConnected(n, m int, cfg GenConfig) *Graph {
 // connects pairs within the given radius; if the result is
 // disconnected, nearest-component bridges are added so the returned
 // graph is always connected. It models the ad-hoc wireless/sensor
-// deployments that motivate the sleeping model.
+// deployments that motivate the sleeping model. It returns nil if
+// cfg.Cancel closes first; the pair scans poll it once per node.
 func RandomGeometric(n int, radius float64, cfg GenConfig) *Graph {
 	r := cfg.rng()
 	xs := make([]float64, n)
@@ -215,6 +230,9 @@ func RandomGeometric(n int, radius float64, cfg GenConfig) *Graph {
 	var edges []Edge
 	rad2 := radius * radius
 	for i := 0; i < n; i++ {
+		if cfg.canceled() {
+			return nil
+		}
 		for j := i + 1; j < n; j++ {
 			if dist2(i, j) <= rad2 {
 				edges = append(edges, Edge{U: i, V: j})
@@ -226,7 +244,11 @@ func RandomGeometric(n int, radius float64, cfg GenConfig) *Graph {
 		uf.Union(e.U, e.V)
 	}
 	if uf.Count() > 1 {
-		edges = append(edges, bridges(uf, dist2)...)
+		joins := bridges(uf, dist2, cfg.canceled)
+		if joins == nil {
+			return nil
+		}
+		edges = append(edges, joins...)
 	}
 	assignWeights(edges, cfg)
 	return MustNew(n, edges)
@@ -252,8 +274,9 @@ func (a pairKey) less(b pairKey) bool {
 // one component remains, in joining order. That is Kruskal over the
 // cross-component pairs by pairKey, so they are the cross-component
 // edges of the unique minimum spanning tree of all pairs by pairKey,
-// which one dense Prim pass finds in O(n²) time and O(n) memory.
-func bridges(uf *UnionFind, dist2 func(i, j int) float64) []Edge {
+// which one dense Prim pass finds in O(n²) time and O(n) memory. It
+// returns nil once canceled reports true; it polls it once per node.
+func bridges(uf *UnionFind, dist2 func(i, j int) float64, canceled func() bool) []Edge {
 	n := len(uf.parent)
 	key := func(u, v int) pairKey {
 		return pairKey{cross: !uf.Connected(u, v), d: dist2(u, v), i: min(u, v), j: max(u, v)}
@@ -266,6 +289,9 @@ func bridges(uf *UnionFind, dist2 func(i, j int) float64) []Edge {
 	inTree[0] = true
 	var edges []Edge
 	for added := 1; added < n; added++ {
+		if canceled() {
+			return nil
+		}
 		u := -1
 		for v := range best {
 			if !inTree[v] && (u < 0 || best[v].less(best[u])) {

@@ -445,7 +445,7 @@ func TestBridgesBreakTiesLikeReference(t *testing.T) {
 		}
 		var got []Edge
 		if a.Count() > 1 {
-			got = bridges(a, dist2)
+			got = bridges(a, dist2, func() bool { return false })
 		}
 		if want := referenceBridges(b, dist2); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: bridges %v, reference %v", trial, got, want)

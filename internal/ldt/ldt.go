@@ -128,6 +128,10 @@ type wireMsg struct {
 
 func (m wireMsg) Bits() int { return sim.MessageBits(m.payload) + 2 }
 
+// emptyEnvelope is the one boxed empty envelope every node shares, so
+// forwarding nothing up a wave allocates nothing.
+var emptyEnvelope interface{} = wireMsg{}
+
 // unwrap extracts the payload of a wave envelope taken from an inbox
 // slot. ok is false when nothing arrived or the envelope is empty; a
 // payload of another type than T panics like any protocol violation.
@@ -211,7 +215,8 @@ func Broadcast[T any](nd *sim.Node, st *State, start int64, msg T) T {
 // its own, in st.Children order — acc = fold(acc, child, v), starting
 // from own; children that sent nothing or an empty envelope are
 // skipped — and forwards the result to its parent; the root's result
-// is the fragment-wide value. Up returns the node's folded value.
+// is the fragment-wide value. Up returns the node's folded value. An
+// empty value (a nil interface) travels in the shared empty envelope.
 //
 // Cost: at most 2 awake rounds (Up-Receive for non-leaves, Up-Send for
 // non-roots).
@@ -229,9 +234,13 @@ func Up[T any](nd *sim.Node, st *State, start int64, own T,
 		}
 	}
 	if !st.IsRoot() {
+		env := emptyEnvelope
+		if p := interface{}(acc); p != nil {
+			env = wireMsg{payload: p}
+		}
 		nd.SleepUntil(sched.UpSend)
 		out := nd.Outbox()
-		out[st.ParentPort] = wireMsg{payload: acc}
+		out[st.ParentPort] = env
 		nd.Exchange(out)
 	}
 	return acc
@@ -263,30 +272,57 @@ func (m MinItem) Bits() int {
 }
 
 // UpcastMin implements the paper's Upcast-Min: the minimum-key item
-// held by any node of the fragment reaches the root. Nodes with no
-// item pass nil. Every node returns the minimum over its subtree; the
-// root's return value is the fragment-wide minimum (nil if no node
-// held an item). A subtree minimum travels in the box it arrived in.
-func UpcastMin(nd *sim.Node, st *State, start int64, mine *MinItem) *MinItem {
-	var own interface{}
-	if mine != nil {
-		own = *mine // send by value over the wire
+// held by any node of the fragment reaches the root. A node holding an
+// item passes it with have set. Every node returns the minimum over
+// its subtree and whether there is one; the root's is the
+// fragment-wide minimum. It is one Up wave (same rounds, same
+// messages) whose envelopes are reused: a subtree minimum travels in
+// the envelope it arrived in, a subtree without an item sends the
+// shared empty envelope, and only a node whose own item wins boxes a
+// new one.
+func UpcastMin(nd *sim.Node, st *State, start int64, mine MinItem, have bool) (MinItem, bool) {
+	sched := ScheduleFor(start, st.Level, nd.N())
+	var in sim.Inbox
+	if len(st.Children) > 0 {
+		nd.SleepUntil(sched.UpReceive)
+		in = nd.Exchange(nil)
 	}
-	res := Up(nd, st, start, own, func(best interface{}, _ int, v interface{}) interface{} {
-		it, ok := v.(MinItem)
-		if !ok {
-			return best
-		}
-		if cur, has := best.(MinItem); has && !it.Key.Less(cur.Key) {
-			return best
-		}
-		return v
-	})
-	if res == nil {
-		return nil
+	env, best, ok := minEnvelope(in, st.Children, mine, have)
+	if !st.IsRoot() {
+		nd.SleepUntil(sched.UpSend)
+		out := nd.Outbox()
+		out[st.ParentPort] = env
+		nd.Exchange(out)
 	}
-	it := res.(MinItem)
-	return &it
+	return best, ok
+}
+
+// minEnvelope folds the children's envelopes into the node's own item,
+// in children order, keeping the first of equal keys as Up's fold did,
+// and returns the subtree minimum with the envelope that carries it
+// on: the winning child's, unchanged; a new box for the node's own
+// item; or the shared empty envelope. A child envelope whose payload
+// is not a MinItem is skipped.
+func minEnvelope(in sim.Inbox, children []int, mine MinItem, have bool) (env interface{}, best MinItem, ok bool) {
+	best, ok = mine, have
+	winner := -1
+	for _, c := range children {
+		p, sent := unwrap[interface{}](in[c])
+		if !sent {
+			continue
+		}
+		if it, isItem := p.(MinItem); isItem && (!ok || it.Key.Less(best.Key)) {
+			best, ok, winner = it, true, c
+		}
+	}
+	switch {
+	case winner >= 0:
+		return in[winner], best, true
+	case ok:
+		return wireMsg{payload: best}, best, true
+	default:
+		return emptyEnvelope, best, false
+	}
 }
 
 // TransmitAdjacent implements the paper's Transmit-Adjacent: every

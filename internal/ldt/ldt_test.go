@@ -130,19 +130,17 @@ func TestUpcastMinFindsGlobalMin(t *testing.T) {
 	g := graph.Star(6, graph.GenConfig{Seed: 2})
 	parents := []int{-1, 0, 0, 0, 0, 0}
 	vals := []int64{0, 50, 30, 99, 12, 77} // root holds none
-	var rootGot *MinItem
+	var rootGot MinItem
+	var rootHas bool
 	_, res := runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		var mine *MinItem
-		if !st.IsRoot() {
-			mine = &MinItem{Key: graph.WeightKey{W: vals[nd.Index()]}, Payload: testPayload{v: vals[nd.Index()]}}
-		}
-		out := UpcastMin(nd, st, 1, mine)
+		mine := MinItem{Key: graph.WeightKey{W: vals[nd.Index()]}, Payload: testPayload{v: vals[nd.Index()]}}
+		out, ok := UpcastMin(nd, st, 1, mine, !st.IsRoot())
 		if st.IsRoot() {
-			rootGot = out
+			rootGot, rootHas = out, ok
 		}
 		return nil
 	})
-	if rootGot == nil || rootGot.Key.W != 12 {
+	if !rootHas || rootGot.Key.W != 12 {
 		t.Fatalf("root got %+v, want key 12", rootGot)
 	}
 	if rootGot.Payload != (testPayload{v: 12}) {
@@ -161,16 +159,17 @@ func TestUpcastMinDeepTree(t *testing.T) {
 	for i := range parents {
 		parents[i] = i - 1 // rooted at node 0
 	}
-	var rootGot *MinItem
+	var rootGot MinItem
+	var rootHas bool
 	_, res := runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		mine := &MinItem{Key: graph.WeightKey{W: int64(100 + (nd.Index()*37)%n)}}
-		out := UpcastMin(nd, st, 1, mine)
+		mine := MinItem{Key: graph.WeightKey{W: int64(100 + (nd.Index()*37)%n)}}
+		out, ok := UpcastMin(nd, st, 1, mine, true)
 		if st.IsRoot() {
-			rootGot = out
+			rootGot, rootHas = out, ok
 		}
 		return nil
 	})
-	if rootGot == nil || rootGot.Key.W != 100 {
+	if !rootHas || rootGot.Key.W != 100 {
 		t.Fatalf("root got %+v, want key 100", rootGot)
 	}
 	if m := res.MaxAwake(); m > 2 {
@@ -181,16 +180,61 @@ func TestUpcastMinDeepTree(t *testing.T) {
 func TestUpcastMinNilEverywhere(t *testing.T) {
 	g := graph.Path(4, graph.GenConfig{Seed: 4})
 	parents := []int{-1, 0, 1, 2}
-	var rootGot *MinItem
+	rootHas := true
 	runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		out := UpcastMin(nd, st, 1, nil)
+		out, ok := UpcastMin(nd, st, 1, MinItem{}, false)
 		if st.IsRoot() {
-			rootGot = out
+			rootHas = ok
+			if ok {
+				t.Errorf("root got %+v, want none", out)
+			}
 		}
 		return nil
 	})
-	if rootGot != nil {
-		t.Fatalf("root got %+v, want nil", rootGot)
+	if rootHas {
+		t.Fatal("root reports an item, want none")
+	}
+}
+
+// envelopeSink keeps minEnvelope's result alive under AllocsPerRun.
+var envelopeSink interface{}
+
+// TestMinEnvelopeBoxesOnlyAnOwnWinner pins Upcast-Min's allocation per
+// node: a node whose child's item wins forwards that child's envelope
+// and allocates nothing, and so does a node whose subtree holds no
+// item; only a node whose own item wins boxes it.
+func TestMinEnvelopeBoxesOnlyAnOwnWinner(t *testing.T) {
+	win := MinItem{Key: graph.WeightKey{W: 1}, Payload: testPayload{v: 1}}
+	childWins := sim.Inbox{wireMsg{payload: MinItem{Key: graph.WeightKey{W: 9}}}, nil, wireMsg{payload: win}, emptyEnvelope}
+	empty := sim.Inbox{emptyEnvelope, nil}
+	mine := MinItem{Key: graph.WeightKey{W: 5}, Payload: testPayload{v: 5}}
+	for _, c := range []struct {
+		name      string
+		in        sim.Inbox
+		mine      MinItem
+		have      bool
+		want      interface{}
+		maxAllocs float64
+	}{
+		{"child wins", childWins, mine, true, childWins[2], 0},
+		{"empty subtree", empty, MinItem{}, false, emptyEnvelope, 0},
+		{"leaf without item", nil, MinItem{}, false, emptyEnvelope, 0},
+		{"own item wins", empty, mine, true, wireMsg{payload: mine}, 2},
+	} {
+		children := make([]int, len(c.in))
+		for i := range children {
+			children[i] = i
+		}
+		env, _, _ := minEnvelope(c.in, children, c.mine, c.have)
+		if env != c.want {
+			t.Errorf("%s: forwards %v, want %v", c.name, env, c.want)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			envelopeSink, _, _ = minEnvelope(c.in, children, c.mine, c.have)
+		})
+		if allocs > c.maxAllocs {
+			t.Errorf("%s: %.0f allocations per node, want at most %.0f", c.name, allocs, c.maxAllocs)
+		}
 	}
 }
 
@@ -453,7 +497,7 @@ func TestWaveTallyLabels(t *testing.T) {
 	block := BlockLen(g.N())
 	_, err = sim.Run(sim.Config{Graph: g, Seed: 11, Metrics: reg}, func(nd *sim.Node) error {
 		st := states[nd.Index()]
-		UpcastMin(nd, st, 1, &MinItem{Key: graph.WeightKey{W: int64(nd.Index())}})
+		UpcastMin(nd, st, 1, MinItem{Key: graph.WeightKey{W: int64(nd.Index())}}, true)
 		Broadcast(nd, st, 1+block, waveMsg{fragID: 2})
 		Broadcast(nd, st, 1+2*block, testPayload{v: 3})
 		Up(nd, st, 1+3*block, interface{}(nil), func(acc interface{}, _ int, _ interface{}) interface{} { return acc })

@@ -122,8 +122,7 @@ func TestQuickUpcastMinMatchesSequentialMin(t *testing.T) {
 		}
 		_, err = sim.Run(sim.Config{Graph: g, Seed: seed}, func(nd *sim.Node) error {
 			st := states[nd.Index()]
-			mine := &MinItem{Key: graph.WeightKey{W: vals[nd.Index()]}}
-			out := UpcastMin(nd, st, 1, mine)
+			out, _ := UpcastMin(nd, st, 1, MinItem{Key: graph.WeightKey{W: vals[nd.Index()]}}, true)
 			if st.IsRoot() {
 				rootGot[nd.Index()] = out.Key.W
 			}

@@ -49,12 +49,9 @@ func TestMISConformanceCleanMatrix(t *testing.T) {
 			if testing.Short() && n > 64 {
 				t.Skip("n=256 cell skipped in short mode")
 			}
-			c, err := problem.Certify(p, conformGraph(n), sleepmst.Options{Seed: 1, Trace: trace.NewRecorder(conformCap)})
+			c, err := problem.Certify(p, conformGraph(n), sleepmst.Options{Seed: 1}, nil)
 			if err != nil {
 				t.Fatalf("mis n=%d: %v", n, err)
-			}
-			if d := c.Meta.Dropped; d != 0 {
-				t.Fatalf("recorder dropped %d events; raise conformCap", d)
 			}
 			if !c.Verdict.Pass {
 				t.Errorf("strict conformance failed:\n%s", c.Verdict)

@@ -5,6 +5,7 @@ package problem_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,7 +146,7 @@ func TestNodeAvgRecordedForAllProblems(t *testing.T) {
 // TestCertifyAppendsOracleOnlyOnSuccess pins Certify's three outcomes:
 // a completed run ends its verdict with the problem's oracle, a failed
 // run is still checked but without it, and a canceled run comes back
-// unchecked, its trace never ordered.
+// unchecked.
 func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
 	p, err := problem.Lookup("mst/randomized")
 	if err != nil {
@@ -163,23 +164,58 @@ func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
 		{"failed", sleepmst.Options{Seed: 1, AwakeBudget: 1}, false},
 		{"canceled", sleepmst.Options{Seed: 1, Cancel: canceled}, false},
 	} {
-		c.opts.Trace = sleepmst.NewTraceRecorder(0)
-		got, err := problem.Certify(p, g, c.opts)
+		got, err := problem.Certify(p, g, c.opts, nil)
 		if (err == nil) != c.wantOK {
 			t.Fatalf("%s: err = %v", c.name, err)
 		}
 		switch {
 		case c.name == "canceled":
-			if !errors.Is(err, sim.ErrCanceled) || got.Verdict != nil || got.Events != nil {
-				t.Errorf("canceled: err %v, verdict %v, %d events; want ErrCanceled and nothing checked", err, got.Verdict, len(got.Events))
+			if !errors.Is(err, sim.ErrCanceled) || got.Verdict != nil || got.Meta.Events != 0 {
+				t.Errorf("canceled: err %v, verdict %v, %d events; want ErrCanceled and nothing checked", err, got.Verdict, got.Meta.Events)
 			}
-		case got.Verdict == nil || len(got.Events) == 0:
-			t.Errorf("%s: no verdict or no ordered events", c.name)
+		case got.Verdict == nil || got.Meta.Events == 0:
+			t.Errorf("%s: no verdict or no checked events", c.name)
 		default:
 			last := got.Verdict.Checks[len(got.Verdict.Checks)-1].Name
 			if hasOracle := last == conform.CheckMSTWeight; hasOracle != c.wantOK {
 				t.Errorf("%s: verdict ends with %q; oracle wanted %v", c.name, last, c.wantOK)
 			}
 		}
+	}
+}
+
+// TestCertifyMemoryDoesNotGrowWithTheTrace certifies mst/randomized at
+// n=1024 as the run goes: what it allocates beyond the untraced run
+// must stay under 16 bytes per trace event, where a recorder keeping
+// the trace would hold 56 bytes per event in its rings alone.
+func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
+	p, err := problem.Lookup("mst/randomized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sleepmst.RandomConnected(1024, 2048, 3)
+	allocated := func(run func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := allocated(func() {
+		if _, err := p.Run(g, sleepmst.Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var c problem.Certified
+	certified := allocated(func() {
+		if c, err = problem.Certify(p, g, sleepmst.Options{Seed: 1}, nil); err != nil || !c.Verdict.Pass {
+			t.Fatalf("err %v, verdict:\n%s", err, c.Verdict)
+		}
+	})
+	extra := float64(certified) - float64(plain)
+	if perEvent := extra / float64(c.Meta.Events); perEvent >= 16 {
+		t.Errorf("certifying allocated %.0f bytes beyond the untraced run's %d, %.1f per event of %d; want under 16",
+			extra, plain, perEvent, c.Meta.Events)
 	}
 }

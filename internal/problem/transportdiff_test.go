@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -71,21 +72,18 @@ func runCellOpts(t *testing.T, p problem.Problem, g *graph.Graph, mut func(*core
 	opts := core.Options{
 		Seed:              1,
 		RecordAwakeRounds: true,
-		Trace:             trace.NewRecorder(1 << 15),
 		Metrics:           reg,
 	}
 	mut(&opts)
-	c, err := problem.Certify(p, g, opts)
+	jsonl := trace.NewJSONL(math.MaxInt64, math.MaxInt)
+	c, err := problem.Certify(p, g, opts, jsonl)
 
-	var tr, vj bytes.Buffer
-	if werr := trace.WriteEventsJSONL(&tr, c.Meta, c.Events); werr != nil {
-		t.Fatalf("%s: write trace: %v", p.Name(), werr)
-	}
+	var vj bytes.Buffer
 	if werr := c.Verdict.WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
 	}
 	out := cellRun{
-		trace:   tr.Bytes(),
+		trace:   jsonl.Bytes(),
 		verdict: vj.Bytes(),
 		metrics: reg.String(),
 		result:  c.Result,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,10 +15,20 @@ import (
 // cmd/mstserve's one-shot mode and cmd/sleepsim, which passes its own
 // denser default.
 func BuildGraph(kind string, n, m, rows int, radius float64, seed int64) (*graph.Graph, error) {
+	return buildGraph(kind, n, m, rows, radius, seed, nil)
+}
+
+// errBuildCanceled reports a graph build stopped by its cancel channel.
+var errBuildCanceled = errors.New("service: graph build canceled")
+
+// buildGraph is BuildGraph with a cancel channel: once it is closed,
+// the O(n²) sensor build stops and returns errBuildCanceled. The other
+// kinds build in O(n + m) time, which admission bounds.
+func buildGraph(kind string, n, m, rows int, radius float64, seed int64, cancel <-chan struct{}) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("service: n must be >= 1, got %d", n)
 	}
-	cfg := graph.GenConfig{Seed: seed}
+	cfg := graph.GenConfig{Seed: seed, Cancel: cancel}
 	switch kind {
 	case "random":
 		if m <= 0 {
@@ -45,7 +56,10 @@ func BuildGraph(kind string, n, m, rows int, radius float64, seed int64) (*graph
 		if radius <= 0 {
 			radius = 0.2
 		}
-		return graph.RandomGeometric(n, radius, cfg), nil
+		if g := graph.RandomGeometric(n, radius, cfg); g != nil {
+			return g, nil
+		}
+		return nil, errBuildCanceled
 	default:
 		return nil, fmt.Errorf("service: unknown graph kind %q (want %s)", kind, GraphKindList)
 	}

@@ -4,16 +4,16 @@
 // and per-request isolation.
 //
 // One Service owns a sweep.Pool. Every admitted request runs as its
-// own cell — own graph, seed, trace recorder, metrics registry, and
-// (optionally) its own wire backend — and produces a
-// JSON Artifact holding the conformance verdict, the run summary, and
-// any wire accounting. Per-request registries are folded into one
-// service-level metrics registry; because every counter commutes, the
-// merged registry is byte-identical for any worker count and any
-// completion order, which is the service's determinism contract: a
-// fixed-seed request mix yields identical per-request verdicts and
-// identical merged metrics whether it is served by one worker or
-// eight.
+// own cell — own graph, seed, metrics registry, and (optionally) its
+// own wire backend — certified as the run goes (problem.Certify), and
+// produces a JSON Artifact holding the conformance verdict, the run
+// summary, and any wire accounting. Per-request registries are folded
+// into one service-level metrics registry; because every counter
+// commutes, the merged registry is byte-identical for any worker count
+// and any completion order, which is the service's determinism
+// contract: a fixed-seed request mix yields identical per-request
+// verdicts and identical merged metrics whether it is served by one
+// worker or eight.
 //
 // Admission is explicit, never implicit queueing delay: a full queue
 // rejects with StatusOverloaded, an invalid request with
@@ -58,10 +58,10 @@ const (
 	DefaultDeadline = 2 * time.Minute
 	// DefaultMaxN caps the per-request node count at admission.
 	DefaultMaxN = 4096
-	// DefaultTraceCap is the per-request trace-recorder capacity when
-	// the request does not choose one.
+	// DefaultTraceCap is the number of events a shipped trace carries
+	// at most when the request does not choose.
 	DefaultTraceCap = 1 << 18
-	// DefaultMaxTraceCap caps the capacity a request may choose.
+	// DefaultMaxTraceCap caps the trace cap a request may choose.
 	DefaultMaxTraceCap = 1 << 20
 )
 
@@ -78,7 +78,7 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxN caps the per-request node count (0 = DefaultMaxN).
 	MaxN int
-	// MaxTraceCap caps the per-request trace capacity (0 =
+	// MaxTraceCap caps the per-request trace cap (0 =
 	// DefaultMaxTraceCap).
 	MaxTraceCap int
 }
@@ -233,7 +233,11 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 			Detail: fmt.Sprintf("deadline %v exceeded while queued", deadline)}, "")
 	default:
 	}
-	g, err := BuildGraph(req.Graph, req.N, req.M, req.Rows, req.Radius, req.Seed)
+	g, err := buildGraph(req.Graph, req.N, req.M, req.Rows, req.Radius, req.Seed, cancel)
+	if errors.Is(err, errBuildCanceled) {
+		return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
+			Detail: fmt.Sprintf("deadline %v exceeded while building the graph", deadline)}, "")
+	}
 	if err != nil {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
@@ -249,12 +253,19 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
 			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted cap %d", req.Graph, g.M(), s.maxEdges())}, "")
 	}
-	traceCap := req.TraceCap
-	if traceCap == 0 {
-		traceCap = DefaultTraceCap
-	}
 	reg := metrics.New()
-	opts := core.Options{Seed: req.Seed, Trace: trace.NewRecorder(traceCap), Metrics: reg, Cancel: cancel}
+	opts := core.Options{Seed: req.Seed, Metrics: reg, Cancel: cancel}
+	// The verdict covers the whole run whatever the trace cap; the cap
+	// bounds only the shipped trace, which stops keeping bytes past the
+	// frame cap since such a response is refused below.
+	var jsonl *trace.JSONL
+	if req.WantTrace {
+		traceCap := req.TraceCap
+		if traceCap == 0 {
+			traceCap = DefaultTraceCap
+		}
+		jsonl = trace.NewJSONL(int64(traceCap), MaxFrameBytes)
+	}
 	// A nil *TCP must stay out of opts.Transport: as a non-nil
 	// interface it would switch the wire on.
 	var tcp *transport.TCP
@@ -263,7 +274,7 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		defer tcp.Close()
 		opts.Transport = tcp
 	}
-	c, err := problem.Certify(p, g, opts)
+	c, err := problem.Certify(p, g, opts, jsonl)
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
@@ -301,13 +312,14 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 			Detail: fmt.Sprintf("artifact marshal: %v", err)}, "")
 	}
 	resp.Artifact = data
-	if req.WantTrace {
-		resp.Trace = trace.AppendEventsJSONL(make([]byte, 0, trace.JSONLSize(c.Meta, c.Events)), c.Meta, c.Events)
-	}
 	// A response over the frame cap cannot be written, and the client
 	// would wait for it until its own deadline; reject it, as the
 	// built-graph check above rejects a graph over the admitted cap.
-	if _, err := responseHead(resp); err != nil {
+	var traceLen int
+	if jsonl != nil {
+		traceLen, resp.Trace = jsonl.Len(), jsonl.Bytes()
+	}
+	if _, err := responseHead(resp, traceLen); err != nil {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: err.Error()}, "")
 	}
 	// Fold the completed run's counters into the service registry —

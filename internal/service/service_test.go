@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/problem"
+	"sleepmst/internal/trace"
 )
 
 // testMix is a fixed request mix spanning problems, topologies, and
@@ -131,6 +133,50 @@ func TestServiceRequestFeatures(t *testing.T) {
 	}
 	if without.Wire != nil {
 		t.Errorf("in-memory request carries wire accounting: %+v", without.Wire)
+	}
+}
+
+// TestServiceTraceCapBoundsOnlyTheShippedTrace: TraceCap cuts the
+// shipped trace to the run's first TraceCap events in canonical order,
+// with the end line counting the rest as dropped, and leaves the
+// verdict alone: it covers the whole run, skipping nothing.
+func TestServiceTraceCapBoundsOnlyTheShippedTrace(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Drain()
+	req := Request{ID: 1, Problem: "mst/randomized", Graph: "random", N: 128, Seed: 9, WantTrace: true, TraceCap: DefaultMaxTraceCap}
+	full := svc.Submit(req)
+	req.TraceCap = 1000
+	capped := svc.Submit(req)
+	if full.Status != StatusOK || capped.Status != StatusOK {
+		t.Fatalf("statuses %v (%s), %v (%s)", full.Status, full.Detail, capped.Status, capped.Detail)
+	}
+	if !bytes.Equal(full.Artifact, capped.Artifact) {
+		t.Errorf("the trace cap changed the artifact:\n%s\n%s", full.Artifact, capped.Artifact)
+	}
+	var a Artifact
+	if err := json.Unmarshal(capped.Artifact, &a); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range a.Verdict.Checks {
+		if c.Status == conform.StatusSkip && strings.Contains(c.Detail, "dropped") {
+			t.Errorf("%s skipped: %s", c.Name, c.Detail)
+		}
+	}
+	fullMeta, fullEvents, err := trace.ReadJSONL(bytes.NewReader(full.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, events, err := trace.ReadJSONL(bytes.NewReader(capped.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fullMeta.Dropped != 0 || fullMeta.Events <= 1000 {
+		t.Fatalf("uncut trace meta %+v, want over 1000 events and no drops", fullMeta)
+	}
+	want := trace.Meta{N: 128, Rounds: fullMeta.Rounds, Events: 1000, Dropped: fullMeta.Events - 1000}
+	if meta != want || !reflect.DeepEqual(events, fullEvents[:1000]) {
+		t.Errorf("capped trace meta %+v (want %+v), its events the uncut trace's first 1000: %v",
+			meta, want, reflect.DeepEqual(events, fullEvents[:1000]))
 	}
 }
 

@@ -123,16 +123,17 @@ type Request struct {
 	// Transport selects the per-request wire backend: "" or "none"
 	// (in-memory), or "tcp".
 	Transport string
-	// TraceCap is the trace-recorder event capacity (0 = service
-	// default; bounded by the service's MaxTraceCap). Each of the
-	// recorder's n+1 streams keeps at least 64 events, so a small cap
-	// on a large run keeps more (see trace.NewRecorder).
+	// TraceCap bounds the shipped trace (0 = service default; bounded
+	// by the service's MaxTraceCap): it carries the run's first
+	// TraceCap events in canonical order, and its end line counts the
+	// rest as dropped. The verdict covers the whole run whatever the
+	// cap.
 	TraceCap int
 	// Deadline bounds the request end to end (0 = service default); an
 	// expired deadline cancels the running cell at a round barrier.
 	Deadline time.Duration
-	// WantTrace ships the full JSONL event trace in the response, so
-	// clients can re-certify the verdict with conform.CheckTrace.
+	// WantTrace ships the JSONL event trace in the response, so clients
+	// can re-certify the verdict with conform.CheckTrace.
 	WantTrace bool
 }
 
@@ -223,12 +224,12 @@ func decodeStatus(raw uint64) Status {
 	return Status(raw)
 }
 
-// responseHead encodes the frame of p up to its trace bytes: the
-// length prefix, then the body's kind, ID, status, detail, artifact
-// and the trace's length prefix. The frame is the head followed by
-// p.Trace. It fails if the body would exceed MaxFrameBytes.
-func responseHead(p Response) ([]byte, error) {
-	trace := p.Trace
+// responseHead encodes the frame of p, carrying a trace of traceLen
+// bytes, up to the trace: the length prefix, then the body's kind, ID,
+// status, detail, artifact and the trace's length prefix. The frame is
+// the head followed by the trace. It fails if the body would exceed
+// MaxFrameBytes.
+func responseHead(p Response, traceLen int) ([]byte, error) {
 	p.Trace = nil
 	body, err := transport.EncodeMessage(nil, p)
 	if err != nil {
@@ -236,11 +237,11 @@ func responseHead(p Response) ([]byte, error) {
 	}
 	// The codec writes Trace last, as a length-prefixed byte string, so
 	// the body ends in the one-byte length prefix of an empty trace.
-	body = binary.AppendUvarint(body[:len(body)-1], uint64(len(trace)))
-	size := len(body) + len(trace)
+	body = binary.AppendUvarint(body[:len(body)-1], uint64(traceLen))
+	size := len(body) + traceLen
 	if size > MaxFrameBytes {
 		return nil, fmt.Errorf("response would be %d bytes (artifact %d, trace %d), over the %d-byte frame cap",
-			size, len(p.Artifact), len(trace), MaxFrameBytes)
+			size, len(p.Artifact), traceLen, MaxFrameBytes)
 	}
 	return append(binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(size)), body...), nil
 }
@@ -317,7 +318,7 @@ func WriteRequest(w io.Writer, req Request) error {
 
 // AppendResponse appends the length-prefixed frame encoding of resp.
 func AppendResponse(buf []byte, resp Response) ([]byte, error) {
-	head, err := responseHead(resp)
+	head, err := responseHead(resp, len(resp.Trace))
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +359,7 @@ func ReadResponse(br *bufio.Reader) (Response, error) {
 // WriteResponse writes one response frame to w: its head, then
 // resp.Trace from resp's own slice, never copied into a frame.
 func WriteResponse(w io.Writer, resp Response) error {
-	head, err := responseHead(resp)
+	head, err := responseHead(resp, len(resp.Trace))
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"iter"
+
+	"sleepmst/internal/trace"
 )
 
 // The event engine: the goroutine-free scheduler core.
@@ -115,8 +117,8 @@ func (e *eventEngine) step(idx int) {
 			// program cannot exit with an error from an abort unwind, so
 			// this cannot disturb first-error-wins ordering.
 			rt.res.CrashRound[idx] = cr
-			if rt.rec != nil {
-				rt.rec.Crash(idx, cr)
+			if rt.sink != nil {
+				rt.sink.Event(trace.Event{Kind: trace.KindCrash, Round: cr, Node: int32(idx)})
 			}
 			nd.aborted = true
 			e.coros[idx].stop()
@@ -124,11 +126,11 @@ func (e *eventEngine) step(idx int) {
 			return
 		}
 	}
-	if rt.rec != nil {
+	if rt.sink != nil {
 		// A real sleep gap: the node skips >= 1 round between its last
 		// awake round (0 = never) and its next wake.
 		if last := rt.res.HaltRound[idx]; nd.wake > last+1 {
-			rt.rec.Sleep(idx, last, nd.wake)
+			rt.sink.Event(trace.Event{Kind: trace.KindSleep, Round: nd.wake, Node: int32(idx), Aux: last})
 		}
 	}
 	e.parked[idx] = true
@@ -217,8 +219,8 @@ func (e *eventEngine) run() {
 			nd := rt.nodes[idx]
 			nd.awake++
 			rt.res.AwakePerNode[idx]++
-			if rt.rec != nil {
-				rt.rec.Awake(round, idx)
+			if rt.sink != nil {
+				rt.sink.Event(trace.Event{Kind: trace.KindAwake, Round: round, Node: int32(idx)})
 			}
 			if rt.cfg.AwakeBudget > 0 && nd.awake > rt.cfg.AwakeBudget && rt.failed == nil {
 				rt.failed = fmt.Errorf("sim: node %d exceeded awake budget %d in round %d: %w (%w)",
@@ -238,6 +240,11 @@ func (e *eventEngine) run() {
 		// unwinds everyone.
 		for _, idx := range p {
 			e.step(idx)
+		}
+		// Every participant has parked for a later round, so nothing
+		// more is stamped at or before this one.
+		if rt.sink != nil {
+			rt.sink.Passed(round)
 		}
 	}
 }

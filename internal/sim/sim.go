@@ -27,6 +27,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sleepmst/internal/graph"
@@ -186,14 +187,15 @@ type Config struct {
 	// per-message fault injection (model checking; see Chooser). Nil —
 	// the default — keeps today's fixed choices bit-identically.
 	Chooser Chooser
-	// Trace, if non-nil, records structured events (awake, sleep gaps,
-	// sends, deliveries, losses, crashes, plus whatever the node
-	// program emits via EmitPhase/EmitStep/EmitMerge) into the given
-	// recorder. Nil — the default — keeps recording entirely off the
-	// hot path; when set, recording stays allocation-bounded by the
-	// recorder's ring capacity. The recorder serves this one run: Run
-	// calls Trace.Begin itself.
-	Trace *trace.Recorder
+	// Trace, if non-nil, receives the run's structured events (awake,
+	// sleep gaps, sends, deliveries, losses, crashes, plus whatever the
+	// node program emits via EmitPhase/EmitStep/EmitMerge/EmitNbrs) as
+	// they happen, and hears after every busy round which round is
+	// passed (see trace.Sink): a *trace.Recorder keeps them in bounded
+	// rings, a *trace.Orderer releases them in canonical order. Nil —
+	// the default — keeps tracing entirely off the hot path. The sink
+	// serves this one run: Run calls Trace.Begin itself.
+	Trace trace.Sink
 	// Metrics, if non-nil, receives runtime counters (msgs/type/<label>
 	// tallies from the scheduler, labeled by each message type's codec
 	// registration; node programs may add their own via Node.Metrics).
@@ -454,38 +456,38 @@ func (nd *Node) Metrics() *metrics.Registry { return nd.rt.cfg.Metrics }
 
 // EmitPhase records the node entering 1-based phase as a member of
 // fragment frag, stamped with the node's next wake round. No-op
-// without a configured trace recorder.
+// without a trace sink.
 func (nd *Node) EmitPhase(phase int, frag int64) {
-	if rec := nd.rt.cfg.Trace; rec != nil {
-		rec.Phase(nd.idx, nd.wake, phase, frag)
+	if sink := nd.rt.sink; sink != nil {
+		sink.Event(trace.Event{Kind: trace.KindPhase, Round: nd.wake, Node: int32(nd.idx), Phase: int32(phase), Frag: frag})
 	}
 }
 
 // EmitStep records the node completing a phase step on which it spent
 // awake awake rounds, stamped with the node's next wake round. No-op
-// without a configured trace recorder.
+// without a trace sink.
 func (nd *Node) EmitStep(phase int, step trace.Step, awake int64) {
-	if rec := nd.rt.cfg.Trace; rec != nil {
-		rec.StepDone(nd.idx, nd.wake, phase, step, awake)
+	if sink := nd.rt.sink; sink != nil {
+		sink.Event(trace.Event{Kind: trace.KindStep, Round: nd.wake, Node: int32(nd.idx), Phase: int32(phase), Step: step, Aux: awake})
 	}
 }
 
 // EmitMerge records the node leaving fragment prev for fragment frag,
 // stamped with the node's next wake round. No-op without a configured
-// trace recorder.
+// trace sink.
 func (nd *Node) EmitMerge(prev, frag int64) {
-	if rec := nd.rt.cfg.Trace; rec != nil {
-		rec.Merge(nd.idx, nd.wake, prev, frag)
+	if sink := nd.rt.sink; sink != nil {
+		sink.Event(trace.Event{Kind: trace.KindMerge, Round: nd.wake, Node: int32(nd.idx), Frag: frag, Prev: prev})
 	}
 }
 
 // EmitNbrs records the node's fragment-supergraph degree deg in the
 // given phase (emitted by fragment roots after the NBR-INFO
 // broadcast), stamped with the node's next wake round. No-op without a
-// configured trace recorder.
+// configured trace sink.
 func (nd *Node) EmitNbrs(phase, deg int) {
-	if rec := nd.rt.cfg.Trace; rec != nil {
-		rec.Nbrs(nd.idx, nd.wake, phase, deg)
+	if sink := nd.rt.sink; sink != nil {
+		sink.Event(trace.Event{Kind: trace.KindNbrs, Round: nd.wake, Node: int32(nd.idx), Phase: int32(phase), Aux: int64(deg)})
 	}
 }
 
@@ -550,10 +552,10 @@ type runtime struct {
 	res    *Result
 	failed error
 
-	// rec mirrors cfg.Trace; tally batches per-label delivery counts
+	// sink mirrors cfg.Trace; tally batches per-label delivery counts
 	// locally (scheduler thread only) and is flushed into cfg.Metrics
 	// once at the end of the run.
-	rec   *trace.Recorder
+	sink  trace.Sink
 	tally map[tallyKey]int64
 
 	delayed delayHeap // in-flight messages postponed by the interceptor
@@ -667,8 +669,8 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		cfg.Interceptor.BeginRun(n)
 	}
 	if cfg.Trace != nil {
-		rt.rec = cfg.Trace
-		rt.rec.Begin(n)
+		rt.sink = cfg.Trace
+		rt.sink.Begin(n)
 	}
 	if cfg.Metrics != nil {
 		rt.tally = make(map[tallyKey]int64)
@@ -702,10 +704,11 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	rt.runEvent(prog)
 	// Messages still in flight when the run ends never reach anyone.
 	rt.res.MessagesLost += int64(len(rt.delayed))
-	if rt.rec != nil {
+	if rt.sink != nil {
 		for _, d := range rt.delayed {
-			rt.rec.Lost(d.round, d.from, d.fromPort, d.to)
+			rt.traceMsg(trace.KindLost, d.round, d.from, d.fromPort, d.to)
 		}
+		rt.sink.Passed(math.MaxInt64)
 	}
 	for k, c := range rt.tally {
 		cfg.Metrics.Add(metrics.MsgName(k.label()), c)
@@ -828,14 +831,14 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 			rt.res.MessagesSent++
 			rt.res.MessagesSentPerNode[idx]++
 			rt.res.BitsSent += int64(bits)
-			if rt.rec != nil {
-				rt.rec.Send(round, idx, p, ports[p].To)
+			if rt.sink != nil {
+				rt.traceMsg(trace.KindSend, round, idx, p, ports[p].To)
 			}
 			if ch != nil && ch.ChooseFault(round, idx, p, ports[p].To) {
 				rt.res.MessagesDropped++
 				rt.res.MessagesLost++
-				if rt.rec != nil {
-					rt.rec.Lost(round, idx, p, ports[p].To)
+				if rt.sink != nil {
+					rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
 				}
 				continue
 			}
@@ -843,12 +846,12 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 				// Without an interceptor: clean delivery semantics.
 				if rt.awakeStamp[ports[p].To] != round {
 					rt.res.MessagesLost++
-					if rt.rec != nil {
-						rt.rec.Lost(round, idx, p, ports[p].To)
+					if rt.sink != nil {
+						rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
 					}
 					continue
 				}
-				if err := rt.route(round, 0, idx, p, ports[p].To, ports[p].RevPort, msg); err != nil {
+				if err := rt.route(round, 0, idx, p, ports[p].To, ports[p].RevPort, msg, bits); err != nil {
 					return err
 				}
 				continue
@@ -861,8 +864,8 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 			if ev.Drop {
 				rt.res.MessagesDropped++
 				rt.res.MessagesLost++
-				if rt.rec != nil {
-					rt.rec.Lost(round, idx, p, ports[p].To)
+				if rt.sink != nil {
+					rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
 				}
 				continue
 			}
@@ -880,12 +883,12 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 				if at == round {
 					if rt.awakeStamp[ports[p].To] != round {
 						rt.res.MessagesLost++
-						if rt.rec != nil {
-							rt.rec.Lost(round, idx, p, ports[p].To)
+						if rt.sink != nil {
+							rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
 						}
 						continue
 					}
-					if err := rt.route(round, 0, idx, p, ports[p].To, ports[p].RevPort, ev.Payload); err != nil {
+					if err := rt.route(round, 0, idx, p, ports[p].To, ports[p].RevPort, ev.Payload, -1); err != nil {
 						return err
 					}
 					continue
@@ -915,33 +918,42 @@ func (rt *runtime) deliverDelayed(round int64) error {
 		d := rt.delayed.pop()
 		if d.round < round || rt.awakeStamp[d.to] != round {
 			rt.res.MessagesLost++
-			if rt.rec != nil {
-				rt.rec.Lost(d.round, d.from, d.fromPort, d.to)
+			if rt.sink != nil {
+				rt.traceMsg(trace.KindLost, d.round, d.from, d.fromPort, d.to)
 			}
 			continue
 		}
-		if err := rt.route(round, d.seq, d.from, d.fromPort, d.to, d.rev, d.msg); err != nil {
+		if err := rt.route(round, d.seq, d.from, d.fromPort, d.to, d.rev, d.msg, -1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// traceMsg reports one message event to the sink: node and port are
+// the subject's, peer the other endpoint.
+func (rt *runtime) traceMsg(kind trace.Kind, round int64, node, port, peer int) {
+	rt.sink.Event(trace.Event{Kind: kind, Round: round, Node: int32(node), Port: int32(port), Peer: int32(peer)})
+}
+
 // deposit hands one message copy to an awake receiver, enforcing the
-// bit cap on the receive side — the size is re-measured here so that a
-// payload replaced after the send-side check (or a Sizer whose Bits
-// changed) still cannot smuggle an oversized message past CONGEST
-// enforcement.
-func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interface{}) error {
-	bits := MessageBits(msg)
+// bit cap on the receive side. bits is the size deliver measured for a
+// payload nothing could replace since; a negative bits measures it
+// again, so that a payload an interceptor replaced after the send-side
+// check, a delayed copy or a wire-decoded copy still cannot smuggle an
+// oversized message past CONGEST enforcement.
+func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interface{}, bits int) error {
+	if bits < 0 {
+		bits = MessageBits(msg)
+	}
 	if rt.cfg.BitCap > 0 && bits > rt.cfg.BitCap {
 		return fmt.Errorf("sim: node %d received %d-bit message in round %d sent by node %d on port %d, cap %d: %w (%w)",
 			to, bits, round, from, fromPort, rt.cfg.BitCap, ErrBitCap, ErrAborted)
 	}
 	rt.res.MessagesDelivered++
 	rt.res.BitsReceivedPerNode[to] += int64(bits)
-	if rt.rec != nil {
-		rt.rec.Deliver(round, to, rev, from)
+	if rt.sink != nil {
+		rt.traceMsg(trace.KindDeliver, round, to, rev, from)
 	}
 	if rt.tally != nil {
 		rt.tally[tallyKeyOf(msg)]++

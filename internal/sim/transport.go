@@ -57,10 +57,12 @@ func newTxState(tx transport.Transport, n int) *txState {
 // route carries one message copy towards an awake receiver: straight
 // to deposit without a transport, over the wire otherwise. seq is 0
 // for a fresh same-round send and the scheduler's FIFO sequence for a
-// copy the interceptor delayed into this round.
-func (rt *runtime) route(round, seq int64, from, fromPort, to, rev int, msg interface{}) error {
+// copy the interceptor delayed into this round; bits is the payload's
+// measured size, or negative when deposit must measure it (see
+// deposit).
+func (rt *runtime) route(round, seq int64, from, fromPort, to, rev int, msg interface{}, bits int) error {
 	if rt.tx == nil {
-		return rt.deposit(round, from, fromPort, to, rev, msg)
+		return rt.deposit(round, from, fromPort, to, rev, msg, bits)
 	}
 	if err := rt.tx.ship(round, seq, from, fromPort, to, rev, msg); err != nil {
 		return fmt.Errorf("sim: transport: %w (%w)", err, ErrAborted)
@@ -163,7 +165,7 @@ func (rt *runtime) txDrain(round int64) error {
 			if err != nil {
 				return fmt.Errorf("sim: transport: node %d round %d: %w (%w)", to, round, err, ErrAborted)
 			}
-			if err := rt.deposit(round, int(f.From), int(f.Port), int(f.To), int(f.Rev), msg); err != nil {
+			if err := rt.deposit(round, int(f.From), int(f.Port), int(f.To), int(f.Rev), msg, -1); err != nil {
 				return err
 			}
 		}

@@ -47,7 +47,7 @@ func referenceEvents(r *Recorder) []Event {
 	return all
 }
 
-// randomRecorder drives a recorder through its public methods with
+// randomRecorder drives a recorder through Event with
 // rounds in [0, 2^roundBits) and scheduler-side nodes in [0,
 // 2^nodeBits), or in [-2^bits, 2^bits) when negative is set. Node-side
 // events use the run's own nodes, and every node ends with a Crash
@@ -80,32 +80,35 @@ func randomRecorder(rng *rand.Rand, capacity, roundBits, nodeBits int, negative 
 	for i, ops := 0, 50+rng.Intn(400); i < ops; i++ {
 		round := value(roundBits)
 		node := int(value(nodeBits))
-		own := rng.Intn(n)
+		own := rng.Int31n(int32(n))
+		msg := func(kind Kind) Event {
+			return Event{Kind: kind, Round: round, Node: int32(node), Port: int32(rng.Intn(4)), Peer: int32(value(nodeBits))}
+		}
 		switch rng.Intn(10) {
 		case 0:
-			r.Awake(round, node)
+			r.Event(Event{Kind: KindAwake, Round: round, Node: int32(node)})
 		case 1:
-			r.Send(round, node, rng.Intn(4), int(value(nodeBits)))
+			r.Event(msg(KindSend))
 		case 2:
-			r.Deliver(round, node, rng.Intn(4), int(value(nodeBits)))
+			r.Event(msg(KindDeliver))
 		case 3:
-			r.Lost(round, node, rng.Intn(4), int(value(nodeBits)))
+			r.Event(msg(KindLost))
 		case 4:
-			r.Sleep(own, value(roundBits), round)
+			r.Event(Event{Kind: KindSleep, Round: round, Node: own, Aux: value(roundBits)})
 		case 5:
-			r.Phase(own, round, 1+rng.Intn(5), value(40))
+			r.Event(Event{Kind: KindPhase, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Frag: value(40)})
 		case 6:
-			r.StepDone(own, round, 1+rng.Intn(5), Steps[rng.Intn(len(Steps))], rng.Int63n(9))
+			r.Event(Event{Kind: KindStep, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Step: Steps[rng.Intn(len(Steps))], Aux: rng.Int63n(9)})
 		case 7:
-			r.Merge(own, round, value(40), value(40))
+			r.Event(Event{Kind: KindMerge, Round: round, Node: own, Frag: value(40), Prev: value(40)})
 		case 8:
-			r.Nbrs(own, round, 1+rng.Intn(5), rng.Intn(5))
+			r.Event(Event{Kind: KindNbrs, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Aux: int64(rng.Intn(5))})
 		case 9:
-			r.Awake(round, own)
+			r.Event(Event{Kind: KindAwake, Round: round, Node: own})
 		}
 	}
-	for v := 0; v < n; v++ {
-		r.Crash(v, lowest)
+	for v := int32(0); v < int32(n); v++ {
+		r.Event(Event{Kind: KindCrash, Round: lowest, Node: v})
 	}
 	return r
 }
@@ -228,10 +231,11 @@ func TestAppendEventMatchesFmt(t *testing.T) {
 }
 
 // TestJSONLSizeMatchesRender: AppendEventsJSONL writes the bytes
-// WriteEventsJSONL does, and JSONLSize is their exact length, on
-// randomized recorders (ring overflow, negative and extreme rounds and
-// nodes, every kind) plus events of every step, StepNone, an unknown
-// step and an unknown kind, under ordinary and extreme metadata.
+// WriteEventsJSONL does, and a JSONL render that keeps no bytes counts
+// their exact length, on randomized recorders (ring overflow, negative
+// and extreme rounds and nodes, every kind) plus events of every step,
+// StepNone, an unknown step and an unknown kind, under ordinary and
+// extreme metadata.
 func TestJSONLSizeMatchesRender(t *testing.T) {
 	extra := []Event{
 		{Kind: KindNbrs + 1, Round: 5, Node: 1},
@@ -247,7 +251,8 @@ func TestJSONLSizeMatchesRender(t *testing.T) {
 			for _, negative := range []bool{false, true} {
 				r := randomRecorder(rng, capacity, bits, min(bits, 31), negative)
 				events := append(r.Events(), extra...)
-				for _, meta := range []Meta{r.Meta(), {N: math.MaxInt32, Rounds: math.MinInt64, Events: -1, Dropped: math.MaxInt64}} {
+				for _, meta := range []Meta{r.Meta(), {N: math.MaxInt32, Rounds: math.MinInt64, Dropped: math.MaxInt64}} {
+					meta.Events = int64(len(events))
 					var w bytes.Buffer
 					if err := WriteEventsJSONL(&w, meta, events); err != nil {
 						t.Fatal(err)
@@ -257,9 +262,13 @@ func TestJSONLSizeMatchesRender(t *testing.T) {
 						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: AppendEventsJSONL differs from WriteEventsJSONL",
 							capacity, bits, negative, meta)
 					}
-					if size := JSONLSize(meta, events); size != w.Len() {
-						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: JSONLSize = %d, rendered %d bytes",
-							capacity, bits, negative, meta, size, w.Len())
+					counted := NewJSONL(math.MaxInt64, 0)
+					counted.Begin(meta.N)
+					counted.Round(events)
+					counted.End(meta)
+					if counted.Len() != w.Len() {
+						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: counted %d bytes, rendered %d",
+							capacity, bits, negative, meta, counted.Len(), w.Len())
 					}
 				}
 			}

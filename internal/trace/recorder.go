@@ -322,69 +322,23 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Awake records node being awake (and charged) in round. Scheduler
-// side.
-func (r *Recorder) Awake(round int64, node int) {
-	if round > r.rounds {
-		r.rounds = round
+// Event records ev: scheduler-side kinds in the scheduler stream,
+// node-side kinds in the stream of ev.Node.
+func (r *Recorder) Event(ev Event) {
+	switch ev.Kind {
+	case KindAwake:
+		r.rounds = max(r.rounds, ev.Round)
+		fallthrough
+	case KindSend, KindDeliver, KindLost:
+		r.sched.push(r.schedCap, ev)
+	default:
+		r.nodes[ev.Node].push(r.nodeCap, ev)
 	}
-	r.sched.push(r.schedCap, Event{Kind: KindAwake, Round: round, Node: int32(node)})
 }
 
-// Send records one staged message: from sends on its port towards to.
-// Scheduler side.
-func (r *Recorder) Send(round int64, from, port, to int) {
-	r.sched.push(r.schedCap, Event{Kind: KindSend, Round: round, Node: int32(from), Port: int32(port), Peer: int32(to)})
-}
-
-// Deliver records a message reaching awake receiver to on its port
-// (the reverse port of the send), sent by from. Scheduler side.
-func (r *Recorder) Deliver(round int64, to, port, from int) {
-	r.sched.push(r.schedCap, Event{Kind: KindDeliver, Round: round, Node: int32(to), Port: int32(port), Peer: int32(from)})
-}
-
-// Lost records a message copy that reached no one. Scheduler side.
-func (r *Recorder) Lost(round int64, from, port, to int) {
-	r.sched.push(r.schedCap, Event{Kind: KindLost, Round: round, Node: int32(from), Port: int32(port), Peer: int32(to)})
-}
-
-// Sleep records a real sleep gap for node: it was last awake in
-// lastAwake (0 = never) and wakes next in wake. Called by the
-// scheduler while the node is parked.
-func (r *Recorder) Sleep(node int, lastAwake, wake int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindSleep, Round: wake, Node: int32(node), Aux: lastAwake})
-}
-
-// Crash records node being crash-stopped from round onward. Called by
-// the scheduler while the node is parked.
-func (r *Recorder) Crash(node int, round int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindCrash, Round: round, Node: int32(node)})
-}
-
-// Phase records node entering 1-based phase as a member of fragment
-// frag, with round its first wake round of the phase. Node side.
-func (r *Recorder) Phase(node int, round int64, phase int, frag int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindPhase, Round: round, Node: int32(node), Phase: int32(phase), Frag: frag})
-}
-
-// StepDone records node finishing a phase step having spent awake
-// rounds on it; round is the node's next wake round. Node side.
-func (r *Recorder) StepDone(node int, round int64, phase int, step Step, awake int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindStep, Round: round, Node: int32(node), Phase: int32(phase), Step: step, Aux: awake})
-}
-
-// Merge records node moving from fragment prev to fragment frag;
-// round is the node's next wake round. Node side.
-func (r *Recorder) Merge(node int, round int64, prev, frag int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindMerge, Round: round, Node: int32(node), Frag: frag, Prev: prev})
-}
-
-// Nbrs records a fragment root's supergraph degree deg (its NBR-INFO
-// entry count) in the given phase; round is the node's next wake
-// round. Node side.
-func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindNbrs, Round: round, Node: int32(node), Phase: int32(phase), Aux: int64(deg)})
-}
+// Passed does nothing: a recorder orders its events when they are
+// read (see Events).
+func (r *Recorder) Passed(int64) {}
 
 // appendTo appends the stream's live events to dst, oldest first.
 func (s *stream) appendTo(dst []Event) []Event {
@@ -414,7 +368,7 @@ func (r *Recorder) Events() []Event {
 	for i := range r.nodes {
 		evs = r.nodes[i].appendTo(evs)
 	}
-	return sortCanonical(evs)
+	return sortCanonical(evs, make([]Event, len(evs)))
 }
 
 // sortField names one component of the canonical sort key.
@@ -441,13 +395,13 @@ func (f sortField) key(ev *Event) uint64 {
 }
 
 // sortCanonical orders evs stably by (Round, Node, Kind) and returns
-// the result, which is evs or a buffer of the same length. It is an
-// LSD radix sort: one stable counting pass per byte of Kind, then
-// Node, then Round. A field takes only the passes for the bytes in
-// which its smallest and largest keys differ — every key between
-// them shares the higher bytes — so a 48-node run of under 65,536
-// rounds sorts in four passes.
-func sortCanonical(evs []Event) []Event {
+// the result, which is evs or buf[:len(evs)]; buf must hold len(evs)
+// events. It is an LSD radix sort: one stable counting pass per byte
+// of Kind, then Node, then Round. A field takes only the passes for
+// the bytes in which its smallest and largest keys differ — every key
+// between them shares the higher bytes — so a 48-node run of under
+// 65,536 rounds sorts in four passes, and one round of it in two.
+func sortCanonical(evs, buf []Event) []Event {
 	if len(evs) < 2 {
 		return evs
 	}
@@ -459,7 +413,7 @@ func sortCanonical(evs []Event) []Event {
 			lo[f], hi[f] = min(lo[f], k), max(hi[f], k)
 		}
 	}
-	src, dst := evs, make([]Event, len(evs))
+	src, dst := evs, buf[:len(evs)]
 	for f := byKind; f <= byRound; f++ {
 		span := lo[f] ^ hi[f]
 		for shift := uint(0); span>>shift != 0; shift += 8 {
@@ -522,10 +476,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // run) write them with it instead of ordering them again through
 // WriteJSONL; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
-	const (
-		chunk   = 32 << 10
-		maxLine = 128 // longer than any rendered event line
-	)
+	const chunk = 32 << 10
 	buf := appendBegin(make([]byte, 0, chunk), meta)
 	for _, ev := range events {
 		if len(buf) > chunk-maxLine {
@@ -541,7 +492,7 @@ func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
 }
 
 // AppendEventsJSONL appends the stream WriteEventsJSONL writes for
-// (meta, events) to dst; JSONLSize is its exact length.
+// (meta, events) to dst.
 func AppendEventsJSONL(dst []byte, meta Meta, events []Event) []byte {
 	dst = appendBegin(dst, meta)
 	for _, ev := range events {
@@ -550,16 +501,8 @@ func AppendEventsJSONL(dst []byte, meta Meta, events []Event) []byte {
 	return appendEnd(dst, meta)
 }
 
-// JSONLSize returns len(AppendEventsJSONL(nil, meta, events)) without
-// rendering the events.
-func JSONLSize(meta Meta, events []Event) int {
-	var line [128]byte // longer than the begin and end lines
-	n := len(appendBegin(line[:0], meta)) + len(appendEnd(line[:0], meta))
-	for i := range events {
-		n += lineSize(&events[i])
-	}
-	return n
-}
+// maxLine is longer than any rendered line.
+const maxLine = 128
 
 // appendBegin appends the stream's begin line.
 func appendBegin(dst []byte, meta Meta) []byte {

@@ -6,25 +6,32 @@ import (
 	"testing"
 )
 
-// record fills a recorder with a tiny synthetic run: two nodes, three
-// rounds, one phase, one merge, one lost message, one crash.
+// recordEvents is a tiny synthetic run in report order: two nodes,
+// three rounds, one phase, one merge, one lost message, one crash.
+var recordEvents = []Event{
+	{Kind: KindPhase, Round: 1, Node: 0, Phase: 1, Frag: 10},
+	{Kind: KindPhase, Round: 1, Node: 1, Phase: 1, Frag: 11},
+	{Kind: KindAwake, Round: 1, Node: 0},
+	{Kind: KindAwake, Round: 1, Node: 1},
+	{Kind: KindSend, Round: 1, Node: 0, Port: 0, Peer: 1},
+	{Kind: KindDeliver, Round: 1, Node: 1, Port: 0, Peer: 0},
+	{Kind: KindSleep, Round: 3, Node: 1, Aux: 1},
+	{Kind: KindAwake, Round: 2, Node: 0},
+	{Kind: KindSend, Round: 2, Node: 0, Port: 0, Peer: 1},
+	{Kind: KindLost, Round: 2, Node: 0, Port: 0, Peer: 1},
+	{Kind: KindCrash, Round: 3, Node: 1},
+	{Kind: KindAwake, Round: 3, Node: 0},
+	{Kind: KindStep, Round: 4, Node: 0, Phase: 1, Step: StepFindMOE, Aux: 3},
+	{Kind: KindMerge, Round: 4, Node: 0, Frag: 11, Prev: 10},
+}
+
+// record fills a recorder with recordEvents.
 func record() *Recorder {
 	r := NewRecorder(0)
 	r.Begin(2)
-	r.Phase(0, 1, 1, 10)
-	r.Phase(1, 1, 1, 11)
-	r.Awake(1, 0)
-	r.Awake(1, 1)
-	r.Send(1, 0, 0, 1)
-	r.Deliver(1, 1, 0, 0)
-	r.Sleep(1, 1, 3)
-	r.Awake(2, 0)
-	r.Send(2, 0, 0, 1)
-	r.Lost(2, 0, 0, 1)
-	r.Crash(1, 3)
-	r.Awake(3, 0)
-	r.StepDone(0, 4, 1, StepFindMOE, 3)
-	r.Merge(0, 4, 10, 11)
+	for _, ev := range recordEvents {
+		r.Event(ev)
+	}
 	return r
 }
 
@@ -92,7 +99,7 @@ func TestRecorderOverflowDropsOldest(t *testing.T) {
 	r := NewRecorder(128) // schedCap and nodeCap both floor at 64
 	r.Begin(1)
 	for round := int64(1); round <= 100; round++ {
-		r.Awake(round, 0)
+		r.Event(Event{Kind: KindAwake, Round: round})
 	}
 	if r.Dropped() != 36 {
 		t.Fatalf("Dropped() = %d, want 36", r.Dropped())

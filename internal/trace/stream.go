@@ -1,0 +1,288 @@
+package trace
+
+import (
+	"fmt"
+	"math"
+)
+
+// Sink receives a run's events while the run goes. sim.Run reports to
+// the sink in Config.Trace: Begin once, then every event as it
+// happens, and Passed after every busy round and once more, with
+// math.MaxInt64, when the run ends. A *Recorder keeps the events in
+// its rings; an *Orderer releases them in canonical order round by
+// round; Tee feeds both.
+type Sink interface {
+	// Begin starts a run on n nodes, before its first event.
+	Begin(n int)
+	// Event reports one event. A scheduler-side event carries the round
+	// being run, or, for a delayed copy lost unrun, the round it was
+	// due in; a node-side event carries the node's next wake round.
+	Event(ev Event)
+	// Passed reports that no later event is stamped at or before
+	// round: the scheduler has run it, every node has parked for a
+	// later one, and every delayed copy due by then is settled.
+	Passed(round int64)
+}
+
+// Tee returns a Sink that reports every call to a, then to b.
+func Tee(a, b Sink) Sink { return tee{a, b} }
+
+type tee struct{ a, b Sink }
+
+func (t tee) Begin(n int)        { t.a.Begin(n); t.b.Begin(n) }
+func (t tee) Event(ev Event)     { t.a.Event(ev); t.b.Event(ev) }
+func (t tee) Passed(round int64) { t.a.Passed(round); t.b.Passed(round) }
+
+// Orderer is a Sink that puts a run's events into canonical order as
+// the run goes, the order Recorder.Events produces after it. Once a
+// round is passed, the Orderer hands its events, sorted, to its
+// release function, rounds in ascending order. It holds only the
+// events not yet released: the current round's scheduler events and
+// the node events stamped ahead at the nodes' wake rounds. The work per
+// round is a sort of that round's events, never a pass over the nodes.
+//
+// Events of one (round, node, kind) come from one recorder stream, so
+// ordering each round stably by (node, kind) in arrival order yields
+// the recorder's (stream, sequence) tiebreak.
+type Orderer struct {
+	release func(events []Event)
+	meta    Meta
+	passed  int64
+
+	// cur holds the scheduler events of curRound, the round being run,
+	// in one buffer every round reuses.
+	cur      []Event
+	curRound int64
+
+	// slots holds the other pending events by round — node events
+	// stamped ahead, and scheduler events of a round other than
+	// curRound — index maps a pending round to its slot, and queue
+	// holds the pending rounds, curRound included, smallest first.
+	// Released slots keep their capacity on the free list.
+	slots [][]Event
+	free  []int
+	index map[int64]int
+	queue roundHeap
+
+	buf []Event // sort scratch
+}
+
+// NewOrderer returns an Orderer that calls release with the events of
+// each passed round, in canonical order. The slice is reused once
+// release returns.
+func NewOrderer(release func(events []Event)) *Orderer {
+	return &Orderer{release: release, index: map[int64]int{}, passed: math.MinInt64}
+}
+
+// Begin resets the orderer for a run on n nodes.
+func (o *Orderer) Begin(n int) {
+	for len(o.queue) > 0 {
+		o.recycle(o.queue.pop())
+	}
+	o.meta, o.passed, o.cur = Meta{N: n}, math.MinInt64, o.cur[:0]
+}
+
+// Event queues ev for the release of its round. An event stamped at or
+// before a passed round breaks the Sink contract and panics.
+func (o *Orderer) Event(ev Event) {
+	if ev.Round <= o.passed {
+		panic(fmt.Sprintf("trace: %s reported after round %d was passed", ev, o.passed))
+	}
+	if ev.Kind >= KindAwake && ev.Kind <= KindLost {
+		if len(o.cur) == 0 {
+			o.slot(ev.Round) // queue the round
+			o.curRound = ev.Round
+		}
+		if ev.Round == o.curRound {
+			o.cur = append(o.cur, ev)
+			return
+		}
+	}
+	s := o.slot(ev.Round)
+	o.slots[s] = append(o.slots[s], ev)
+}
+
+// slot returns the slot of a pending round, opening one if needed.
+func (o *Orderer) slot(round int64) int {
+	if s, ok := o.index[round]; ok {
+		return s
+	}
+	var s int
+	if k := len(o.free) - 1; k >= 0 {
+		s, o.free = o.free[k], o.free[:k]
+	} else {
+		s = len(o.slots)
+		o.slots = append(o.slots, nil)
+	}
+	o.index[round] = s
+	o.queue.push(round)
+	return s
+}
+
+// Passed releases every pending round at or before round.
+func (o *Orderer) Passed(round int64) {
+	for len(o.queue) > 0 && o.queue[0] <= round {
+		r := o.queue.pop()
+		evs := o.slots[o.index[r]]
+		if len(o.cur) > 0 && o.curRound == r {
+			// The kinds of the two parts differ, so their arrival order
+			// relative to each other never matters.
+			o.cur = append(o.cur, evs...)
+			evs, o.cur = o.cur, o.cur[:0]
+		}
+		if cap(o.buf) < len(evs) {
+			o.buf = make([]Event, len(evs))
+		}
+		evs = sortCanonical(evs, o.buf)
+		for i := range evs {
+			if evs[i].Kind == KindAwake {
+				o.meta.Rounds = max(o.meta.Rounds, r)
+				break
+			}
+		}
+		o.meta.Events += int64(len(evs))
+		o.release(evs)
+		o.recycle(r)
+	}
+	o.passed = max(o.passed, round)
+}
+
+// recycle frees the slot of a popped round.
+func (o *Orderer) recycle(round int64) {
+	s := o.index[round]
+	delete(o.index, round)
+	o.slots[s] = o.slots[s][:0]
+	o.free = append(o.free, s)
+}
+
+// Meta returns the header of the events released so far: the node
+// count, the largest awake round, the event count, and no drops.
+func (o *Orderer) Meta() Meta { return o.meta }
+
+// roundHeap is a min-heap of pending rounds.
+type roundHeap []int64
+
+func (h *roundHeap) push(r int64) {
+	*h = append(*h, r)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *roundHeap) pop() int64 {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < len(s) && s[l] < s[least] {
+			least = l
+		}
+		if r < len(s) && s[r] < s[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	return top
+}
+
+// jsonlChunk is the size of one chunk of a JSONL render.
+const jsonlChunk = 32 << 10
+
+// JSONL renders the canonical JSONL stream of a run round by round, as
+// an Orderer releases it, into chunks that are filled once and never
+// regrown, then joined once by Bytes. It renders at most a given
+// number of events, the first ones in canonical order, and its end
+// line counts the rest as dropped; beyond a given size it stops
+// keeping bytes and only counts them, so a caller can refuse an
+// oversized stream without holding it.
+type JSONL struct {
+	maxEvents int64
+	maxBytes  int
+	chunks    [][]byte
+	size      int
+	shipped   int64
+}
+
+// NewJSONL returns a render of at most maxEvents events that keeps at
+// most maxBytes bytes.
+func NewJSONL(maxEvents int64, maxBytes int) *JSONL {
+	return &JSONL{maxEvents: maxEvents, maxBytes: maxBytes}
+}
+
+// Begin renders the begin line of a run on n nodes.
+func (j *JSONL) Begin(n int) {
+	j.chunks, j.size, j.shipped = j.chunks[:0], 0, 0
+	j.write(appendBegin(j.line(), Meta{N: n}))
+}
+
+// Round renders one round's events, in canonical order, up to the
+// event limit.
+func (j *JSONL) Round(events []Event) {
+	if room := j.maxEvents - j.shipped; int64(len(events)) > room {
+		events = events[:max(room, 0)]
+	}
+	j.shipped += int64(len(events))
+	for i := range events {
+		if j.size > j.maxBytes {
+			j.size += lineSize(&events[i])
+			continue
+		}
+		j.write(appendEvent(j.line(), events[i]))
+	}
+}
+
+// End renders the end line for the run described by meta: the events
+// rendered, and as dropped every other event of the run.
+func (j *JSONL) End(meta Meta) {
+	meta.Dropped += meta.Events - j.shipped
+	meta.Events = j.shipped
+	j.write(appendEnd(j.line(), meta))
+}
+
+// line returns the current chunk, or a fresh one when the current one
+// cannot hold another line.
+func (j *JSONL) line() []byte {
+	if k := len(j.chunks) - 1; k >= 0 && cap(j.chunks[k])-len(j.chunks[k]) >= maxLine {
+		return j.chunks[k]
+	}
+	j.chunks = append(j.chunks, make([]byte, 0, jsonlChunk))
+	return j.chunks[len(j.chunks)-1]
+}
+
+// write stores the current chunk after line() and an append grew it.
+func (j *JSONL) write(chunk []byte) {
+	k := len(j.chunks) - 1
+	j.size += len(chunk) - len(j.chunks[k])
+	j.chunks[k] = chunk
+}
+
+// Len returns the stream's size in bytes, kept or not.
+func (j *JSONL) Len() int { return j.size }
+
+// Bytes returns the stream in one exactly sized slice, or nil when it
+// outgrew the byte limit.
+func (j *JSONL) Bytes() []byte {
+	if j.size > j.maxBytes {
+		return nil
+	}
+	out := make([]byte, 0, j.size)
+	for _, c := range j.chunks {
+		out = append(out, c...)
+	}
+	return out
+}

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/problem"
-	"sleepmst/internal/trace"
 )
 
 // scaleN yields the smoke-test size: SLEEPMST_SCALE_N when set (the
@@ -117,11 +117,16 @@ func TestScaleConformStrict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := problem.Certify(p, g, core.Options{Seed: 1, Trace: trace.NewRecorder(0)})
+			c, err := problem.Certify(p, g, core.Options{Seed: 1}, nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			v := c.Verdict
+			for _, ch := range v.Checks {
+				if ch.Status == conform.StatusSkip && strings.Contains(ch.Detail, "dropped") {
+					t.Errorf("%s skipped: %s", ch.Name, ch.Detail)
+				}
+			}
 			if !v.Pass {
 				var buf bytes.Buffer
 				if werr := v.WriteJSON(&buf); werr == nil {
