@@ -19,6 +19,7 @@ import (
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/trace"
+	"sleepmst/internal/trace/tracetest"
 )
 
 // The behaviour-digest table: the program-side behaviour contract. For
@@ -84,16 +85,16 @@ func digestFaults() *chaos.Policy {
 
 // digestCell runs one cell and reduces it to its digests; it also
 // returns the run's message count so the chaos cell can calibrate.
-// The trace digest pins a default-capacity recorder, which drops the
-// oldest events of a large run; the verdict is Certify's, checked as
-// the run goes. Beside it, an unbounded recorder is the oracle of the
-// streamed path: Certify's JSONL render equals the recorder's ordered
-// events rendered, and its verdict equals CheckTrace over them.
+// The trace digest hashes Certify's whole trace and the verdict is
+// Certify's, checked as the run goes. Beside them, a reference sink
+// that sorts the whole run once is the oracle of the streamed path:
+// Certify's JSONL render equals the reference's, and its verdict
+// equals CheckTrace over the reference's events.
 func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Policy) (cellDigest, int64) {
 	t.Helper()
 	reg := metrics.New()
-	rec, full := trace.NewRecorder(0), trace.NewRecorder(math.MaxInt32)
-	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: trace.Tee(rec, full), Metrics: reg}
+	var ref tracetest.Reference
+	opts := core.Options{Seed: 1, RecordAwakeRounds: true, Trace: &ref, Metrics: reg}
 	if itc != nil {
 		opts.Interceptor = itc
 	}
@@ -101,23 +102,19 @@ func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Poli
 	c, err := problem.Certify(p, g, opts, jsonl)
 	r := c.Result
 
-	var tr, vj, want bytes.Buffer
-	if werr := rec.WriteJSONL(&tr); werr != nil {
-		t.Fatalf("%s: write trace: %v", p.Name(), werr)
-	}
+	var vj, want bytes.Buffer
 	if werr := c.Verdict.WriteJSON(&vj); werr != nil {
 		t.Fatalf("%s: write verdict: %v", p.Name(), werr)
 	}
-	meta, events := full.Meta(), full.Events()
-	if !bytes.Equal(jsonl.Bytes(), trace.AppendEventsJSONL(nil, meta, events)) || c.Meta != meta {
-		t.Errorf("streamed trace (%+v) differs from the unbounded recorder's (%+v)", c.Meta, meta)
+	if !bytes.Equal(jsonl.Bytes(), ref.JSONL(math.MaxInt64)) || c.Meta != ref.Meta() {
+		t.Errorf("streamed trace (%+v) differs from the reference's (%+v)", c.Meta, ref.Meta())
 	}
-	v := conform.CheckTrace(meta, events, conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: 1, Budget: p.Budget})
+	v := conform.CheckTrace(ref.Meta(), ref.Events(), conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: 1, Budget: p.Budget})
 	if err == nil {
 		v.Append(p.ConformCheck(g, r))
 	}
 	if werr := v.WriteJSON(&want); werr != nil || !bytes.Equal(vj.Bytes(), want.Bytes()) {
-		t.Errorf("streamed verdict differs from CheckTrace over the unbounded trace:\n%s\nwant:\n%s", c.Verdict, v)
+		t.Errorf("streamed verdict differs from CheckTrace over the reference's trace:\n%s\nwant:\n%s", c.Verdict, v)
 	}
 	var msgs int64
 	res := []byte("null")
@@ -143,7 +140,7 @@ func digestCell(t *testing.T, p problem.Problem, g *graph.Graph, itc *chaos.Poli
 		outcome = chaos.Classify(g, out, err).String()
 	}
 	return cellDigest{
-		Trace:   sha(tr.Bytes()),
+		Trace:   sha(jsonl.Bytes()),
 		Verdict: sha(vj.Bytes()),
 		Metrics: sha([]byte(reg.String())),
 		Result:  sha(res),

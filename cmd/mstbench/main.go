@@ -94,7 +94,7 @@ func main() {
 		traceAlgos = flag.String("trace-algos", "randomized,deterministic", "comma-separated algorithms for -exp trace")
 		traceOut   = flag.String("trace-out", "", "write -exp trace JSONL traces to this path (multi-algo: '.<algo>' inserted)")
 		traceIn    = flag.String("trace-in", "", "summarize this JSONL trace instead of running (implies -exp trace)")
-		traceCap   = flag.Int("trace-cap", 0, "recorder event capacity for -exp trace (0 = default; overflow drops oldest events)")
+		traceCap   = flag.Int("trace-cap", 0, "events -exp trace keeps: the first N events in canonical order; the end line counts the rest as dropped (0 = 262144)")
 
 		conformAlgo = flag.String("conform-algo", "", "problem that produced the -trace-in stream, e.g. mis or mst/randomized (enables its awake-budget check)")
 		conformOut  = flag.String("conform-out", "", "write -exp conform verdicts to this path as JSON")
@@ -201,10 +201,10 @@ func main() {
 // traceCommand implements -exp trace. With traceIn it summarizes an
 // existing JSONL trace; otherwise it runs every listed algorithm at
 // the largest -sizes value with the event recorder on and prints each
-// run's per-phase awake-budget table. traceCap sizes the recorder
-// rings (0 = trace.DefaultCapacity); when a big run overflows them the
-// table's scheduler-charged line undercounts, so raise the cap until
-// dropped=0 for budget-accounting runs.
+// run's per-phase awake-budget table. traceCap bounds the events the
+// recorder keeps, the run's first ones (0 = trace.DefaultCapacity);
+// when a big run exceeds it the table covers only the run's first
+// rounds, so raise the cap until dropped=0 for budget-accounting runs.
 func (h *harness) traceCommand(algoList, traceIn, traceOut string, traceCap int) int {
 	if traceIn != "" {
 		f, err := os.Open(traceIn)

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -66,7 +67,7 @@ func main() {
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
 		outPath   = flag.String("out", "", "write the JSON artifact to this file ('-' = stdout; default stdout)")
 		traceOut  = flag.String("trace-out", "", "also write the structured JSONL event trace to this file")
-		traceCap  = flag.Int("trace-cap", 1<<21, "trace-recorder event capacity for -trace-out")
+		traceCap  = flag.Int("trace-cap", service.MaxTraceCap, "events -trace-out keeps: the first N events in canonical order; the end line counts the rest as dropped")
 
 		serveAddr  = flag.String("serve", "", "persistent daemon mode: listen address for the service wire protocol (e.g. 127.0.0.1:7600)")
 		workers    = flag.Int("workers", 0, "daemon worker-pool size (0 = GOMAXPROCS; 1 serializes requests)")
@@ -167,13 +168,13 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	}
 	tcp := transport.NewTCP(transport.TCPConfig{})
 	defer tcp.Close()
-	opts := core.Options{Seed: seed, Transport: tcp}
-	var rec *trace.Recorder
+	// The trace file is the render the daemon ships for a request
+	// with the same trace cap.
+	var jsonl *trace.JSONL
 	if traceOut != "" {
-		rec = trace.NewRecorder(traceCap)
-		opts.Trace = rec
+		jsonl = trace.NewJSONL(int64(traceCap), math.MaxInt)
 	}
-	c, err := problem.Certify(p, g, opts, nil)
+	c, err := problem.Certify(p, g, core.Options{Seed: seed, Transport: tcp}, jsonl)
 	if err != nil {
 		return fmt.Errorf("run failed: %w", err)
 	}
@@ -191,16 +192,8 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 		Wire:      &wire,
 	}
 
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	if jsonl != nil {
+		if err := os.WriteFile(traceOut, jsonl.Bytes(), 0o644); err != nil {
 			return err
 		}
 	}

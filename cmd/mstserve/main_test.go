@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,6 +73,35 @@ func TestServeVerdictIdenticalAcrossBackends(t *testing.T) {
 		}
 		if tcp.Transport != "tcp" || tcp.Wire == nil || tcp.Wire.FramesSent == 0 || tcp.Wire.WireBytes == 0 {
 			t.Errorf("%s: tcp wire section empty: transport %q, wire %+v", probName, tcp.Transport, tcp.Wire)
+		}
+	}
+}
+
+// TestServeTraceOutMatchesDaemon pins one meaning of a trace cap for
+// both entry points: the one-shot -trace-out file equals the trace the
+// daemon ships for the same cell with WantTrace set and the same
+// TraceCap, at -trace-cap's default (MaxTraceCap) and at a cap that
+// cuts the run to its first 100 events.
+func TestServeTraceOutMatchesDaemon(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Drain()
+	for _, probName := range []string{"mst/randomized", "mis"} {
+		for _, traceCap := range []int{service.MaxTraceCap, 100} {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			if err := serve("random", 32, 64, 0, 0.2, 1, probName, filepath.Join(t.TempDir(), "v.json"), path, traceCap); err != nil {
+				t.Fatalf("%s, cap %d: serve: %v", probName, traceCap, err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := svc.Submit(service.Request{Problem: probName, Graph: "random", N: 32, M: 64, Seed: 1, WantTrace: true, TraceCap: traceCap})
+			if resp.Status != service.StatusOK {
+				t.Fatalf("%s, cap %d: daemon answered %v (%s)", probName, traceCap, resp.Status, resp.Detail)
+			}
+			if !bytes.Equal(got, resp.Trace) {
+				t.Errorf("%s, cap %d: -trace-out wrote %d bytes, the daemon shipped %d", probName, traceCap, len(got), len(resp.Trace))
+			}
 		}
 	}
 }

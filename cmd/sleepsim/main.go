@@ -61,7 +61,7 @@ func main() {
 		width     = flag.Int("width", 72, "trace width in columns")
 
 		traceOut    = flag.String("trace-out", "", "write the structured JSONL event trace to this file ('-' = stdout)")
-		traceCap    = flag.Int("trace-cap", 0, "event-recorder ring capacity (0 = default)")
+		traceCap    = flag.Int("trace-cap", 0, "events -trace-out keeps: the first N events in canonical order; the end line counts the rest as dropped (0 = 262144)")
 		showMetrics = flag.Bool("metrics", false, "print the metrics registry after the run")
 		pprofOut    = flag.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles")
 
@@ -216,7 +216,7 @@ type runOpts struct {
 	showTrace, showHist bool
 	width               int
 	traceOut            string // JSONL event-trace destination ('' = off)
-	traceCap            int    // recorder ring capacity (0 = default)
+	traceCap            int    // events the trace keeps (0 = default)
 	showMetrics         bool
 }
 

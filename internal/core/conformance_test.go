@@ -108,11 +108,11 @@ func BenchmarkCheckTrace(b *testing.B) {
 // BenchmarkTraceStages times the stages of one traced service-sized
 // request — Deterministic-MST on a random graph with n=48 and m=2n,
 // the largest cell of the service benchmark's mix: the run with a
-// recorder, ordering the recorded events, the verdict over them, the
-// JSONL render of them, and writing and reading the response frame;
-// and certify, the run certified as it goes the way the service does
-// it — streamed order, fold and capped render in one pass, then the
-// rendered bytes — which replaces record, order, verdict and jsonl
+// recorder, which orders the events as the run goes, the verdict over
+// them, the JSONL render of them, and writing and reading the response
+// frame; and certify, the run certified as it goes the way the service
+// does it — streamed order, fold and capped render in one pass, then
+// the rendered bytes — which replaces record, verdict and jsonl
 // (DESIGN §14.5).
 func BenchmarkTraceStages(b *testing.B) {
 	g := sleepmst.RandomConnected(48, 96, 48000)
@@ -139,15 +139,6 @@ func BenchmarkTraceStages(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b)
-		}
-	})
-	b.Run("order", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(len(events)), "events")
-		for i := 0; i < b.N; i++ {
-			if got := rec.Events(); len(got) != len(events) {
-				b.Fatalf("%d events, want %d", len(got), len(events))
-			}
 		}
 	})
 	b.Run("verdict", func(b *testing.B) {

@@ -64,9 +64,9 @@ type Options struct {
 	Chooser sim.Chooser
 	// Trace, if non-nil, receives the run's structured events —
 	// scheduler events plus the algorithms' phase/step/merge markers —
-	// as they happen (see trace.Sink): a *trace.Recorder keeps them, a
-	// *trace.Orderer releases them in canonical order. Nil keeps
-	// tracing off.
+	// as they happen (see trace.Sink): a *trace.Orderer releases them
+	// in canonical order, a *trace.Recorder keeps the first ones. Nil
+	// keeps tracing off.
 	Trace trace.Sink
 	// Transport, if non-nil, carries every delivery as an encoded wire
 	// frame through the given backend (see internal/transport and

@@ -179,8 +179,8 @@ func TestValidateBlockWakesOnlyMOEEndpoints(t *testing.T) {
 		if _, err := tc.run(g, Options{Seed: 1, Trace: rec}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if rec.Dropped() > 0 {
-			t.Fatalf("%s: recorder dropped %d events", tc.name, rec.Dropped())
+		if d := rec.Meta().Dropped; d > 0 {
+			t.Fatalf("%s: recorder dropped %d events", tc.name, d)
 		}
 		phaseLen := tc.phaseBlocks * blk
 		type at struct {

@@ -21,9 +21,6 @@ type explorer struct {
 	depth     int
 	oversleep int
 	slack     float64
-	maxViol   int
-	recCap    int
-	maxRuns   int64
 	budget    func(n int) (int64, bool)
 
 	rootHash uint64
@@ -46,15 +43,6 @@ func newExplorer(cfg Config) *explorer {
 	e.slack = cfg.BudgetSlack
 	if e.slack == 0 {
 		e.slack = DefaultBudgetSlack
-	}
-	e.maxViol = cfg.MaxViolations
-	if e.maxViol == 0 {
-		e.maxViol = DefaultMaxViolations
-	}
-	e.recCap = cfg.RecorderCap
-	e.maxRuns = cfg.MaxRuns
-	if e.maxRuns == 0 {
-		e.maxRuns = DefaultMaxRuns
 	}
 	e.budget = cfg.BudgetOverride
 	if e.budget == nil {
@@ -134,10 +122,10 @@ func hashTrace(meta trace.Meta, events []trace.Event) uint64 {
 // infrastructure failures — replay divergence, recorder overflow, run
 // budget — never algorithm-level failures, which land in leaf.runErr.
 func (e *explorer) runOne(prefix []int) (*leaf, error) {
-	if e.runCount.Add(1) > e.maxRuns {
-		return nil, fmt.Errorf("modelcheck: execution budget exhausted after %d runs (lower Depth or raise MaxRuns)", e.maxRuns)
+	if e.runCount.Add(1) > MaxRuns {
+		return nil, fmt.Errorf("modelcheck: execution budget exhausted after %d runs (lower Depth)", MaxRuns)
 	}
-	rec := trace.NewRecorder(e.recCap)
+	rec := trace.NewRecorder(0)
 	rp := &replayer{prefix: prefix, oversleep: e.oversleep, faults: e.cfg.Faults}
 	res, runErr := e.cfg.Problem.Run(e.cfg.Graph, core.Options{
 		Seed:    e.cfg.Seed,
@@ -152,7 +140,7 @@ func (e *explorer) runOne(prefix []int) (*leaf, error) {
 	}
 	meta := rec.Meta()
 	if meta.Dropped > 0 {
-		return nil, fmt.Errorf("modelcheck: trace recorder overflowed (%d events evicted); raise RecorderCap", meta.Dropped)
+		return nil, fmt.Errorf("modelcheck: trace recorder dropped %d events past its %d-event capacity", meta.Dropped, trace.DefaultCapacity)
 	}
 	lf := &leaf{
 		takens: rp.takens(),
@@ -287,7 +275,7 @@ func (e *explorer) dfs(prefix []int, level int, memo map[uint64]int, jr *jobResu
 		}
 		if viol != nil {
 			jr.violCount++
-			if len(jr.violations) < e.maxViol {
+			if len(jr.violations) < MaxViolations {
 				jr.violations = append(jr.violations, *viol)
 			}
 		}

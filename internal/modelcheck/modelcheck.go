@@ -76,18 +76,20 @@ import (
 // VerdictSchema is the version stamp of the verdict JSON shape.
 const VerdictSchema = 1
 
-// Defaults for the zero-valued Config fields.
+// Defaults for the zero-valued Config fields, and the fixed bounds of
+// every exploration.
 const (
 	// DefaultDepth is the deviation bound when Config.Depth is 0.
 	DefaultDepth = 2
 	// DefaultBudgetSlack multiplies the awake budget on perturbed
 	// schedules when Config.BudgetSlack is 0.
 	DefaultBudgetSlack = 2.0
-	// DefaultMaxViolations caps retained counterexamples when
-	// Config.MaxViolations is 0 (counting always continues).
-	DefaultMaxViolations = 8
-	// DefaultMaxRuns bounds total executions when Config.MaxRuns is 0.
-	DefaultMaxRuns = 1 << 20
+	// MaxViolations caps the retained counterexamples; ViolationCount
+	// keeps counting past it.
+	MaxViolations = 8
+	// MaxRuns bounds the total executions of an exploration, the guard
+	// against state explosion.
+	MaxRuns = 1 << 20
 	// MaxNodes bounds the topology size: exhaustive exploration is a
 	// small-n tool by construction.
 	MaxNodes = 8
@@ -127,16 +129,6 @@ type Config struct {
 	// NoMemo disables state-hash pruning: every admissible schedule
 	// within the bound is executed and checked individually.
 	NoMemo bool
-	// MaxViolations caps the retained counterexamples (0 =
-	// DefaultMaxViolations); ViolationCount keeps counting past it.
-	MaxViolations int
-	// RecorderCap sizes each execution's trace recorder (0 =
-	// trace.DefaultCapacity). An overflowing recorder aborts the
-	// exploration — a truncated trace cannot be hashed or checked.
-	RecorderCap int
-	// MaxRuns aborts the exploration when total executions exceed it
-	// (0 = DefaultMaxRuns) — the guard against state explosion.
-	MaxRuns int64
 	// BudgetOverride, if non-nil, replaces the problem's awake
 	// envelope in the leaf checks — the seeded-bug test hook and
 	// ablation surface.
@@ -318,7 +310,7 @@ func Explore(cfg Config) (*Verdict, error) {
 				distinct[h] = true
 			}
 			for _, viol := range r.violations {
-				if len(v.Violations) < e.maxViol {
+				if len(v.Violations) < MaxViolations {
 					v.Violations = append(v.Violations, viol)
 				}
 			}

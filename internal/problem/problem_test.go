@@ -187,7 +187,7 @@ func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
 // TestCertifyMemoryDoesNotGrowWithTheTrace certifies mst/randomized at
 // n=1024 as the run goes: what it allocates beyond the untraced run
 // must stay under 16 bytes per trace event, where a recorder keeping
-// the trace would hold 56 bytes per event in its rings alone.
+// the trace would hold 56 bytes per event in its event slice alone.
 func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
 	p, err := problem.Lookup("mst/randomized")
 	if err != nil {

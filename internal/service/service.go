@@ -61,8 +61,8 @@ const (
 	// DefaultTraceCap is the number of events a shipped trace carries
 	// at most when the request does not choose.
 	DefaultTraceCap = 1 << 18
-	// DefaultMaxTraceCap caps the trace cap a request may choose.
-	DefaultMaxTraceCap = 1 << 20
+	// MaxTraceCap caps the trace cap a request may choose.
+	MaxTraceCap = 1 << 20
 )
 
 // Config parameterizes a Service. The zero value is usable: every
@@ -78,9 +78,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxN caps the per-request node count (0 = DefaultMaxN).
 	MaxN int
-	// MaxTraceCap caps the per-request trace cap (0 =
-	// DefaultMaxTraceCap).
-	MaxTraceCap int
 }
 
 // withDefaults resolves the zero fields.
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = DefaultMaxN
-	}
-	if c.MaxTraceCap <= 0 {
-		c.MaxTraceCap = DefaultMaxTraceCap
 	}
 	return c
 }
@@ -204,8 +198,8 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 	default:
 		return nil, fmt.Sprintf("unknown transport %q (want none or tcp)", req.Transport)
 	}
-	if req.TraceCap < 0 || req.TraceCap > s.cfg.MaxTraceCap {
-		return nil, fmt.Sprintf("trace cap %d outside [0, %d]", req.TraceCap, s.cfg.MaxTraceCap)
+	if req.TraceCap < 0 || req.TraceCap > MaxTraceCap {
+		return nil, fmt.Sprintf("trace cap %d outside [0, %d]", req.TraceCap, MaxTraceCap)
 	}
 	if req.Deadline < 0 {
 		return nil, fmt.Sprintf("negative deadline %v", req.Deadline)

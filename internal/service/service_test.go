@@ -143,7 +143,7 @@ func TestServiceRequestFeatures(t *testing.T) {
 func TestServiceTraceCapBoundsOnlyTheShippedTrace(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Drain()
-	req := Request{ID: 1, Problem: "mst/randomized", Graph: "random", N: 128, Seed: 9, WantTrace: true, TraceCap: DefaultMaxTraceCap}
+	req := Request{ID: 1, Problem: "mst/randomized", Graph: "random", N: 128, Seed: 9, WantTrace: true, TraceCap: MaxTraceCap}
 	full := svc.Submit(req)
 	req.TraceCap = 1000
 	capped := svc.Submit(req)
@@ -202,7 +202,7 @@ func TestServiceInvalidRequests(t *testing.T) {
 		{"bad transport", Request{Problem: "mis", Graph: "ring", N: 8, Transport: "udp"}, "unknown transport"},
 		{"retired inproc transport", Request{Problem: "mis", Graph: "ring", N: 8, Transport: "inproc"}, "unknown transport"},
 		{"nan radius", Request{Problem: "mis", Graph: "sensor", N: 8, Radius: math.NaN()}, "radius"},
-		{"trace cap", Request{Problem: "mis", Graph: "ring", N: 8, TraceCap: DefaultMaxTraceCap + 1}, "trace cap"},
+		{"trace cap", Request{Problem: "mis", Graph: "ring", N: 8, TraceCap: MaxTraceCap + 1}, "trace cap"},
 		{"negative deadline", Request{Problem: "mis", Graph: "ring", N: 8, Deadline: -time.Second}, "negative deadline"},
 	}
 	for _, tc := range cases {

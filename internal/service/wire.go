@@ -123,8 +123,8 @@ type Request struct {
 	// Transport selects the per-request wire backend: "" or "none"
 	// (in-memory), or "tcp".
 	Transport string
-	// TraceCap bounds the shipped trace (0 = service default; bounded
-	// by the service's MaxTraceCap): it carries the run's first
+	// TraceCap bounds the shipped trace (0 = DefaultTraceCap, at most
+	// MaxTraceCap): it carries the run's first
 	// TraceCap events in canonical order, and its end line counts the
 	// rest as dropped. The verdict covers the whole run whatever the
 	// cap.

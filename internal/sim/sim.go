@@ -191,8 +191,8 @@ type Config struct {
 	// sleep gaps, sends, deliveries, losses, crashes, plus whatever the
 	// node program emits via EmitPhase/EmitStep/EmitMerge/EmitNbrs) as
 	// they happen, and hears after every busy round which round is
-	// passed (see trace.Sink): a *trace.Recorder keeps them in bounded
-	// rings, a *trace.Orderer releases them in canonical order. Nil —
+	// passed (see trace.Sink): a *trace.Orderer releases them in
+	// canonical order, a *trace.Recorder keeps the first ones. Nil —
 	// the default — keeps tracing entirely off the hot path. The sink
 	// serves this one run: Run calls Trace.Begin itself.
 	Trace trace.Sink

@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/trace"
+	"sleepmst/internal/trace/tracetest"
 )
 
 // chaosHooks is a stateless interceptor and chooser for the orderer
@@ -98,9 +98,10 @@ func emittingProgram(steps int) Program {
 
 // TestOrdererMatchesRecorderOnRandomPrograms runs random programs —
 // clean, under a faulting interceptor, and under an adversarial
-// chooser — into an Orderer and an unbounded Recorder at once: the
-// released stream must equal Events() and the orderer's meta the
-// recorder's, so sim.Run keeps the Sink contract on every path.
+// chooser — into an Orderer and a reference sink that sorts the whole
+// run once: the released stream must equal the reference's events and
+// the orderer's meta the reference's, so sim.Run keeps the Sink
+// contract on every path.
 func TestOrdererMatchesRecorderOnRandomPrograms(t *testing.T) {
 	meta := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -116,19 +117,19 @@ func TestOrdererMatchesRecorderOnRandomPrograms(t *testing.T) {
 		}
 		var got []trace.Event
 		ord := trace.NewOrderer(func(events []trace.Event) { got = append(got, events...) })
-		rec := trace.NewRecorder(math.MaxInt32)
-		cfg.Trace = trace.Tee(rec, ord)
+		var ref tracetest.Reference
+		cfg.Trace = trace.Tee(&ref, ord)
 		if _, err := Run(cfg, emittingProgram(3+meta.Intn(12))); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want := rec.Events()
-		if len(got) != len(want) || ord.Meta() != rec.Meta() {
-			t.Fatalf("trial %d: released %d events (meta %+v), recorder holds %d (meta %+v)",
-				trial, len(got), ord.Meta(), len(want), rec.Meta())
+		want := ref.Events()
+		if len(got) != len(want) || ord.Meta() != ref.Meta() {
+			t.Fatalf("trial %d: released %d events (meta %+v), reference holds %d (meta %+v)",
+				trial, len(got), ord.Meta(), len(want), ref.Meta())
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: event %d is %s, recorder has %s", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: event %d is %s, reference has %s", trial, i, got[i], want[i])
 			}
 		}
 	}

@@ -17,9 +17,9 @@
 // the pool (the values would still be right — Add/Max commute — but
 // per-job attribution would be lost). RunWithMetrics gives every job
 // a private registry and folds them in grid order, so the merged
-// aggregate is identical for every worker count. Event recorders
-// (trace.Recorder) are strictly one-per-run and belong inside the job
-// closure.
+// aggregate is identical for every worker count. Trace sinks
+// (trace.Recorder, trace.Orderer) are strictly one-per-run and belong
+// inside the job closure.
 package sweep
 
 import (

@@ -5,143 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 )
-
-// referenceEvents is the order Events must reproduce: the rings
-// gathered in (stream, sequence) order — scheduler first, then nodes
-// by index, each oldest first — then a stable comparison sort by
-// (Round, Node, Kind).
-func referenceEvents(r *Recorder) []Event {
-	var all []Event
-	gather := func(s *stream) {
-		var flat []Event
-		oldest := 0
-		for k, c := range s.chunks {
-			if k == s.head {
-				oldest = len(flat) + s.off
-			}
-			flat = append(flat, c...)
-		}
-		for i := 0; i < s.n; i++ {
-			all = append(all, flat[(oldest+i)%len(flat)])
-		}
-	}
-	gather(&r.sched)
-	for i := range r.nodes {
-		gather(&r.nodes[i])
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Kind < b.Kind
-	})
-	return all
-}
-
-// randomRecorder drives a recorder through Event with
-// rounds in [0, 2^roundBits) and scheduler-side nodes in [0,
-// 2^nodeBits), or in [-2^bits, 2^bits) when negative is set. Node-side
-// events use the run's own nodes, and every node ends with a Crash
-// stamped at the lowest round the run can hold, below its earlier
-// events.
-func randomRecorder(rng *rand.Rand, capacity, roundBits, nodeBits int, negative bool) *Recorder {
-	value := func(bits int) int64 {
-		var v int64
-		switch rng.Intn(4) {
-		case 0:
-			v = 0
-		case 1:
-			v = rng.Int63n(4)
-		default:
-			v = rng.Int63()
-		}
-		v &= int64(1)<<bits - 1
-		if negative && rng.Intn(3) == 0 {
-			v = -v - 1
-		}
-		return v
-	}
-	lowest := int64(0)
-	if negative {
-		lowest = -(int64(1) << roundBits)
-	}
-	n := 1 + rng.Intn(6)
-	r := NewRecorder(capacity)
-	r.Begin(n)
-	for i, ops := 0, 50+rng.Intn(400); i < ops; i++ {
-		round := value(roundBits)
-		node := int(value(nodeBits))
-		own := rng.Int31n(int32(n))
-		msg := func(kind Kind) Event {
-			return Event{Kind: kind, Round: round, Node: int32(node), Port: int32(rng.Intn(4)), Peer: int32(value(nodeBits))}
-		}
-		switch rng.Intn(10) {
-		case 0:
-			r.Event(Event{Kind: KindAwake, Round: round, Node: int32(node)})
-		case 1:
-			r.Event(msg(KindSend))
-		case 2:
-			r.Event(msg(KindDeliver))
-		case 3:
-			r.Event(msg(KindLost))
-		case 4:
-			r.Event(Event{Kind: KindSleep, Round: round, Node: own, Aux: value(roundBits)})
-		case 5:
-			r.Event(Event{Kind: KindPhase, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Frag: value(40)})
-		case 6:
-			r.Event(Event{Kind: KindStep, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Step: Steps[rng.Intn(len(Steps))], Aux: rng.Int63n(9)})
-		case 7:
-			r.Event(Event{Kind: KindMerge, Round: round, Node: own, Frag: value(40), Prev: value(40)})
-		case 8:
-			r.Event(Event{Kind: KindNbrs, Round: round, Node: own, Phase: 1 + rng.Int31n(5), Aux: int64(rng.Intn(5))})
-		case 9:
-			r.Event(Event{Kind: KindAwake, Round: round, Node: own})
-		}
-	}
-	for v := int32(0); v < int32(n); v++ {
-		r.Event(Event{Kind: KindCrash, Round: lowest, Node: v})
-	}
-	return r
-}
-
-// TestEventsMatchStableSort pins the radix ordering against a stable
-// comparison sort on randomized recorders: ring overflow at capacity
-// 64, crashes stamped below a node's earlier events, round 0 and
-// negative rounds and nodes, rounds up to 2^40 (sim.DefaultMaxRounds)
-// and beyond, and nodes up to and past 2^20 — every pass count from
-// none to all eight Round bytes and four Node bytes.
-func TestEventsMatchStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, capacity := range []int{64, 512, 0} {
-		for _, roundBits := range []int{0, 1, 8, 9, 16, 24, 32, 40, 41, 48, 56, 63} {
-			for _, nodeBits := range []int{0, 1, 8, 16, 20, 24, 31} {
-				for _, negative := range []bool{false, true} {
-					r := randomRecorder(rng, capacity, roundBits, nodeBits, negative)
-					got, want := r.Events(), referenceEvents(r)
-					if len(got) != len(want) || len(got) != r.Len() {
-						t.Fatalf("cap=%d roundBits=%d nodeBits=%d negative=%v: %d events, reference %d, Len %d",
-							capacity, roundBits, nodeBits, negative, len(got), len(want), r.Len())
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("cap=%d roundBits=%d nodeBits=%d negative=%v: event %d is %+v, reference %+v",
-								capacity, roundBits, nodeBits, negative, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // fmtEvent is the fmt-based line renderer appendEvent must match.
 func fmtEvent(ev Event) string {
@@ -226,52 +92,6 @@ func TestAppendEventMatchesFmt(t *testing.T) {
 		}
 		if want := fmtJSONL(meta, all); b.String() != want {
 			t.Errorf("meta %+v: WriteEventsJSONL differs from the fmt rendering (%d vs %d bytes)", meta, b.Len(), len(want))
-		}
-	}
-}
-
-// TestJSONLSizeMatchesRender: AppendEventsJSONL writes the bytes
-// WriteEventsJSONL does, and a JSONL render that keeps no bytes counts
-// their exact length, on randomized recorders (ring overflow, negative
-// and extreme rounds and nodes, every kind) plus events of every step,
-// StepNone, an unknown step and an unknown kind, under ordinary and
-// extreme metadata.
-func TestJSONLSizeMatchesRender(t *testing.T) {
-	extra := []Event{
-		{Kind: KindNbrs + 1, Round: 5, Node: 1},
-		{Kind: KindStep, Step: StepNone},
-		{Kind: KindStep, Round: math.MinInt64, Node: math.MinInt32, Phase: math.MaxInt32, Step: Step(200), Aux: math.MaxInt64},
-	}
-	for _, st := range Steps {
-		extra = append(extra, Event{Kind: KindStep, Round: -1, Node: 7, Phase: 2, Step: st, Aux: -9})
-	}
-	rng := rand.New(rand.NewSource(2))
-	for _, capacity := range []int{64, 512, 0} {
-		for _, bits := range []int{0, 9, 31, 63} {
-			for _, negative := range []bool{false, true} {
-				r := randomRecorder(rng, capacity, bits, min(bits, 31), negative)
-				events := append(r.Events(), extra...)
-				for _, meta := range []Meta{r.Meta(), {N: math.MaxInt32, Rounds: math.MinInt64, Dropped: math.MaxInt64}} {
-					meta.Events = int64(len(events))
-					var w bytes.Buffer
-					if err := WriteEventsJSONL(&w, meta, events); err != nil {
-						t.Fatal(err)
-					}
-					got := AppendEventsJSONL([]byte("prefix"), meta, events)
-					if string(got) != "prefix"+w.String() {
-						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: AppendEventsJSONL differs from WriteEventsJSONL",
-							capacity, bits, negative, meta)
-					}
-					counted := NewJSONL(math.MaxInt64, 0)
-					counted.Begin(meta.N)
-					counted.Round(events)
-					counted.End(meta)
-					if counted.Len() != w.Len() {
-						t.Fatalf("cap=%d bits=%d negative=%v meta %+v: counted %d bytes, rendered %d",
-							capacity, bits, negative, meta, counted.Len(), w.Len())
-					}
-				}
-			}
 		}
 	}
 }

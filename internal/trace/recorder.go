@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -16,8 +15,8 @@ type Kind uint8
 // The event taxonomy. Scheduler-side events (KindAwake, KindSend,
 // KindDeliver, KindLost) are emitted by the simulator's scheduler;
 // node-side events (KindSleep, KindCrash, KindPhase, KindStep,
-// KindMerge, KindNbrs) land in per-node streams written either by the
-// node's program or by the scheduler while that node is parked.
+// KindMerge, KindNbrs) are emitted for one node, either by the node's
+// program or by the scheduler while that node is parked.
 const (
 	// KindPhase marks a node entering an algorithm phase.
 	KindPhase Kind = iota
@@ -202,246 +201,64 @@ type Event struct {
 	Step Step
 }
 
-// DefaultCapacity is the recorder's default total event capacity.
+// DefaultCapacity is the recorder's default event capacity.
 const DefaultCapacity = 1 << 18
 
-// A stream's first chunk holds minChunk events and each later one
-// twice its predecessor, up to maxChunk (56 KiB).
-const (
-	minChunk = 16
-	maxChunk = 1024
-)
-
-// stream is one bounded ring of events, stored in chunks that are
-// allocated on demand and never copied or regrown.
-type stream struct {
-	chunks  [][]Event
-	n       int // live events
-	head    int // chunk holding the oldest event once the ring is full
-	off     int // the oldest event's index within chunks[head]
-	dropped int64
-}
-
-// push appends an event, evicting the oldest once limit events are live.
-func (s *stream) push(limit int, ev Event) {
-	if s.n < limit {
-		k := len(s.chunks) - 1
-		if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
-			size := minChunk
-			if k >= 0 {
-				size = min(2*cap(s.chunks[k]), maxChunk)
-			}
-			s.chunks = append(s.chunks, make([]Event, 0, min(size, limit-s.n)))
-			k++
-		}
-		s.chunks[k] = append(s.chunks[k], ev)
-		s.n++
-		return
-	}
-	s.chunks[s.head][s.off] = ev
-	s.dropped++
-	if s.off++; s.off == len(s.chunks[s.head]) {
-		s.off, s.head = 0, (s.head+1)%len(s.chunks)
-	}
-}
-
-// Recorder is a bounded, allocation-limited structured event recorder
-// for one simulation run. It keeps one ring per event source — the
-// scheduler plus each node, all written from the simulator's goroutine
-// — and reconstructs the canonical event order at read time (see
-// Events), which is deterministic because every stream's content is
-// deterministic for a fixed seed.
+// Recorder is a Sink that keeps the first events of a run in canonical
+// order: an Orderer whose release appends each passed round to one
+// slice until it holds capacity events. Meta counts the events past
+// the cap as dropped, so a capped recording is a prefix of the run's
+// canonical stream, the same prefix a JSONL render with that event cap
+// ships.
 //
 // A Recorder serves one run at a time: sim.Run calls Begin, which
-// resets all streams. It must not be shared by concurrent runs (give
-// every sweep job its own Recorder).
+// resets it. It must not be shared by concurrent runs (give every
+// sweep job its own Recorder).
 type Recorder struct {
-	capacity int
-	n        int
-	rounds   int64
-	sched    stream   // scheduler-side events
-	nodes    []stream // per-node events
-	schedCap int
-	nodeCap  int
+	ord    *Orderer
+	events []Event
 }
 
-// NewRecorder returns a Recorder bounding its memory by capacity
-// events (0 means DefaultCapacity). Half the budget goes to the
-// scheduler stream (awake/send/deliver/lost events dominate), the
-// other half is split evenly across node streams; when a stream
-// overflows its share, its oldest events are discarded and counted in
-// Dropped. Every stream holds at least 64 events, so a small capacity
-// on many nodes holds more than capacity events: at capacity 64 and
-// n = 48, up to 64 + 48·64 = 3,136.
+// NewRecorder returns a Recorder that keeps at most capacity events (0
+// means DefaultCapacity).
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{capacity: capacity}
+	r := &Recorder{}
+	r.ord = NewOrderer(func(events []Event) {
+		events = events[:min(len(events), capacity-len(r.events))]
+		if n := len(r.events) + len(events); n > cap(r.events) {
+			// Doubling, where append grows a large slice by a quarter,
+			// keeps the copies to about twice the kept events.
+			grown := make([]Event, len(r.events), max(n, min(2*cap(r.events), capacity)))
+			copy(grown, r.events)
+			r.events = grown
+		}
+		r.events = append(r.events, events...)
+	})
+	return r
 }
 
 // Begin resets the recorder for a run on n nodes. It is called by
-// sim.Run; only the rare caller driving the simulator directly calls
-// it by hand.
+// sim.Run; only a caller driving the recorder by hand calls it itself.
 func (r *Recorder) Begin(n int) {
-	r.n = n
-	r.rounds = 0
-	r.sched = stream{}
-	r.nodes = make([]stream, n)
-	r.schedCap = r.capacity / 2
-	if r.schedCap < 64 {
-		r.schedCap = 64
-	}
-	r.nodeCap = r.capacity / 2 / n
-	if r.nodeCap < 64 {
-		r.nodeCap = 64
-	}
+	r.ord.Begin(n)
+	r.events = nil
 }
 
-// N returns the node count of the recorded run (0 before Begin).
-func (r *Recorder) N() int { return r.n }
+// Event reports one event of the run (see Sink).
+func (r *Recorder) Event(ev Event) { r.ord.Event(ev) }
 
-// Rounds returns the largest round observed in an awake event.
-func (r *Recorder) Rounds() int64 { return r.rounds }
+// Passed keeps the events of every round at or before round, up to
+// the capacity (see Sink).
+func (r *Recorder) Passed(round int64) { r.ord.Passed(round) }
 
-// Dropped returns the number of events evicted by ring overflow.
-func (r *Recorder) Dropped() int64 {
-	d := r.sched.dropped
-	for i := range r.nodes {
-		d += r.nodes[i].dropped
-	}
-	return d
-}
-
-// Len returns the number of live (non-evicted) events.
-func (r *Recorder) Len() int {
-	n := r.sched.n
-	for i := range r.nodes {
-		n += r.nodes[i].n
-	}
-	return n
-}
-
-// Event records ev: scheduler-side kinds in the scheduler stream,
-// node-side kinds in the stream of ev.Node.
-func (r *Recorder) Event(ev Event) {
-	switch ev.Kind {
-	case KindAwake:
-		r.rounds = max(r.rounds, ev.Round)
-		fallthrough
-	case KindSend, KindDeliver, KindLost:
-		r.sched.push(r.schedCap, ev)
-	default:
-		r.nodes[ev.Node].push(r.nodeCap, ev)
-	}
-}
-
-// Passed does nothing: a recorder orders its events when they are
-// read (see Events).
-func (r *Recorder) Passed(int64) {}
-
-// appendTo appends the stream's live events to dst, oldest first.
-func (s *stream) appendTo(dst []Event) []Event {
-	if s.n == 0 {
-		return dst
-	}
-	oldest := s.chunks[s.head]
-	dst = append(dst, oldest[s.off:]...)
-	for _, c := range s.chunks[s.head+1:] {
-		dst = append(dst, c...)
-	}
-	for _, c := range s.chunks[:s.head] {
-		dst = append(dst, c...)
-	}
-	return append(dst, oldest[:s.off]...)
-}
-
-// Events returns the live events in canonical order: ascending
-// (Round, Node, Kind), with ties in gathering order — the scheduler
-// stream first, then the node streams by index, each oldest first —
-// which is the (stream, per-stream sequence) tiebreak. The order is
-// total and deterministic for a fixed-seed run, which is what makes
-// the JSONL stream byte-identical across repeats and worker counts.
-func (r *Recorder) Events() []Event {
-	evs := make([]Event, 0, r.Len())
-	evs = r.sched.appendTo(evs)
-	for i := range r.nodes {
-		evs = r.nodes[i].appendTo(evs)
-	}
-	return sortCanonical(evs, make([]Event, len(evs)))
-}
-
-// sortField names one component of the canonical sort key.
-type sortField uint8
-
-const (
-	byKind sortField = iota
-	byNode
-	byRound
-)
-
-// key maps the field of ev to an unsigned key with the same order:
-// the signed fields get their sign bit flipped, so negative values
-// sort below non-negative ones.
-func (f sortField) key(ev *Event) uint64 {
-	switch f {
-	case byKind:
-		return uint64(ev.Kind)
-	case byNode:
-		return uint64(uint32(ev.Node) ^ 1<<31)
-	default:
-		return uint64(ev.Round) ^ 1<<63
-	}
-}
-
-// sortCanonical orders evs stably by (Round, Node, Kind) and returns
-// the result, which is evs or buf[:len(evs)]; buf must hold len(evs)
-// events. It is an LSD radix sort: one stable counting pass per byte
-// of Kind, then Node, then Round. A field takes only the passes for
-// the bytes in which its smallest and largest keys differ — every key
-// between them shares the higher bytes — so a 48-node run of under
-// 65,536 rounds sorts in four passes, and one round of it in two.
-func sortCanonical(evs, buf []Event) []Event {
-	if len(evs) < 2 {
-		return evs
-	}
-	lo := [3]uint64{math.MaxUint64, math.MaxUint64, math.MaxUint64}
-	var hi [3]uint64
-	for i := range evs {
-		for f := byKind; f <= byRound; f++ {
-			k := f.key(&evs[i])
-			lo[f], hi[f] = min(lo[f], k), max(hi[f], k)
-		}
-	}
-	src, dst := evs, buf[:len(evs)]
-	for f := byKind; f <= byRound; f++ {
-		span := lo[f] ^ hi[f]
-		for shift := uint(0); span>>shift != 0; shift += 8 {
-			radixPass(dst, src, f, shift)
-			src, dst = dst, src
-		}
-	}
-	return src
-}
-
-// radixPass stably scatters src into dst by the byte of field f's key
-// at shift.
-func radixPass(dst, src []Event, f sortField, shift uint) {
-	var next [256]int
-	for i := range src {
-		next[byte(f.key(&src[i])>>shift)]++
-	}
-	pos := 0
-	for d, c := range next {
-		next[d] = pos
-		pos += c
-	}
-	for i := range src {
-		d := byte(f.key(&src[i]) >> shift)
-		dst[next[d]] = src[i]
-		next[d]++
-	}
-}
+// Events returns the kept events in canonical order: ascending (Round,
+// Node, Kind), and events of one (Round, Node, Kind) in the order they
+// were reported. Like Meta it covers the rounds passed so far, which
+// after sim.Run is the whole run.
+func (r *Recorder) Events() []Event { return r.events[:len(r.events):len(r.events)] }
 
 // Meta is the run-level header/footer information of a JSONL trace.
 type Meta struct {
@@ -451,30 +268,34 @@ type Meta struct {
 	Rounds int64
 	// Events is the number of event lines in the stream.
 	Events int64
-	// Dropped counts events evicted by ring overflow (they are missing
-	// from the stream).
+	// Dropped counts the run's events past the trace's event cap (they
+	// are missing from the stream, which holds the first ones).
 	Dropped int64
 }
 
-// Meta returns the run-level header for the current recording.
+// Meta returns the header of the recording: the node count, the
+// largest awake round of the run, the kept events, and as dropped the
+// run's other events.
 func (r *Recorder) Meta() Meta {
-	return Meta{N: r.n, Rounds: r.rounds, Events: int64(r.Len()), Dropped: r.Dropped()}
+	m := r.ord.Meta()
+	m.Dropped, m.Events = m.Events-int64(len(r.events)), int64(len(r.events))
+	return m
 }
 
 // WriteJSONL writes the canonical trace: a begin line, one line per
-// event in canonical order, and an end line. The field order within
-// each line is fixed, so a fixed-seed run produces a byte-identical
-// stream. See DESIGN.md §8 for the field-by-field schema.
+// kept event in canonical order, and an end line. The field order
+// within each line is fixed, so a fixed-seed run produces a
+// byte-identical stream. See DESIGN.md §8 for the field-by-field
+// schema.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return WriteEventsJSONL(w, r.Meta(), r.Events())
 }
 
 // WriteEventsJSONL writes a (meta, events) pair in the canonical JSONL
-// trace format — the same stream WriteJSONL produces from a live
-// recorder. Callers already holding a finished run's events (the
-// model checker emitting a counterexample, mstbench summarizing a
-// run) write them with it instead of ordering them again through
-// WriteJSONL; events must already be in canonical order.
+// trace format — the same stream WriteJSONL produces from a recorder.
+// Callers already holding a finished run's events (the model checker
+// emitting a counterexample, mstbench summarizing a run) write them
+// with it; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
 	const chunk = 32 << 10
 	buf := appendBegin(make([]byte, 0, chunk), meta)
@@ -489,16 +310,6 @@ func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
 	}
 	_, err := w.Write(appendEnd(buf, meta))
 	return err
-}
-
-// AppendEventsJSONL appends the stream WriteEventsJSONL writes for
-// (meta, events) to dst.
-func AppendEventsJSONL(dst []byte, meta Meta, events []Event) []byte {
-	dst = appendBegin(dst, meta)
-	for _, ev := range events {
-		dst = appendEvent(dst, ev)
-	}
-	return appendEnd(dst, meta)
 }
 
 // maxLine is longer than any rendered line.

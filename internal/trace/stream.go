@@ -8,9 +8,9 @@ import (
 // Sink receives a run's events while the run goes. sim.Run reports to
 // the sink in Config.Trace: Begin once, then every event as it
 // happens, and Passed after every busy round and once more, with
-// math.MaxInt64, when the run ends. A *Recorder keeps the events in
-// its rings; an *Orderer releases them in canonical order round by
-// round; Tee feeds both.
+// math.MaxInt64, when the run ends. An *Orderer releases the events in
+// canonical order round by round; a *Recorder keeps the first ones it
+// releases; Tee feeds two sinks.
 type Sink interface {
 	// Begin starts a run on n nodes, before its first event.
 	Begin(n int)
@@ -34,16 +34,14 @@ func (t tee) Event(ev Event)     { t.a.Event(ev); t.b.Event(ev) }
 func (t tee) Passed(round int64) { t.a.Passed(round); t.b.Passed(round) }
 
 // Orderer is a Sink that puts a run's events into canonical order as
-// the run goes, the order Recorder.Events produces after it. Once a
-// round is passed, the Orderer hands its events, sorted, to its
-// release function, rounds in ascending order. It holds only the
-// events not yet released: the current round's scheduler events and
-// the node events stamped ahead at the nodes' wake rounds. The work per
-// round is a sort of that round's events, never a pass over the nodes.
-//
-// Events of one (round, node, kind) come from one recorder stream, so
-// ordering each round stably by (node, kind) in arrival order yields
-// the recorder's (stream, sequence) tiebreak.
+// the run goes: ascending (Round, Node, Kind), and events of one
+// (Round, Node, Kind) in the order they were reported. Once a round is
+// passed, the Orderer hands its events, sorted, to its release
+// function, rounds in ascending order. It holds only the events not
+// yet released: the current round's scheduler events and the node
+// events stamped ahead at the nodes' wake rounds. The work per round is
+// a stable sort of that round's events by (Node, Kind), never a pass
+// over the nodes.
 type Orderer struct {
 	release func(events []Event)
 	meta    Meta
@@ -158,6 +156,55 @@ func (o *Orderer) recycle(round int64) {
 // Meta returns the header of the events released so far: the node
 // count, the largest awake round, the event count, and no drops.
 func (o *Orderer) Meta() Meta { return o.meta }
+
+// sortKey maps ev to an unsigned key in (Node, Kind) order: Node, its
+// sign bit flipped so negative nodes sort first, above Kind's byte.
+func sortKey(ev *Event) uint64 {
+	return uint64(uint32(ev.Node)^1<<31)<<8 | uint64(ev.Kind)
+}
+
+// sortCanonical orders one round's events stably by (Node, Kind) and
+// returns the result, which is evs or buf[:len(evs)]; buf must hold
+// len(evs) events. It is an LSD radix sort with one stable counting
+// pass for each key byte in which the keys differ, so a round of a
+// 48-node run sorts in at most two passes, and a round of one kind in
+// one.
+func sortCanonical(evs, buf []Event) []Event {
+	if len(evs) < 2 {
+		return evs
+	}
+	every, some := ^uint64(0), uint64(0) // the bits set in every key, in some key
+	for i := range evs {
+		k := sortKey(&evs[i])
+		every, some = every&k, some|k
+	}
+	src, dst := evs, buf[:len(evs)]
+	for differ, shift := every^some, uint(0); differ>>shift != 0; shift += 8 {
+		if byte(differ>>shift) != 0 {
+			radixPass(dst, src, shift)
+			src, dst = dst, src
+		}
+	}
+	return src
+}
+
+// radixPass stably scatters src into dst by the key byte at shift.
+func radixPass(dst, src []Event, shift uint) {
+	var next [256]int
+	for i := range src {
+		next[byte(sortKey(&src[i])>>shift)]++
+	}
+	pos := 0
+	for d, c := range next {
+		next[d] = pos
+		pos += c
+	}
+	for i := range src {
+		d := byte(sortKey(&src[i]) >> shift)
+		dst[next[d]] = src[i]
+		next[d]++
+	}
+}
 
 // roundHeap is a min-heap of pending rounds.
 type roundHeap []int64

@@ -1,10 +1,10 @@
 // Package trace is the observability layer: the Sink the simulator
-// reports a run's structured events to, a bounded recorder of them
-// with a stable JSONL schema (Recorder), an online orderer that
-// releases each passed round in canonical order (Orderer) and a JSONL
-// render of its rounds (JSONL), a per-phase awake-budget report over
-// recorded events (Summarize), and ASCII renderers for awake schedules
-// (Timeline, Histogram). It is a leaf package — the simulator imports
+// reports a run's structured events to, an online orderer that
+// releases each passed round in canonical order (Orderer), a recorder
+// that keeps the first events it releases (Recorder) and a JSONL
+// render of its rounds (JSONL), both in a stable JSONL schema, a
+// per-phase awake-budget report over recorded events (Summarize), and
+// ASCII renderers for awake schedules (Timeline, Histogram). It is a leaf package — the simulator imports
 // it, never the reverse — so renderers consume a RunView projection
 // instead of a simulator result.
 package trace

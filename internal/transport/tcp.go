@@ -11,67 +11,30 @@ import (
 	"time"
 )
 
-// TCPConfig parameterizes the TCP backend. The zero value is usable:
-// every field falls back to the package default.
+// TCPConfig parameterizes the TCP backend. The zero value is usable.
 type TCPConfig struct {
-	// Addr is the listen host (default "127.0.0.1"); every node binds
-	// an ephemeral port on it.
-	Addr string
-	// Retries is the per-frame send budget beyond the first attempt: a
-	// broken connection is redialed with backoff up to this many times
-	// before Send gives up. 0 means DefaultRetries (keeping the zero
-	// TCPConfig usable); NoRetries — or any negative value — configures
-	// single-attempt sends.
-	Retries int
-	// Backoff is the base retry delay, doubled per attempt up to
-	// MaxBackoff (default DefaultBackoff).
-	Backoff time.Duration
-	// DialTimeout bounds one connection attempt (default
-	// DefaultDialTimeout).
-	DialTimeout time.Duration
 	// RecvTimeout bounds one Recv call — the round-barrier deadline
 	// (default DefaultRecvTimeout).
 	RecvTimeout time.Duration
 }
 
-// Defaults for the zero TCPConfig.
+// The TCP backend's constants.
 const (
-	// DefaultRetries is the per-frame send budget beyond attempt one.
-	DefaultRetries = 8
-	// NoRetries configures single-attempt sends: TCPConfig.Retries == 0
-	// means "use the default", so zero retries needs its own sentinel.
-	NoRetries = -1
-	// DefaultBackoff is the base retry delay.
-	DefaultBackoff = 500 * time.Microsecond
+	// Retries is the per-frame send budget beyond the first attempt: a
+	// broken connection is redialed with backoff up to this many times
+	// before Send gives up.
+	Retries = 8
+	// Backoff is the base retry delay, doubled per attempt up to
+	// MaxBackoff.
+	Backoff = 500 * time.Microsecond
 	// MaxBackoff caps the exponential retry delay.
 	MaxBackoff = 100 * time.Millisecond
-	// DefaultDialTimeout bounds one connection attempt.
-	DefaultDialTimeout = 2 * time.Second
-	// DefaultRecvTimeout bounds one Recv call.
+	// DialTimeout bounds one connection attempt.
+	DialTimeout = 2 * time.Second
+	// DefaultRecvTimeout bounds one Recv call when
+	// TCPConfig.RecvTimeout is 0.
 	DefaultRecvTimeout = 30 * time.Second
 )
-
-// withDefaults resolves the zero fields.
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1"
-	}
-	if c.Retries == 0 {
-		c.Retries = DefaultRetries
-	} else if c.Retries < 0 {
-		c.Retries = 0 // NoRetries (and any negative): single attempt
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = DefaultBackoff
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.RecvTimeout <= 0 {
-		c.RecvTimeout = DefaultRecvTimeout
-	}
-	return c
-}
 
 // TCP runs every node as a long-lived TCP server on a loopback
 // ephemeral port: Listen brings the mesh up, Dial establishes one
@@ -107,11 +70,14 @@ type TCP struct {
 
 // NewTCP returns a TCP backend; call Listen before use.
 func NewTCP(cfg TCPConfig) *TCP {
-	return &TCP{cfg: cfg.withDefaults(), links: map[uint64]*tcpLink{}}
+	if cfg.RecvTimeout <= 0 {
+		cfg.RecvTimeout = DefaultRecvTimeout
+	}
+	return &TCP{cfg: cfg, links: map[uint64]*tcpLink{}}
 }
 
-// Listen starts one TCP server per node on an ephemeral port and the
-// accept/reader goroutines feeding the per-node frame queues.
+// Listen starts one TCP server per node on an ephemeral loopback port
+// and the accept/reader goroutines feeding the per-node frame queues.
 func (t *TCP) Listen(n int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -126,7 +92,7 @@ func (t *TCP) Listen(n int) error {
 	t.addrs = make([]string, n)
 	t.queues = make([]*frameQueue, n)
 	for i := 0; i < n; i++ {
-		ls, err := net.Listen("tcp", net.JoinHostPort(t.cfg.Addr, "0"))
+		ls, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.teardownLocked()
 			return fmt.Errorf("transport: listen node %d: %w", i, err)
@@ -254,13 +220,13 @@ func (t *TCP) Dial(from, to int) (Link, error) {
 // connect dials the destination with backoff within the retry budget.
 func (l *tcpLink) connect() error {
 	var err error
-	for attempt := 0; attempt <= l.t.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= Retries; attempt++ {
 		if attempt > 0 {
 			l.t.redials.Add(1)
-			time.Sleep(backoffDelay(l.t.cfg.Backoff, attempt))
+			time.Sleep(backoffDelay(attempt))
 		}
 		var conn net.Conn
-		conn, err = net.DialTimeout("tcp", l.addr, l.t.cfg.DialTimeout)
+		conn, err = net.DialTimeout("tcp", l.addr, DialTimeout)
 		if err == nil {
 			if tc, ok := conn.(*net.TCPConn); ok {
 				tc.SetNoDelay(true) // frames are latency-bound round barriers
@@ -286,10 +252,10 @@ func (l *tcpLink) connect() error {
 func (l *tcpLink) Send(f Frame) error {
 	l.buf = AppendFrame(l.buf[:0], f)
 	var err error
-	for attempt := 0; attempt <= l.t.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= Retries; attempt++ {
 		if attempt > 0 {
 			l.t.retries.Add(1)
-			time.Sleep(backoffDelay(l.t.cfg.Backoff, attempt))
+			time.Sleep(backoffDelay(attempt))
 			if err = l.connect(); err != nil {
 				continue
 			}
@@ -313,16 +279,12 @@ func (l *tcpLink) Send(f Frame) error {
 		l.conn.Close()
 		l.conn = nil
 	}
-	return fmt.Errorf("transport: send to %s failed after %d attempts: %w", l.addr, l.t.cfg.Retries+1, err)
+	return fmt.Errorf("transport: send to %s failed after %d attempts: %w", l.addr, Retries+1, err)
 }
 
 // backoffDelay returns the exponential backoff for the given attempt.
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > MaxBackoff || d <= 0 {
-		d = MaxBackoff
-	}
-	return d
+func backoffDelay(attempt int) time.Duration {
+	return min(Backoff<<(attempt-1), MaxBackoff)
 }
 
 // Recv pops the next frame arrived at node to, waiting up to the

@@ -247,7 +247,7 @@ func TestTCPExchange(t *testing.T) {
 }
 
 func TestTCPRedialAfterBrokenConn(t *testing.T) {
-	tx := NewTCP(TCPConfig{Retries: 4, Backoff: time.Millisecond})
+	tx := NewTCP(TCPConfig{})
 	if err := tx.Listen(2); err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,7 @@ func TestTCPRedialAfterBrokenConn(t *testing.T) {
 // Dialing a node whose listener is gone must instead return the
 // documented dial error, with the rest of the backend still live.
 func TestTCPDialDeadListener(t *testing.T) {
-	tx := NewTCP(TCPConfig{
-		Retries: 2, Backoff: time.Millisecond,
-		DialTimeout: 200 * time.Millisecond, RecvTimeout: 50 * time.Millisecond,
-	})
+	tx := NewTCP(TCPConfig{RecvTimeout: 50 * time.Millisecond})
 	if err := tx.Listen(2); err != nil {
 		t.Fatal(err)
 	}
@@ -317,25 +314,11 @@ func TestTCPDialDeadListener(t *testing.T) {
 	}
 }
 
-// TestTCPRetriesConfig pins the Retries semantics: 0 keeps the zero
-// config usable (default budget), NoRetries and any negative value
-// mean single-attempt sends, and an exhausted zero budget returns a
-// real wrapped cause rather than a nil-wrap ("%!w(<nil>)").
+// TestTCPRetriesConfig pins the send retry budget: a Send to a dead
+// node retries Retries times, then returns a real wrapped cause rather
+// than a nil-wrap ("%!w(<nil>)").
 func TestTCPRetriesConfig(t *testing.T) {
-	if got := (TCPConfig{}).withDefaults().Retries; got != DefaultRetries {
-		t.Fatalf("zero config resolved to %d retries, want DefaultRetries", got)
-	}
-	if got := (TCPConfig{Retries: NoRetries}).withDefaults().Retries; got != 0 {
-		t.Fatalf("NoRetries resolved to %d retries, want 0", got)
-	}
-	if got := (TCPConfig{Retries: -5}).withDefaults().Retries; got != 0 {
-		t.Fatalf("Retries=-5 resolved to %d retries, want 0", got)
-	}
-
-	tx := NewTCP(TCPConfig{
-		Retries: NoRetries, Backoff: time.Millisecond,
-		DialTimeout: 200 * time.Millisecond,
-	})
+	tx := NewTCP(TCPConfig{})
 	if err := tx.Listen(2); err != nil {
 		t.Fatal(err)
 	}
@@ -345,20 +328,20 @@ func TestTCPRetriesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the destination and the established connection: the next
-	// Send has no retry budget, so it must fail after one attempt.
+	// Send must fail once its retry budget is spent.
 	tx.listeners[1].Close()
 	tl := l.(*tcpLink)
 	tl.conn.Close()
 	tl.conn = nil
 	err = l.Send(Frame{Round: 1, To: 1})
 	if err == nil {
-		t.Fatal("Send with zero retry budget to a dead node should fail")
+		t.Fatal("Send to a dead node should fail")
 	}
 	if msg := err.Error(); strings.Contains(msg, "%!w") || strings.Contains(msg, "<nil>") {
 		t.Fatalf("Send error wraps a nil cause: %q", msg)
 	}
-	if s := tx.TransportStats(); s.SendRetries != 0 {
-		t.Fatalf("zero budget still retried: stats %+v", s)
+	if s := tx.TransportStats(); s.SendRetries != Retries {
+		t.Fatalf("Send retried %d times, want %d: stats %+v", s.SendRetries, Retries, s)
 	}
 }
 

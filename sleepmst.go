@@ -243,10 +243,10 @@ func ElectLeader(g *Graph, opts Options) (*LeaderResult, error) {
 // Observability ------------------------------------------------------------
 
 // TraceRecorder is the structured event recorder: set Options.Trace
-// to one and the simulator and algorithms record node wake/sleep,
+// to one and the simulator and algorithms report node wake/sleep,
 // message send/deliver/lost, phase and step boundaries, and fragment
-// merges into per-stream ring buffers. Recording is off (and free)
-// when Options.Trace is nil.
+// merges to it, and it keeps the run's first events in canonical
+// order. Recording is off (and free) when Options.Trace is nil.
 type TraceRecorder = trace.Recorder
 
 // TraceEvent is one recorded simulator or algorithm event.
@@ -256,8 +256,9 @@ type TraceEvent = trace.Event
 // dropped-event counts.
 type TraceMeta = trace.Meta
 
-// NewTraceRecorder returns an event recorder with the given total
-// ring capacity in events (0 = the package default).
+// NewTraceRecorder returns an event recorder that keeps at most
+// capacity events, the run's first ones; its trace's end line counts
+// the rest as dropped (0 = the package default).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
 
 // Conformance ---------------------------------------------------------------
