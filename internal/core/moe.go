@@ -72,7 +72,7 @@ func (c *nodeCtx) stepDone(step trace.Step) {
 	}
 	c.nd.EmitStep(c.phase, step, d)
 	if m := c.nd.Metrics(); m != nil {
-		m.Add(metrics.StepName(step.String()), d)
+		m.Add(metrics.StepName(step), d)
 		m.Add(metrics.PhaseName(c.phase), d)
 	}
 }

@@ -2,8 +2,42 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
+
+// referenceNew is New as it was before the flat port array: a map of
+// seen pairs, and per-node port tables grown by append, edge by edge.
+// It returns the port tables and the edge list.
+func referenceNew(n int, edges []Edge) ([][]Port, []Edge, error) {
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("graph: n must be positive, got %d", n)
+	}
+	adj := make([][]Port, n)
+	var out []Edge
+	seen := make(map[[2]int]bool, len(edges))
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, nil, fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
+		}
+		if e.U == e.V {
+			return nil, nil, fmt.Errorf("graph: self-loop at node %d", e.U)
+		}
+		k := [2]int{min(e.U, e.V), max(e.U, e.V)}
+		if seen[k] {
+			return nil, nil, fmt.Errorf("graph: duplicate edge %d-%d", k[0], k[1])
+		}
+		seen[k] = true
+		idx := len(out)
+		out = append(out, e)
+		pu := Port{To: e.V, Weight: e.Weight, RevPort: len(adj[e.V]), EdgeIdx: idx}
+		pv := Port{To: e.U, Weight: e.Weight, RevPort: len(adj[e.U]), EdgeIdx: idx}
+		adj[e.U] = append(adj[e.U], pu)
+		adj[e.V] = append(adj[e.V], pv)
+	}
+	return adj, out, nil
+}
 
 // decodeEdges turns raw fuzz bytes into an edge list: 6 bytes per
 // edge (two endpoints and a weight as little-endian int16s), so the
@@ -24,7 +58,8 @@ func decodeEdges(data []byte) []Edge {
 
 // FuzzNew feeds arbitrary node counts and malformed edge lists to the
 // graph constructor: it must reject bad input with an error — never a
-// panic — and every accepted graph must satisfy the port-table
+// panic — with referenceNew's text, and every accepted graph must be
+// referenceNew's graph, port for port, and satisfy the port-table
 // invariants the simulator relies on.
 func FuzzNew(f *testing.F) {
 	f.Add(1, []byte{})
@@ -34,14 +69,37 @@ func FuzzNew(f *testing.F) {
 	f.Add(2, []byte{0, 0, 0, 0, 1, 0})                   // self-loop
 	f.Add(2, []byte{0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0}) // duplicate edge
 	f.Add(4, []byte{0, 0, 9, 0, 1, 0})                   // endpoint out of range
+	// Two faults: the first one in edge order names the error.
+	f.Add(4, []byte{0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0, 0, 0, 9, 0, 3, 0})                   // duplicate, then out of range
+	f.Add(4, []byte{0, 0, 9, 0, 3, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0})                   // out of range, then duplicate
+	f.Add(4, []byte{2, 0, 3, 0, 1, 0, 3, 0, 2, 0, 2, 0, 1, 0, 1, 0, 3, 0})                   // duplicate, then self-loop
+	f.Add(5, []byte{0, 0, 1, 0, 1, 0, 2, 0, 3, 0, 2, 0, 3, 0, 2, 0, 3, 0, 1, 0, 0, 0, 4, 0}) // two duplicates
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
 		if n > 1<<12 {
 			n %= 1 << 12 // keep allocations bounded, negatives pass through
 		}
 		edges := decodeEdges(data)
 		g, err := New(n, edges)
+		adj, refEdges, refErr := referenceNew(n, edges)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("New error %v, reference %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		for v := range adj {
+			if ports := g.Ports(v); !slices.Equal(ports, adj[v]) || cap(ports) != len(ports) {
+				t.Fatalf("node %d: ports %v (cap %d), reference %v", v, ports, cap(ports), adj[v])
+			}
+		}
+		if !slices.Equal(g.Edges(), refEdges) {
+			t.Fatalf("edges %v, reference %v", g.Edges(), refEdges)
+		}
+		for i := range edges {
+			edges[i].Weight++ // New copied the edges, so g must not see this
+		}
+		if !slices.Equal(g.Edges(), refEdges) {
+			t.Fatal("the graph shares the caller's edge slice")
 		}
 		if g.N() != n {
 			t.Fatalf("N() = %d, want %d", g.N(), n)

@@ -58,16 +58,13 @@ func assignWeights(edges []Edge, cfg GenConfig) {
 		if space < 1<<20 {
 			space = 1 << 20
 		}
-		seen := make(map[int64]bool, len(edges))
+		seen := newKeySet(len(edges))
 		for i := range edges {
-			for {
-				w := 1 + r.Int63n(space)
-				if !seen[w] {
-					seen[w] = true
-					edges[i].Weight = w
-					break
-				}
+			w := 1 + r.Int63n(space)
+			for !seen.add(uint64(w)) {
+				w = 1 + r.Int63n(space)
 			}
+			edges[i].Weight = w
 		}
 	default: // WeightsDistinctRandom
 		perm := r.Perm(len(edges))
@@ -186,19 +183,12 @@ func RandomConnected(n, m int, cfg GenConfig) *Graph {
 	}
 	r := cfg.rng()
 	perm := r.Perm(n) // random labeling so the tree shape is unbiased
-	var edges []Edge
-	seen := make(map[[2]int]bool, m)
-	add := func(u, v int) bool {
-		if u == v {
-			return false
+	edges := make([]Edge, 0, m)
+	seen := newKeySet(m) // pairs u < v packed as u<<32 | v
+	add := func(u, v int) {
+		if u != v && seen.add(uint64(min(u, v))<<32|uint64(max(u, v))) {
+			edges = append(edges, Edge{U: u, V: v})
 		}
-		k := [2]int{min(u, v), max(u, v)}
-		if seen[k] {
-			return false
-		}
-		seen[k] = true
-		edges = append(edges, Edge{U: u, V: v})
-		return true
 	}
 	for i := 1; i < n; i++ {
 		add(perm[i], perm[r.Intn(i)])
@@ -322,16 +312,13 @@ func RandomIDs(g *Graph, space int64, seed int64) *Graph {
 	}
 	r := rand.New(rand.NewSource(seed))
 	ids := make([]int64, g.N())
-	seen := make(map[int64]bool, g.N())
+	seen := newKeySet(g.N())
 	for i := range ids {
-		for {
-			id := 1 + r.Int63n(space)
-			if !seen[id] {
-				seen[id] = true
-				ids[i] = id
-				break
-			}
+		id := 1 + r.Int63n(space)
+		for !seen.add(uint64(id)) {
+			id = 1 + r.Int63n(space)
 		}
+		ids[i] = id
 	}
 	if err := g.SetIDs(ids); err != nil {
 		panic(err)

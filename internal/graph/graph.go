@@ -65,42 +65,81 @@ type Port struct {
 // per-node port tables. Node identifiers (IDs) are distinct and
 // strictly positive; by default node i has ID i+1 (so IDs lie in
 // [1, n], the range the deterministic algorithm assumes).
+//
+// The port tables of all nodes share one flat array: node v's ports
+// are ports[off[v]:off[v+1]], and port p of v is v's p-th incident
+// edge in edge order.
 type Graph struct {
-	adj   [][]Port
+	ports []Port
+	off   []int
 	edges []Edge
 	ids   []int64
 }
 
-// New builds a graph with n nodes and the given edges.
-// It returns an error for invalid endpoints, self-loops or duplicates.
+// New builds a graph with n nodes and the given edges, which it
+// copies. It returns an error for invalid endpoints, self-loops or
+// duplicates, naming the first offending edge in edge order. It counts
+// degrees, takes prefix sums and fills the ports in edge order, then
+// finds duplicates with one stamped scan over the ports.
 func New(n int, edges []Edge) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: n must be positive, got %d", n)
 	}
-	g := &Graph{
-		adj:   make([][]Port, n),
-		edges: make([]Edge, 0, len(edges)),
-		ids:   make([]int64, n),
-	}
-	for i := range g.ids {
-		g.ids[i] = int64(i + 1)
-	}
-	seen := make(map[[2]int]bool, len(edges))
-	for _, e := range edges {
+	edges = append(make([]Edge, 0, len(edges)), edges...)
+	var bad error // the first out-of-range or self-loop edge
+	off := make([]int, n+1)
+	for i, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
+			bad = fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
+		} else if e.U == e.V {
+			bad = fmt.Errorf("graph: self-loop at node %d", e.U)
 		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
+		if bad != nil {
+			edges = edges[:i] // a duplicate before it names the error
+			break
 		}
-		k := [2]int{min(e.U, e.V), max(e.U, e.V)}
-		if seen[k] {
-			return nil, fmt.Errorf("graph: duplicate edge %d-%d", k[0], k[1])
-		}
-		seen[k] = true
-		g.addEdge(e)
+		off[e.U+1]++
+		off[e.V+1]++
 	}
-	return g, nil
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	ports := make([]Port, off[n])
+	next := make([]int, n) // the next free port of each node
+	copy(next, off)
+	for i, e := range edges {
+		pu, pv := next[e.U], next[e.V]
+		ports[pu] = Port{To: e.V, Weight: e.Weight, RevPort: pv - off[e.V], EdgeIdx: i}
+		ports[pv] = Port{To: e.U, Weight: e.Weight, RevPort: pu - off[e.U], EdgeIdx: i}
+		next[e.U], next[e.V] = pu+1, pv+1
+	}
+	// A port of v to a neighbour an earlier port of v reaches repeats an
+	// earlier edge; the smallest such edge index is the first duplicate
+	// in edge order.
+	stamp, dup := next, len(edges)
+	for v := range stamp {
+		stamp[v] = -1
+	}
+	for v := 0; v < n; v++ {
+		for _, p := range ports[off[v]:off[v+1]] {
+			if stamp[p.To] == v {
+				dup = min(dup, p.EdgeIdx)
+			}
+			stamp[p.To] = v
+		}
+	}
+	if dup < len(edges) {
+		e := edges[dup]
+		return nil, fmt.Errorf("graph: duplicate edge %d-%d", min(e.U, e.V), max(e.U, e.V))
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i + 1)
+	}
+	return &Graph{ports: ports, off: off, edges: edges, ids: ids}, nil
 }
 
 // MustNew is New but panics on error; intended for tests and generators
@@ -113,17 +152,8 @@ func MustNew(n int, edges []Edge) *Graph {
 	return g
 }
 
-func (g *Graph) addEdge(e Edge) {
-	idx := len(g.edges)
-	g.edges = append(g.edges, e)
-	pu := Port{To: e.V, Weight: e.Weight, RevPort: len(g.adj[e.V]), EdgeIdx: idx}
-	pv := Port{To: e.U, Weight: e.Weight, RevPort: len(g.adj[e.U]), EdgeIdx: idx}
-	g.adj[e.U] = append(g.adj[e.U], pu)
-	g.adj[e.V] = append(g.adj[e.V], pv)
-}
-
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.ids) }
 
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.edges) }
@@ -139,11 +169,11 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
 // Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
 // Ports returns the port table of node v. The returned slice must not
-// be modified.
-func (g *Graph) Ports(v int) []Port { return g.adj[v] }
+// be modified; its capacity ends at its length, so an append copies.
+func (g *Graph) Ports(v int) []Port { return g.ports[g.off[v]:g.off[v+1]:g.off[v+1]] }
 
 // ID returns the identifier of node v.
 func (g *Graph) ID(v int) int64 { return g.ids[v] }
@@ -165,15 +195,14 @@ func (g *Graph) SetIDs(ids []int64) error {
 	if len(ids) != g.N() {
 		return fmt.Errorf("graph: got %d ids for %d nodes", len(ids), g.N())
 	}
-	seen := make(map[int64]bool, len(ids))
+	seen := newKeySet(len(ids))
 	for _, id := range ids {
 		if id <= 0 {
 			return fmt.Errorf("graph: id %d is not strictly positive", id)
 		}
-		if seen[id] {
+		if !seen.add(uint64(id)) {
 			return fmt.Errorf("graph: duplicate id %d", id)
 		}
-		seen[id] = true
 	}
 	copy(g.ids, ids)
 	return nil
@@ -199,6 +228,37 @@ func (g *Graph) HasDistinctWeights() bool {
 		seen[e.Weight] = true
 	}
 	return true
+}
+
+// keySet is an open-addressing set of nonzero uint64 keys, sized for
+// a known number of them: at most half its slots fill, so a probe
+// ends quickly at an empty (zero) slot.
+type keySet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+}
+
+// newKeySet returns a set with room for n keys.
+func newKeySet(n int) keySet {
+	shift := uint(61) // at least 8 slots
+	for 1<<(64-shift) < 2*n {
+		shift--
+	}
+	return keySet{slots: make([]uint64, 1<<(64-shift)), shift: shift}
+}
+
+// add inserts the nonzero key k and reports whether it was absent.
+func (s keySet) add(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // TotalWeight sums the weights of the given edges.

@@ -239,6 +239,20 @@ func TestIsSpanningTreeRejects(t *testing.T) {
 	if IsSpanningTree(g, bad) {
 		t.Error("cyclic subset accepted")
 	}
+	// A spanning tree of K5, but three of its edges are not in the ring.
+	if IsSpanningTree(g, []Edge{{U: 0, V: 2}, {U: 2, V: 4}, {U: 1, V: 3}, {U: 0, V: 1}}) {
+		t.Error("tree with edges outside g accepted")
+	}
+	// The ring's own path 0-1-2-3-4, but one edge with a weight g does
+	// not give it.
+	path := edges[:4]
+	if !IsSpanningTree(g, path) {
+		t.Fatal("path of ring edges rejected")
+	}
+	path = append([]Edge{{U: path[0].V, V: path[0].U, Weight: path[0].Weight + 100}}, path[1:]...)
+	if IsSpanningTree(g, path) {
+		t.Error("edge with a weight outside g accepted")
+	}
 }
 
 func TestUnionFindProperties(t *testing.T) {

@@ -18,7 +18,7 @@ func MISViolations(g *Graph, inMIS []bool) (notIndependent, notMaximal int64) {
 			continue
 		}
 		covered := false
-		for _, p := range g.adj[v] {
+		for _, p := range g.Ports(v) {
 			if inMIS[p.To] {
 				covered = true
 				break

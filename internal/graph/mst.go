@@ -85,14 +85,15 @@ func Prim(g *Graph, start int) []Edge {
 }
 
 // IsSpanningTree reports whether edges form a spanning tree of g:
-// exactly n-1 edges that connect all nodes without cycles.
+// exactly n-1 edges of g, each with its weight in g, that connect all
+// nodes without cycles.
 func IsSpanningTree(g *Graph, edges []Edge) bool {
 	if len(edges) != g.N()-1 {
 		return false
 	}
 	uf := NewUnionFind(g.N())
 	for _, e := range edges {
-		if e.U < 0 || e.U >= g.N() || e.V < 0 || e.V >= g.N() {
+		if e.U < 0 || e.U >= g.N() || e.V < 0 || e.V >= g.N() || !g.hasEdge(e) {
 			return false
 		}
 		if !uf.Union(e.U, e.V) {
@@ -100,4 +101,15 @@ func IsSpanningTree(g *Graph, edges []Edge) bool {
 		}
 	}
 	return uf.Count() == 1
+}
+
+// hasEdge reports whether e, in either orientation and with its
+// weight, is an edge of g. It scans the ports of e.U.
+func (g *Graph) hasEdge(e Edge) bool {
+	for _, p := range g.Ports(e.U) {
+		if p.To == e.V && p.Weight == e.Weight {
+			return true
+		}
+	}
+	return false
 }

@@ -34,6 +34,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"sleepmst/internal/trace"
 )
 
 // Registry holds named counters and high-water marks for one run (or,
@@ -189,14 +191,38 @@ func (r *Registry) String() string {
 
 // PhaseName returns the canonical zero-padded awake/phase/<NNN>
 // metric name for 1-based phase p, so lexicographic snapshot order
-// matches numeric phase order.
+// matches numeric phase order. Phases below len(phaseNames) take a
+// name built once.
 func PhaseName(p int) string {
+	if p >= 0 && p < len(phaseNames) {
+		return phaseNames[p]
+	}
 	return fmt.Sprintf("awake/phase/%03d", p)
 }
 
-// StepName returns the canonical awake/step/<step> metric name.
-func StepName(step string) string {
-	return "awake/step/" + step
+// StepName returns the canonical awake/step/<step> metric name. Every
+// declared step takes a name built once.
+func StepName(step trace.Step) string {
+	if int(step) < len(stepNames) {
+		return stepNames[step]
+	}
+	return "awake/step/" + step.String()
+}
+
+// phaseNames and stepNames hold the attribution counters' names, which
+// a run with a registry looks up once per node per step.
+var (
+	phaseNames [256]string
+	stepNames  [len(trace.Steps) + 1]string
+)
+
+func init() {
+	for p := range phaseNames {
+		phaseNames[p] = fmt.Sprintf("awake/phase/%03d", p)
+	}
+	for s := range stepNames { // StepNone, then trace.Steps
+		stepNames[s] = "awake/step/" + trace.Step(s).String()
+	}
 }
 
 // MsgName returns the canonical msgs/type/<label> metric name.

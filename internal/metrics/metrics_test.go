@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sleepmst/internal/trace"
 )
 
 func TestAddGetMax(t *testing.T) {
@@ -105,10 +107,41 @@ func TestCanonicalNames(t *testing.T) {
 	if PhaseName(7) != "awake/phase/007" {
 		t.Errorf("PhaseName(7) = %q", PhaseName(7))
 	}
-	if StepName("find-moe") != "awake/step/find-moe" {
-		t.Errorf("StepName = %q", StepName("find-moe"))
+	if PhaseName(1000) != "awake/phase/1000" {
+		t.Errorf("PhaseName(1000) = %q", PhaseName(1000))
+	}
+	if StepName(trace.StepFindMOE) != "awake/step/find-moe" {
+		t.Errorf("StepName = %q", StepName(trace.StepFindMOE))
+	}
+	if StepName(trace.StepNone) != "awake/step/none" {
+		t.Errorf("StepName(StepNone) = %q", StepName(trace.StepNone))
+	}
+	for _, s := range trace.Steps {
+		if got, want := StepName(s), "awake/step/"+s.String(); got != want {
+			t.Errorf("StepName(%v) = %q, want %q", s, got, want)
+		}
 	}
 	if MsgName("wire") != "msgs/type/wire" {
 		t.Errorf("MsgName = %q", MsgName("wire"))
+	}
+}
+
+// TestAttributionAllocatesNoName: bumping every step counter and the
+// first 64 phase counters of a registry that already holds them
+// allocates nothing, as a run attributing each node's awake rounds
+// per step does once per node per step.
+func TestAttributionAllocatesNoName(t *testing.T) {
+	r := New()
+	attribute := func() {
+		for _, s := range trace.Steps {
+			r.Add(StepName(s), 1)
+		}
+		for p := 1; p <= 64; p++ {
+			r.Add(PhaseName(p), 1)
+		}
+	}
+	attribute() // the counters exist from here on
+	if allocs := testing.AllocsPerRun(10, attribute); allocs != 0 {
+		t.Errorf("attributing %d steps and 64 phases made %.0f allocations, want 0", len(trace.Steps), allocs)
 	}
 }

@@ -170,7 +170,7 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 			}
 			nd.EmitStep(phase, step, d)
 			if m := nd.Metrics(); m != nil {
-				m.Add(metrics.StepName(step.String()), d)
+				m.Add(metrics.StepName(step), d)
 				m.Add(metrics.PhaseName(phase), d)
 			}
 		}

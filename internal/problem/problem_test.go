@@ -186,7 +186,7 @@ func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
 
 // TestCertifyMemoryDoesNotGrowWithTheTrace certifies mst/randomized at
 // n=1024 as the run goes: what it allocates beyond the untraced run
-// must stay under 16 bytes per trace event, where a recorder keeping
+// must stay under 8 bytes per trace event, where a recorder keeping
 // the trace would hold 56 bytes per event in its event slice alone.
 func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
 	p, err := problem.Lookup("mst/randomized")
@@ -214,8 +214,9 @@ func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
 		}
 	})
 	extra := float64(certified) - float64(plain)
-	if perEvent := extra / float64(c.Meta.Events); perEvent >= 16 {
-		t.Errorf("certifying allocated %.0f bytes beyond the untraced run's %d, %.1f per event of %d; want under 16",
-			extra, plain, perEvent, c.Meta.Events)
+	perEvent := extra / float64(c.Meta.Events)
+	t.Logf("certifying allocated %.0f bytes beyond the untraced run's %d, %.1f per event of %d", extra, plain, perEvent, c.Meta.Events)
+	if perEvent >= 8 {
+		t.Errorf("%.1f bytes per event; want under 8", perEvent)
 	}
 }

@@ -52,31 +52,44 @@ type Orderer struct {
 	cur      []Event
 	curRound int64
 
-	// slots holds the other pending events by round — node events
-	// stamped ahead, and scheduler events of a round other than
-	// curRound — index maps a pending round to its slot, and queue
-	// holds the pending rounds, curRound included, smallest first.
-	// Released slots keep their capacity on the free list.
-	slots [][]Event
-	free  []int
-	index map[int64]int
-	queue roundHeap
+	// The other pending events — node events stamped ahead, and
+	// scheduler events of a round other than curRound — share one
+	// arena, each round's chained in arrival order, and a released
+	// round's entries chain onto the free list. index maps a pending
+	// round to its chain, and queue holds the pending rounds, curRound
+	// included, smallest first. Released chains go on spare.
+	arena    []pending
+	freeHead int32
+	chains   []chain
+	spare    []int
+	index    map[int64]int
+	queue    roundHeap
 
-	buf []Event // sort scratch
+	gather, buf []Event // a released round's events, and sort scratch
 }
+
+// pending is one arena entry: an event and the next entry of its
+// chain, or -1.
+type pending struct {
+	ev   Event
+	next int32
+}
+
+// chain is the first and last arena entry of a pending round, -1 when
+// it has none.
+type chain struct{ head, tail int32 }
 
 // NewOrderer returns an Orderer that calls release with the events of
 // each passed round, in canonical order. The slice is reused once
 // release returns.
 func NewOrderer(release func(events []Event)) *Orderer {
-	return &Orderer{release: release, index: map[int64]int{}, passed: math.MinInt64}
+	return &Orderer{release: release, index: map[int64]int{}, passed: math.MinInt64, freeHead: -1}
 }
 
 // Begin resets the orderer for a run on n nodes.
 func (o *Orderer) Begin(n int) {
-	for len(o.queue) > 0 {
-		o.recycle(o.queue.pop())
-	}
+	clear(o.index)
+	o.arena, o.freeHead, o.chains, o.spare, o.queue = o.arena[:0], -1, o.chains[:0], o.spare[:0], o.queue[:0]
 	o.meta, o.passed, o.cur = Meta{N: n}, math.MinInt64, o.cur[:0]
 }
 
@@ -88,7 +101,7 @@ func (o *Orderer) Event(ev Event) {
 	}
 	if ev.Kind >= KindAwake && ev.Kind <= KindLost {
 		if len(o.cur) == 0 {
-			o.slot(ev.Round) // queue the round
+			o.chainOf(ev.Round) // queue the round
 			o.curRound = ev.Round
 		}
 		if ev.Round == o.curRound {
@@ -96,37 +109,66 @@ func (o *Orderer) Event(ev Event) {
 			return
 		}
 	}
-	s := o.slot(ev.Round)
-	o.slots[s] = append(o.slots[s], ev)
+	i := o.freeHead
+	if i >= 0 {
+		o.freeHead = o.arena[i].next
+		o.arena[i] = pending{ev, -1}
+	} else {
+		i = int32(len(o.arena))
+		o.arena = append(o.arena, pending{ev, -1})
+	}
+	c := &o.chains[o.chainOf(ev.Round)]
+	if c.head < 0 {
+		c.head = i
+	} else {
+		o.arena[c.tail].next = i
+	}
+	c.tail = i
 }
 
-// slot returns the slot of a pending round, opening one if needed.
-func (o *Orderer) slot(round int64) int {
-	if s, ok := o.index[round]; ok {
-		return s
+// chainOf returns the chain of a pending round, opening one if needed.
+func (o *Orderer) chainOf(round int64) int {
+	if c, ok := o.index[round]; ok {
+		return c
 	}
-	var s int
-	if k := len(o.free) - 1; k >= 0 {
-		s, o.free = o.free[k], o.free[:k]
+	var c int
+	if k := len(o.spare) - 1; k >= 0 {
+		c, o.spare = o.spare[k], o.spare[:k]
+		o.chains[c] = chain{-1, -1}
 	} else {
-		s = len(o.slots)
-		o.slots = append(o.slots, nil)
+		c = len(o.chains)
+		o.chains = append(o.chains, chain{-1, -1})
 	}
-	o.index[round] = s
+	o.index[round] = c
 	o.queue.push(round)
-	return s
+	return c
 }
 
 // Passed releases every pending round at or before round.
 func (o *Orderer) Passed(round int64) {
 	for len(o.queue) > 0 && o.queue[0] <= round {
 		r := o.queue.pop()
-		evs := o.slots[o.index[r]]
-		if len(o.cur) > 0 && o.curRound == r {
-			// The kinds of the two parts differ, so their arrival order
-			// relative to each other never matters.
-			o.cur = append(o.cur, evs...)
-			evs, o.cur = o.cur, o.cur[:0]
+		// The kinds of the cur events and the chained ones differ, so
+		// their arrival order relative to each other never matters.
+		inCur := len(o.cur) > 0 && o.curRound == r
+		evs := o.gather[:0]
+		if inCur {
+			evs = o.cur
+		}
+		k := o.index[r]
+		delete(o.index, r)
+		o.spare = append(o.spare, k)
+		c := o.chains[k]
+		for i := c.head; i >= 0; i = o.arena[i].next {
+			evs = append(evs, o.arena[i].ev)
+		}
+		if c.head >= 0 {
+			o.arena[c.tail].next, o.freeHead = o.freeHead, c.head
+		}
+		if inCur {
+			o.cur = evs[:0]
+		} else {
+			o.gather = evs[:0]
 		}
 		if cap(o.buf) < len(evs) {
 			o.buf = make([]Event, len(evs))
@@ -140,17 +182,8 @@ func (o *Orderer) Passed(round int64) {
 		}
 		o.meta.Events += int64(len(evs))
 		o.release(evs)
-		o.recycle(r)
 	}
 	o.passed = max(o.passed, round)
-}
-
-// recycle frees the slot of a popped round.
-func (o *Orderer) recycle(round int64) {
-	s := o.index[round]
-	delete(o.index, round)
-	o.slots[s] = o.slots[s][:0]
-	o.free = append(o.free, s)
 }
 
 // Meta returns the header of the events released so far: the node
