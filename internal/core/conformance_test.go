@@ -109,11 +109,11 @@ func BenchmarkCheckTrace(b *testing.B) {
 // request — Deterministic-MST on a random graph with n=48 and m=2n,
 // the largest cell of the service benchmark's mix: the run with a
 // recorder, which orders the events as the run goes, the verdict over
-// them, the JSONL render of them, and writing and reading the response
-// frame; and certify, the run certified as it goes the way the service
-// does it — streamed order, fold and capped render in one pass, then
-// the rendered bytes — which replaces record, verdict and jsonl
-// (DESIGN §14.5).
+// them, the JSONL render of them, and writing the response frame with
+// the render's chunks, as the Server does, and reading it back; and
+// certify, the run certified as it goes the way the service does it —
+// streamed order, fold and capped render in one pass — which replaces
+// record, verdict and jsonl (DESIGN §14.5).
 func BenchmarkTraceStages(b *testing.B) {
 	g := sleepmst.RandomConnected(48, 96, 48000)
 	run := func(b *testing.B) *trace.Recorder {
@@ -126,14 +126,14 @@ func BenchmarkTraceStages(b *testing.B) {
 	rec := run(b)
 	meta, events := rec.Meta(), rec.Events()
 	info := conform.RunInfo{Algorithm: "deterministic", N: 48, Seed: 1}
-	// render draws the ordered events as the service's render does, in
-	// chunks joined into one exactly sized slice.
-	render := func() []byte {
+	// render draws the ordered events as the service's render does,
+	// into chunks the Server writes as they are.
+	render := func() *trace.JSONL {
 		j := trace.NewJSONL(math.MaxInt64, math.MaxInt)
 		j.Begin(meta.N)
 		j.Round(events)
 		j.End(meta)
-		return j.Bytes()
+		return j
 	}
 	b.Run("record", func(b *testing.B) {
 		b.ReportAllocs()
@@ -162,25 +162,26 @@ func BenchmarkTraceStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		want := len(render())
+		want := render().Len()
 		for i := 0; i < b.N; i++ {
 			jsonl := trace.NewJSONL(service.DefaultTraceCap, service.MaxFrameBytes)
 			c, err := problem.Certify(p, g, sleepmst.Options{Seed: 1}, jsonl)
-			if err != nil || !c.Verdict.Pass || len(jsonl.Bytes()) != want {
+			if err != nil || !c.Verdict.Pass || jsonl.Chunks() == nil || jsonl.Len() != want {
 				b.Fatalf("err %v, pass %v, %d JSONL bytes, want %d", err, c.Verdict.Pass, jsonl.Len(), want)
 			}
 		}
 	})
 	b.Run("respond", func(b *testing.B) {
 		b.ReportAllocs()
-		resp := service.Response{ID: 1, Status: service.StatusOK, Trace: render()}
-		frame, err := service.AppendResponse(nil, resp)
+		resp := service.Response{ID: 1, Status: service.StatusOK}
+		chunks := render().Chunks()
+		frame, err := service.AppendResponse(nil, service.Response{ID: 1, Status: service.StatusOK, Trace: bytes.Join(chunks, nil)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := service.WriteResponse(io.Discard, resp); err != nil {
+			if err := service.WriteResponseParts(io.Discard, resp, chunks); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := service.ReadResponse(bufio.NewReader(bytes.NewReader(frame))); err != nil {

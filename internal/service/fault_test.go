@@ -337,17 +337,34 @@ func TestFaultShutdownDrain(t *testing.T) {
 	assertNoLeaks(t, before)
 }
 
-// requestGoroutines counts the live goroutines Server.handle started,
-// one per request frame it read.
-func requestGoroutines() int {
+// goroutinesWith counts the live goroutines whose stacks hold every
+// one of frames.
+func goroutinesWith(frames ...string) int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by sleepmst/internal/service.(*Server).handle")
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
 		}
-		buf = make([]byte, 2*len(buf))
+		count := 0
+	stacks:
+		for _, stack := range strings.Split(string(buf[:n]), "\n\n") {
+			for _, f := range frames {
+				if !strings.Contains(stack, f) {
+					continue stacks
+				}
+			}
+			count++
+		}
+		return count
 	}
+}
+
+// requestGoroutines counts the live goroutines Server.handle started,
+// one per request frame it read.
+func requestGoroutines() int {
+	return goroutinesWith("created by sleepmst/internal/service.(*Server).handle")
 }
 
 // settledRequestGoroutines polls requestGoroutines until it has held
@@ -533,4 +550,135 @@ func TestFaultSensorBuildHonorsDeadline(t *testing.T) {
 		t.Errorf("answered %v (%s), want deadline", resp.Status, resp.Detail)
 	}
 	svc.Drain()
+}
+
+// The stack frames of a connection handler, and of one parked between
+// frames or inside one.
+const (
+	inHandler    = "service.(*Server).handle("
+	betweenFrame = "bufio.(*Reader).Peek("
+	insideFrame  = "service.ReadRequest("
+)
+
+// awaitGoroutines polls until goroutinesWith(frames...) is want, and
+// fails once bound has passed.
+func awaitGoroutines(t *testing.T, bound time.Duration, want int, frames ...string) {
+	t.Helper()
+	for deadline := time.Now().Add(bound); goroutinesWith(frames...) != want; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines in %q after %v, want %d", goroutinesWith(frames...), frames, bound, want)
+		}
+	}
+}
+
+// startServer serves a one-worker service on a loopback listener and
+// returns the server, its address and the channel Serve's error
+// arrives on.
+func startServer(t *testing.T) (*Server, string, chan error) {
+	t.Helper()
+	srv := NewServer(New(Config{Workers: 1}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	return srv, ln.Addr().String(), serveErr
+}
+
+// roundTrip sends req on conn and reads its response, which must be ok.
+func roundTrip(t *testing.T, conn net.Conn, br *bufio.Reader, req Request) {
+	t.Helper()
+	if err := WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadResponse(br)
+	if err != nil || resp.ID != req.ID || resp.Status != StatusOK {
+		t.Fatalf("request %d answered id=%d status=%v (%s), err %v", req.ID, resp.ID, resp.Status, resp.Detail, err)
+	}
+}
+
+// halfFrame dials addr and sends the length prefix and half the body
+// of a request frame.
+func halfFrame(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := mustFrame(Request{ID: 2, Problem: "mis", Graph: "ring", N: 8})
+	if _, err := conn.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestFaultHalfFrameHangsUp: a client that sends half a request frame
+// and stalls is hung up on once the frame has taken readTimeout, and
+// its handler exits, while a client idle between frames for longer
+// than that keeps its connection and is served.
+func TestFaultHalfFrameHangsUp(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, addr, serveErr := startServer(t)
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	idleReader := bufio.NewReader(idle)
+	roundTrip(t, idle, idleReader, Request{ID: 1, Problem: "mis", Graph: "ring", N: 8})
+
+	half := halfFrame(t, addr)
+	defer half.Close()
+	bound := readTimeout + 2*time.Second
+	if err := half.SetReadDeadline(time.Now().Add(bound)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := half.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("half-frame connection: read returned %v after %v, want a hang-up within %v", err, time.Since(start), bound)
+	}
+	t.Logf("hung up after %v", time.Since(start).Round(time.Millisecond))
+	awaitGoroutines(t, time.Second, 1, inHandler)
+
+	roundTrip(t, idle, idleReader, Request{ID: 3, Problem: "mis", Graph: "ring", N: 8})
+	srv.Shutdown()
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v", err)
+	}
+	assertNoLeaks(t, before)
+}
+
+// TestFaultShutdownUnparksReaders: Shutdown returns promptly with one
+// handler parked between frames and one inside a frame, whose own read
+// deadline lies readTimeout ahead: Shutdown's deadline wins over both.
+func TestFaultShutdownUnparksReaders(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, addr, serveErr := startServer(t)
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	roundTrip(t, idle, bufio.NewReader(idle), Request{ID: 1, Problem: "mis", Graph: "ring", N: 8})
+	half := halfFrame(t, addr)
+	defer half.Close()
+	awaitGoroutines(t, 10*time.Second, 1, inHandler, betweenFrame)
+	awaitGoroutines(t, 10*time.Second, 1, inHandler, insideFrame)
+
+	done := make(chan struct{})
+	start := time.Now()
+	go func() { srv.Shutdown(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(readTimeout / 2):
+		idle.Close()
+		half.Close()
+		<-done
+		t.Fatalf("Shutdown took %v with parked readers", time.Since(start))
+	}
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v", err)
+	}
+	assertNoLeaks(t, before)
 }

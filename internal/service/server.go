@@ -34,6 +34,12 @@ const (
 	// reading therefore holds its handler for at most writeTimeout
 	// once its requests have finished.
 	writeTimeout = 5 * time.Second
+	// readTimeout bounds reading one request frame once its first byte
+	// has arrived. A read that misses it hangs up, so a client that
+	// stalls mid-frame holds its handler for at most readTimeout. No
+	// deadline is armed between frames: an idle client keeps its
+	// connection.
+	readTimeout = 5 * time.Second
 	// minAcceptBackoff and maxAcceptBackoff bound the pause after a
 	// transient Accept failure, doubling per consecutive failure, as
 	// net/http does.
@@ -46,7 +52,8 @@ const (
 // a Response frame. Requests on one connection are pipelined — each
 // runs on its own goroutine, at most maxInFlight at a time, and
 // responses are written in completion order, correlated by ID, each
-// under a writeTimeout deadline.
+// under a writeTimeout deadline. A frame must arrive whole within
+// readTimeout of its first byte.
 //
 // An undecodable frame gets a Response with ID = BadFrameID and
 // StatusInvalid, then the connection is closed: past one corrupt
@@ -136,12 +143,24 @@ func (s *Server) Shutdown() {
 	s.svc.Drain()
 	s.mu.Lock()
 	for conn := range s.conns {
-		// Unblock handlers parked in ReadRequest; they exit silently
-		// on the deadline error after flushing in-flight responses.
+		// Unblock handlers parked between or inside frames; they exit
+		// silently on the deadline error after flushing in-flight
+		// responses. Handlers leave a connection's read deadline alone
+		// once s.closed is set, so this one stands.
 		conn.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+}
+
+// setReadDeadline sets conn's read deadline to t, unless Shutdown has
+// begun: its deadline must not be cleared or pushed back.
+func (s *Server) setReadDeadline(conn net.Conn, t time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		conn.SetReadDeadline(t)
+	}
 }
 
 // handle serves one connection: a read loop that decodes request
@@ -165,7 +184,8 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	respond := func(resp Response) {
+	// respond writes resp with its trace given as the render's chunks.
+	respond := func(resp Response, trace [][]byte) {
 		writeMu.Lock()
 		defer writeMu.Unlock()
 		if broken.Load() {
@@ -173,7 +193,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		err := conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err == nil {
-			err = WriteResponse(conn, resp)
+			err = WriteResponseParts(conn, resp, trace)
 		}
 		if err != nil {
 			// The client went away or stopped reading, and the stream
@@ -190,7 +210,15 @@ func (s *Server) handle(conn net.Conn) {
 		if broken.Load() {
 			return // frames still buffered in br could never be answered
 		}
-		req, err := ReadRequest(br)
+		// Wait for a frame without a deadline, then give the rest of it
+		// readTimeout to arrive.
+		_, err := br.Peek(1)
+		var req Request
+		if err == nil {
+			s.setReadDeadline(conn, time.Now().Add(readTimeout))
+			req, err = ReadRequest(br)
+			s.setReadDeadline(conn, time.Time{})
+		}
 		if err != nil {
 			if isHangup(err) {
 				return
@@ -203,14 +231,14 @@ func (s *Server) handle(conn net.Conn) {
 				ID:     BadFrameID,
 				Status: StatusInvalid,
 				Detail: "malformed request frame: " + err.Error(),
-			})
+			}, nil)
 			return
 		}
 		inflight.Add(1)
 		go func() {
 			defer inflight.Done()
 			defer func() { <-slots }()
-			respond(s.svc.Submit(req))
+			respond(s.svc.submit(req))
 		}()
 	}
 }
@@ -225,8 +253,9 @@ func transientAccept(err error) bool {
 }
 
 // isHangup reports whether a read error means "the connection is
-// done" (clean close, peer reset, or the Shutdown read deadline)
-// rather than a malformed frame worth answering.
+// done" (clean close, peer reset, a frame stalled past readTimeout, or
+// the Shutdown read deadline) rather than a malformed frame worth
+// answering.
 func isHangup(err error) bool {
 	return errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF) ||

@@ -30,6 +30,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,9 +137,20 @@ func (s *Service) Drain() { s.pool.Drain() }
 // closed-loop client model); concurrency comes from concurrent
 // callers, capacity from the worker pool.
 func (s *Service) Submit(req Request) Response {
+	resp, chunks := s.submit(req)
+	if chunks != nil {
+		resp.Trace = bytes.Join(chunks, nil)
+	}
+	return resp
+}
+
+// submit is Submit with the response's trace left in the chunks it was
+// rendered into, in order, for the Server to write as they are; the
+// response's own Trace is empty.
+func (s *Service) submit(req Request) (Response, [][]byte) {
 	p, detail := s.validate(&req)
 	if detail != "" {
-		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: detail}, "")
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: detail}, ""), nil
 	}
 	// The deadline clock starts here, before admission, so queue wait
 	// counts against it: a request cannot spend QueueDepth x deadline
@@ -150,17 +162,25 @@ func (s *Service) Submit(req Request) Response {
 	cancel := make(chan struct{})
 	timer := time.AfterFunc(deadline, func() { close(cancel) })
 	defer timer.Stop()
-	done := make(chan Response, 1)
-	err := s.pool.TrySubmit(func() { done <- s.execute(req, p, deadline, cancel) })
+	var (
+		resp   Response
+		chunks [][]byte
+	)
+	done := make(chan struct{})
+	err := s.pool.TrySubmit(func() {
+		resp, chunks = s.execute(req, p, deadline, cancel)
+		close(done)
+	})
 	switch {
 	case errors.Is(err, sweep.ErrPoolSaturated):
 		return s.finish(req, Response{ID: req.ID, Status: StatusOverloaded,
-			Detail: fmt.Sprintf("admission queue full (%d waiting requests)", s.cfg.QueueDepth)}, "")
+			Detail: fmt.Sprintf("admission queue full (%d waiting requests)", s.cfg.QueueDepth)}, ""), nil
 	case err != nil:
 		return s.finish(req, Response{ID: req.ID, Status: StatusShuttingDown,
-			Detail: "service is draining"}, "")
+			Detail: "service is draining"}, ""), nil
 	}
-	return <-done
+	<-done
+	return resp, chunks
 }
 
 // validate checks the request against the admission contract and
@@ -208,15 +228,16 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 }
 
 // execute runs one admitted request as an isolated cell on a pool
-// worker and certifies the result. The deadline clock started in
-// Submit; cancel closes when it expires. A panic anywhere in the cell
-// is recovered into StatusInternal so no request can kill the worker
-// pool (and with it the daemon).
-func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration, cancel <-chan struct{}) (resp Response) {
+// worker and certifies the result. It returns the shipped trace apart,
+// as the chunks of its render. The deadline clock started in Submit;
+// cancel closes when it expires. A panic anywhere in the cell is
+// recovered into StatusInternal so no request can kill the worker pool
+// (and with it the daemon).
+func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration, cancel <-chan struct{}) (resp Response, chunks [][]byte) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp = s.finish(req, Response{ID: req.ID, Status: StatusInternal,
-				Detail: fmt.Sprintf("panic in request cell: %v", r)}, "")
+			resp, chunks = s.finish(req, Response{ID: req.ID, Status: StatusInternal,
+				Detail: fmt.Sprintf("panic in request cell: %v", r)}, ""), nil
 		}
 	}()
 	select {
@@ -224,16 +245,16 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		// The deadline expired while the request sat in the admission
 		// queue; don't start work that is already overdue.
 		return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
-			Detail: fmt.Sprintf("deadline %v exceeded while queued", deadline)}, "")
+			Detail: fmt.Sprintf("deadline %v exceeded while queued", deadline)}, ""), nil
 	default:
 	}
 	g, err := buildGraph(req.Graph, req.N, req.M, req.Rows, req.Radius, req.Seed, cancel)
 	if errors.Is(err, errBuildCanceled) {
 		return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
-			Detail: fmt.Sprintf("deadline %v exceeded while building the graph", deadline)}, "")
+			Detail: fmt.Sprintf("deadline %v exceeded while building the graph", deadline)}, ""), nil
 	}
 	if err != nil {
-		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
+		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, ""), nil
 	}
 	// Validation bounds the request's N and expected edge count, but
 	// derived topologies (grid rounds n up to rows*cols, a sensor graph
@@ -241,11 +262,11 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	// against the same admission caps.
 	if g.N() > s.cfg.MaxN {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
-			Detail: fmt.Sprintf("built %s graph has %d nodes, over the admitted cap %d", req.Graph, g.N(), s.cfg.MaxN)}, "")
+			Detail: fmt.Sprintf("built %s graph has %d nodes, over the admitted cap %d", req.Graph, g.N(), s.cfg.MaxN)}, ""), nil
 	}
 	if g.M() > s.maxEdges() {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
-			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted cap %d", req.Graph, g.M(), s.maxEdges())}, "")
+			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted cap %d", req.Graph, g.M(), s.maxEdges())}, ""), nil
 	}
 	reg := metrics.New()
 	opts := core.Options{Seed: req.Seed, Metrics: reg, Cancel: cancel}
@@ -272,9 +293,9 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
-				Detail: fmt.Sprintf("deadline %v exceeded: %v", deadline, err)}, "")
+				Detail: fmt.Sprintf("deadline %v exceeded: %v", deadline, err)}, ""), nil
 		}
-		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
+		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, ""), nil
 	}
 	verify := p.Verify(g, c.Result)
 
@@ -303,7 +324,7 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	data, err := json.Marshal(a)
 	if err != nil {
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal,
-			Detail: fmt.Sprintf("artifact marshal: %v", err)}, "")
+			Detail: fmt.Sprintf("artifact marshal: %v", err)}, ""), nil
 	}
 	resp.Artifact = data
 	// A response over the frame cap cannot be written, and the client
@@ -311,16 +332,16 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	// built-graph check above rejects a graph over the admitted cap.
 	var traceLen int
 	if jsonl != nil {
-		traceLen, resp.Trace = jsonl.Len(), jsonl.Bytes()
+		traceLen, chunks = jsonl.Len(), jsonl.Chunks()
 	}
 	if _, err := responseHead(resp, traceLen); err != nil {
-		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: err.Error()}, "")
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid, Detail: err.Error()}, ""), nil
 	}
 	// Fold the completed run's counters into the service registry —
 	// only completed runs: a canceled cell's partial counters would
 	// depend on where the deadline happened to land.
 	s.reg.Merge(reg)
-	return s.finish(req, resp, p.Name())
+	return s.finish(req, resp, p.Name()), chunks
 }
 
 // maxEdges is the per-request edge cap, edgesPerNode·MaxN.

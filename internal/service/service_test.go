@@ -258,10 +258,10 @@ func (panicProblem) ConformCheck(*graph.Graph, *problem.Result) conform.Check {
 func TestExecutePanicIsInternal(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Drain()
-	resp := svc.execute(Request{ID: 77, Graph: "path", N: 4}, panicProblem{},
+	resp, chunks := svc.execute(Request{ID: 77, Graph: "path", N: 4}, panicProblem{},
 		time.Minute, make(chan struct{}))
-	if resp.Status != StatusInternal {
-		t.Fatalf("status %v (%s), want internal", resp.Status, resp.Detail)
+	if resp.Status != StatusInternal || chunks != nil {
+		t.Fatalf("status %v (%s) with %d trace chunks, want internal with none", resp.Status, resp.Detail, len(chunks))
 	}
 	if !bytes.Contains([]byte(resp.Detail), []byte("panic in request cell")) {
 		t.Errorf("detail %q does not name the panic", resp.Detail)

@@ -359,10 +359,25 @@ func ReadResponse(br *bufio.Reader) (Response, error) {
 // WriteResponse writes one response frame to w: its head, then
 // resp.Trace from resp's own slice, never copied into a frame.
 func WriteResponse(w io.Writer, resp Response) error {
-	head, err := responseHead(resp, len(resp.Trace))
+	return WriteResponseParts(w, resp, [][]byte{resp.Trace})
+}
+
+// WriteResponseParts writes the frame of resp carrying, in place of
+// resp.Trace, the trace whose bytes are the parts in order, as a trace
+// render's chunks hold it. The head and the parts go out in one
+// net.Buffers write (a writev on a TCP connection), so the trace is
+// never copied into a frame.
+func WriteResponseParts(w io.Writer, resp Response, trace [][]byte) error {
+	size := 0
+	for _, part := range trace {
+		size += len(part)
+	}
+	head, err := responseHead(resp, size)
 	if err != nil {
 		return err
 	}
-	_, err = (&net.Buffers{head, resp.Trace}).WriteTo(w)
+	// WriteTo consumes the net.Buffers it writes, so it gets its own.
+	frame := append(append(make(net.Buffers, 0, 1+len(trace)), head), trace...)
+	_, err = frame.WriteTo(w)
 	return err
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"sleepmst/internal/trace"
@@ -16,10 +18,12 @@ import (
 // traces whose length prefix takes two and three bytes —
 // AppendResponse and WriteResponse produce the bytes of the generic
 // codec frame (appendFrame, which responses used before they were
-// written around their trace), and ReadResponse round-trips them. A
-// decoded response's Detail and Artifact must survive its frame body
-// being overwritten: only Trace may alias the body, so keeping an
-// artifact never keeps a whole frame alive.
+// written around their trace), and so does WriteResponseParts with the
+// trace in no part, one part, or many cut at odd lengths, an empty one
+// among them; ReadResponse round-trips them. A decoded response's
+// Detail and Artifact must survive its frame body being overwritten:
+// only Trace may alias the body, so keeping an artifact never keeps a
+// whole frame alive.
 func TestResponseWireFormat(t *testing.T) {
 	long := bytes.Repeat([]byte(`{"k":"awake","r":1,"v":0}`+"\n"), 1000)
 	traces := [][]byte{nil, []byte(`{"k":"begin","n":1}` + "\n"), long[:200], long}
@@ -35,6 +39,14 @@ func TestResponseWireFormat(t *testing.T) {
 					got, err := AppendResponse([]byte("prefix"), resp)
 					if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
 						t.Fatalf("%+v: AppendResponse differs from the codec frame (err %v)", resp, err)
+					}
+					for _, parts := range traceParts(tr) {
+						var w bytes.Buffer
+						bare := resp
+						bare.Trace = nil
+						if err := WriteResponseParts(&w, bare, parts); err != nil || !bytes.Equal(w.Bytes(), want) {
+							t.Fatalf("%+v: WriteResponseParts with %d parts differs from the codec frame (err %v)", resp, len(parts), err)
+						}
 					}
 					var w bytes.Buffer
 					if err := WriteResponse(&w, resp); err != nil || !bytes.Equal(w.Bytes(), want) {
@@ -64,6 +76,21 @@ func TestResponseWireFormat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// traceParts returns ways to cut tr into parts: one part, many parts
+// of 1, 3, 5, ... bytes after an empty one, and, for an empty trace, no
+// part at all.
+func traceParts(tr []byte) [][][]byte {
+	many := [][]byte{{}}
+	for i, k := 0, 1; i < len(tr); i, k = i+k, k+2 {
+		many = append(many, tr[i:min(i+k, len(tr))])
+	}
+	out := [][][]byte{{tr}, many}
+	if len(tr) == 0 {
+		out = append(out, nil)
+	}
+	return out
 }
 
 // TestResponseFrameCap: the cap applies to the exact frame body on
@@ -140,5 +167,90 @@ func TestTracedRequestAllocations(t *testing.T) {
 	if float64(best) > limit {
 		t.Errorf("a traced request allocated %d bytes, over the band of %.0f (0.5 × %.0f event bytes + 3.25 × %d JSONL bytes)",
 			best, limit, eventBytes, jsonl)
+	}
+}
+
+// TestServedTraceAllocations gates what serving one traced request
+// allocates, in units of its response frame: the stage request of
+// TestTracedRequestAllocations, served through a loopback Server, must
+// allocate at most 1.75 frames. The server ships the trace in the
+// chunks it was rendered into; joining them into one slice first, as
+// the server once did, came to 2.43 frames. The client reads
+// each frame through one fixed buffer, so the process's allocation is
+// the server's. The minimum of five tries discounts allocation by
+// anything else running.
+func TestServedTraceAllocations(t *testing.T) {
+	srv := NewServer(New(Config{Workers: 1}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		srv.Shutdown()
+		<-serveErr
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	req, err := AppendRequest(nil, Request{ID: 1, Problem: "mst/deterministic", Graph: "random", N: 48, M: 96, Seed: 48000, WantTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One round trip, decoded, checks the response and sizes its frame.
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ReadResponse(br)
+	if err != nil || resp.Status != StatusOK || len(resp.Trace) == 0 {
+		t.Fatalf("status %v (%s), %d trace bytes, err %v", resp.Status, resp.Detail, len(resp.Trace), err)
+	}
+	wantFrame, err := AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := uint64(len(wantFrame))
+
+	var (
+		best uint64
+		ms   runtime.MemStats
+		buf  = make([]byte, 64<<10)
+	)
+	for try := 0; try < 5; try++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		size, err := binary.ReadUvarint(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for left := size; left > 0; {
+			n, err := br.Read(buf[:min(uint64(len(buf)), left)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			left -= uint64(n)
+		}
+		runtime.ReadMemStats(&ms)
+		if got := size + uint64(binary.PutUvarint(buf, size)); got != frame {
+			t.Fatalf("try %d: a %d-byte frame, want %d", try, got, frame)
+		}
+		if used := ms.TotalAlloc - before; try == 0 || used < best {
+			best = used
+		}
+	}
+	t.Logf("serving a %d-byte frame allocated %d bytes, %.2f frames", frame, best, float64(best)/float64(frame))
+	if limit := 1.75 * float64(frame); float64(best) > limit {
+		t.Errorf("serving a %d-byte frame allocated %d bytes, %.2f frames, over 1.75", frame, best, float64(best)/float64(frame))
 	}
 }

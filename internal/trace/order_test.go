@@ -71,7 +71,7 @@ func TestAppendEventMatchesFmt(t *testing.T) {
 				Step:  steps[i%len(steps)],
 			}
 			want := fmtEvent(ev)
-			if got := string(appendEvent([]byte("prefix"), ev)); got != "prefix"+want {
+			if got := string(appendEvent([]byte("prefix"), &ev, new(roundText))); got != "prefix"+want {
 				t.Errorf("appendEvent(%+v) = %q, want %q", ev, got, "prefix"+want)
 			}
 			if got := ev.String(); got != strings.TrimSuffix(want, "\n") {

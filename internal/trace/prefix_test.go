@@ -128,6 +128,26 @@ func randomEvents(rng *rand.Rand, sink trace.Sink, roundBits, nodeBits int, nega
 	sink.Passed(math.MaxInt64)
 }
 
+// sizedRound returns size scheduler events of one round, arriving in
+// canonical order, reversed, or shuffled. Their nodes, negative ones
+// among them, and kinds repeat, so most (node, kind) groups hold
+// several events, which Aux tells apart.
+func sizedRound(rng *rand.Rand, size int, order string) []trace.Event {
+	evs := make([]trace.Event, size)
+	for i := range evs {
+		evs[i] = trace.Event{Kind: trace.KindAwake + trace.Kind(rng.Intn(4)), Round: 5, Node: int32(rng.Intn(size/8+4)) - 2, Aux: int64(i)}
+	}
+	if order != "random" {
+		slices.SortStableFunc(evs, func(a, b trace.Event) int {
+			return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Kind, b.Kind))
+		})
+	}
+	if order == "reversed" {
+		slices.Reverse(evs)
+	}
+	return evs
+}
+
 // firstDiff returns the index of the first event where got and want
 // differ, or -1 when they are equal.
 func firstDiff(got, want []trace.Event) int {
@@ -143,11 +163,15 @@ func firstDiff(got, want []trace.Event) int {
 }
 
 // TestEventsMatchStableSort pins the recorder's order — the Orderer's
-// round heap and its per-round radix sort — against the reference's
-// stable comparison sort, on random events at capacities that cut the
-// run and one that does not: crashes stamped below a node's earlier
-// events, round 0, negative and extreme rounds and nodes, and nodes up
-// to and past 2^20: every pass count from none to all five key bytes.
+// round heap and its per-round insertion or radix sort — against the
+// reference's stable comparison sort, on random events at capacities
+// that cut the run and one that does not: crashes stamped below a
+// node's earlier events, round 0, negative and extreme rounds and
+// nodes, and nodes up to and past 2^20: every pass count from none to
+// all five key bytes. Rounds of 0, 1, InsertionMax-1, InsertionMax,
+// InsertionMax+1 and 2×InsertionMax events, arriving sorted, reversed
+// and shuffled, pin both sorts and the threshold between them: only a
+// round over it may take the radix path.
 func TestEventsMatchStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, capacity := range []int{64, 512, 0} {
@@ -164,6 +188,31 @@ func TestEventsMatchStableSort(t *testing.T) {
 							capacity, roundBits, nodeBits, negative, len(rec.Events()), len(want), i)
 					}
 				}
+			}
+		}
+	}
+
+	for _, size := range []int{0, 1, trace.InsertionMax - 1, trace.InsertionMax, trace.InsertionMax + 1, 2 * trace.InsertionMax} {
+		for _, order := range []string{"sorted", "reversed", "random"} {
+			round := sizedRound(rng, size, order)
+			var ref tracetest.Reference
+			rec := trace.NewRecorder(0)
+			sink := trace.Tee(rec, &ref)
+			sink.Begin(size/8 + 2)
+			for _, ev := range round {
+				sink.Event(ev)
+			}
+			sink.Passed(math.MaxInt64)
+			want := ref.Events()
+			if i := firstDiff(rec.Events(), want); i >= 0 {
+				t.Fatalf("round of %d events, %s: recorder differs from the reference at %d", size, order, i)
+			}
+			got, radix := trace.SortCanonical(slices.Clone(round))
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("round of %d events, %s: sort differs from the reference at %d", size, order, i)
+			}
+			if radix != (size > trace.InsertionMax) {
+				t.Fatalf("round of %d events, %s: radix path %v, want it only over %d events", size, order, radix, trace.InsertionMax)
 			}
 		}
 	}

@@ -297,16 +297,16 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // emitting a counterexample, mstbench summarizing a run) write them
 // with it; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
-	const chunk = 32 << 10
-	buf := appendBegin(make([]byte, 0, chunk), meta)
-	for _, ev := range events {
-		if len(buf) > chunk-maxLine {
+	var round roundText
+	buf := appendBegin(make([]byte, 0, jsonlChunk), meta)
+	for i := range events {
+		if len(buf) > jsonlChunk-maxLine {
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 			buf = buf[:0]
 		}
-		buf = appendEvent(buf, ev)
+		buf = appendEvent(buf, &events[i], &round)
 	}
 	_, err := w.Write(appendEnd(buf, meta))
 	return err
@@ -328,15 +328,40 @@ func appendEnd(dst []byte, meta Meta) []byte {
 	return append(dst, "}\n"...)
 }
 
+// lineHead holds each kind's event line up to the round's digits, as
+// in {"k":"deliver","r":.
+var lineHead = func() (head [KindNbrs + 1]string) {
+	for k := range head {
+		head[k] = `{"k":"` + Kind(k).String() + `","r":`
+	}
+	return head
+}()
+
+// roundText holds the digits of the round rendered last, so that a run
+// of lines in one round formats them once.
+type roundText struct {
+	round int64
+	n     int      // the digits' length in buf; 0 before the first round
+	buf   [20]byte // math.MinInt64 takes 20
+}
+
+// digits returns the decimal digits of round.
+func (t *roundText) digits(round int64) []byte {
+	if t.n == 0 || round != t.round {
+		t.round, t.n = round, len(strconv.AppendInt(t.buf[:0], round, 10))
+	}
+	return t.buf[:t.n]
+}
+
 // appendEvent appends ev's JSONL line, newline included, with a fixed
-// field order; an event of unknown kind renders as nothing.
-func appendEvent(dst []byte, ev Event) []byte {
+// field order: the kind's head from lineHead, the round's digits from
+// round, then the other fields. An event of unknown kind renders as
+// nothing.
+func appendEvent(dst []byte, ev *Event, round *roundText) []byte {
 	if ev.Kind > KindNbrs {
 		return dst
 	}
-	dst = append(dst, `{"k":"`...)
-	dst = append(dst, ev.Kind.String()...)
-	dst = appendField(append(dst, '"'), `,"r":`, ev.Round)
+	dst = append(append(dst, lineHead[ev.Kind]...), round.digits(ev.Round)...)
 	dst = appendField(dst, `,"v":`, int64(ev.Node))
 	switch ev.Kind {
 	case KindPhase:
@@ -371,7 +396,8 @@ func appendField(dst []byte, name string, v int64) []byte {
 	return strconv.AppendInt(append(dst, name...), v, 10)
 }
 
-// lineSize returns len(appendEvent(nil, *ev)) without rendering it.
+// lineSize returns the length of the line appendEvent renders for ev,
+// without rendering it.
 func lineSize(ev *Event) int {
 	n := len(`{"k":"","r":,"v":}`+"\n") + len(ev.Kind.String()) + intLen(ev.Round) + intLen(int64(ev.Node))
 	switch ev.Kind {
@@ -410,7 +436,8 @@ func intLen(v int64) int {
 // String renders the event as its JSONL line (without the trailing
 // newline), the same bytes WriteJSONL emits for it.
 func (ev Event) String() string {
-	line := appendEvent(nil, ev)
+	var round roundText
+	line := appendEvent(nil, &ev, &round)
 	if len(line) == 0 {
 		return ""
 	}

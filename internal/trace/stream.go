@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 )
@@ -65,7 +66,7 @@ type Orderer struct {
 	index    map[int64]int
 	queue    roundHeap
 
-	gather, buf []Event // a released round's events, and sort scratch
+	gather, scratch []Event // a released round's events, and sort scratch
 }
 
 // pending is one arena entry: an event and the next entry of its
@@ -170,10 +171,7 @@ func (o *Orderer) Passed(round int64) {
 		} else {
 			o.gather = evs[:0]
 		}
-		if cap(o.buf) < len(evs) {
-			o.buf = make([]Event, len(evs))
-		}
-		evs = sortCanonical(evs, o.buf)
+		evs = sortCanonical(evs, &o.scratch)
 		for i := range evs {
 			if evs[i].Kind == KindAwake {
 				o.meta.Rounds = max(o.meta.Rounds, r)
@@ -196,14 +194,29 @@ func sortKey(ev *Event) uint64 {
 	return uint64(uint32(ev.Node)^1<<31)<<8 | uint64(ev.Kind)
 }
 
+// insertionMax is the largest round sortCanonical sorts by insertion.
+// Half the events of a service-sized run (n = 16 to 48) sit in rounds
+// this small, where one insertion pass over nearly sorted events costs
+// less than a radix pass's 256 counters.
+const insertionMax = 64
+
 // sortCanonical orders one round's events stably by (Node, Kind) and
-// returns the result, which is evs or buf[:len(evs)]; buf must hold
-// len(evs) events. It is an LSD radix sort with one stable counting
-// pass for each key byte in which the keys differ, so a round of a
-// 48-node run sorts in at most two passes, and a round of one kind in
-// one.
-func sortCanonical(evs, buf []Event) []Event {
-	if len(evs) < 2 {
+// returns the result, which is evs or held in *scratch. A round of at
+// most insertionMax events is sorted in place by insertion. A larger
+// one is sorted by an LSD radix sort, with one stable counting pass for
+// each key byte in which the keys differ, so a round of a 48-node run
+// sorts in at most two passes, and a round of one kind in one; it grows
+// *scratch to the round's length.
+func sortCanonical(evs []Event, scratch *[]Event) []Event {
+	if len(evs) <= insertionMax {
+		for i := 1; i < len(evs); i++ {
+			ev := evs[i]
+			k, j := sortKey(&ev), i
+			for ; j > 0 && sortKey(&evs[j-1]) > k; j-- {
+				evs[j] = evs[j-1]
+			}
+			evs[j] = ev
+		}
 		return evs
 	}
 	every, some := ^uint64(0), uint64(0) // the bits set in every key, in some key
@@ -211,7 +224,10 @@ func sortCanonical(evs, buf []Event) []Event {
 		k := sortKey(&evs[i])
 		every, some = every&k, some|k
 	}
-	src, dst := evs, buf[:len(evs)]
+	if cap(*scratch) < len(evs) {
+		*scratch = make([]Event, len(evs))
+	}
+	src, dst := evs, (*scratch)[:len(evs)]
 	for differ, shift := every^some, uint(0); differ>>shift != 0; shift += 8 {
 		if byte(differ>>shift) != 0 {
 			radixPass(dst, src, shift)
@@ -285,17 +301,19 @@ const jsonlChunk = 32 << 10
 
 // JSONL renders the canonical JSONL stream of a run round by round, as
 // an Orderer releases it, into chunks that are filled once and never
-// regrown, then joined once by Bytes. It renders at most a given
-// number of events, the first ones in canonical order, and its end
-// line counts the rest as dropped; beyond a given size it stops
-// keeping bytes and only counts them, so a caller can refuse an
-// oversized stream without holding it.
+// regrown: Chunks hands them out as they are, and Bytes joins them. It
+// formats a round's digits once for the run of lines in that round. It
+// renders at most a given number of events, the first ones in
+// canonical order, and its end line counts the rest as dropped; beyond
+// a given size it stops keeping bytes and only counts them, so a
+// caller can refuse an oversized stream without holding it.
 type JSONL struct {
 	maxEvents int64
 	maxBytes  int
 	chunks    [][]byte
 	size      int
 	shipped   int64
+	round     roundText
 }
 
 // NewJSONL returns a render of at most maxEvents events that keeps at
@@ -310,8 +328,8 @@ func (j *JSONL) Begin(n int) {
 	j.write(appendBegin(j.line(), Meta{N: n}))
 }
 
-// Round renders one round's events, in canonical order, up to the
-// event limit.
+// Round renders events, in canonical order, up to the event limit:
+// one round's, as an Orderer releases them, or several rounds'.
 func (j *JSONL) Round(events []Event) {
 	if room := j.maxEvents - j.shipped; int64(len(events)) > room {
 		events = events[:max(room, 0)]
@@ -322,7 +340,7 @@ func (j *JSONL) Round(events []Event) {
 			j.size += lineSize(&events[i])
 			continue
 		}
-		j.write(appendEvent(j.line(), events[i]))
+		j.write(appendEvent(j.line(), &events[i], &j.round))
 	}
 }
 
@@ -354,15 +372,21 @@ func (j *JSONL) write(chunk []byte) {
 // Len returns the stream's size in bytes, kept or not.
 func (j *JSONL) Len() int { return j.size }
 
-// Bytes returns the stream in one exactly sized slice, or nil when it
-// outgrew the byte limit.
-func (j *JSONL) Bytes() []byte {
+// Chunks returns the stream as the chunks it was rendered into, in
+// order, or nil when it outgrew the byte limit. They are the render's
+// own and stay valid until the next Begin.
+func (j *JSONL) Chunks() [][]byte {
 	if j.size > j.maxBytes {
 		return nil
 	}
-	out := make([]byte, 0, j.size)
-	for _, c := range j.chunks {
-		out = append(out, c...)
+	return j.chunks[:len(j.chunks):len(j.chunks)]
+}
+
+// Bytes returns the stream joined into one slice, or nil when it
+// outgrew the byte limit.
+func (j *JSONL) Bytes() []byte {
+	if c := j.Chunks(); c != nil {
+		return bytes.Join(c, nil)
 	}
-	return out
+	return nil
 }
