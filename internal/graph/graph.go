@@ -175,6 +175,13 @@ func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 // be modified; its capacity ends at its length, so an append copies.
 func (g *Graph) Ports(v int) []Port { return g.ports[g.off[v]:g.off[v+1]:g.off[v+1]] }
 
+// PortOffsets returns where each node's ports start in the graph's
+// one port array: node v's ports are entries off[v] to off[v+1]-1, so
+// a per-port table laid out on these offsets holds port p of v at
+// off[v]+p, and off[N()] counts all ports. The slice must not be
+// modified; its capacity ends at its length.
+func (g *Graph) PortOffsets() []int { return g.off[:len(g.off):len(g.off)] }
+
 // ID returns the identifier of node v.
 func (g *Graph) ID(v int) int64 { return g.ids[v] }
 

@@ -15,6 +15,8 @@ package ldt
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"sleepmst/internal/graph"
@@ -247,17 +249,18 @@ func Up[T any](nd *sim.Node, st *State, start int64, own T,
 }
 
 // FieldBits returns the number of bits needed to encode x (sign
-// included), used to charge realistic message sizes.
+// included), used to charge realistic message sizes: one sign or
+// presence bit plus the bit length of |x|. math.MinInt64, whose
+// magnitude overflows, is charged 1 bit, as the per-bit loop this
+// replaced charged it.
 func FieldBits(x int64) int {
+	if x == math.MinInt64 {
+		return 1
+	}
 	if x < 0 {
 		x = -x
 	}
-	n := 1 // sign / presence bit
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
+	return 1 + bits.Len64(uint64(x))
 }
 
 // MinItem is a (key, payload) pair for UpcastMin.

@@ -1,6 +1,8 @@
 package ldt
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -469,14 +471,51 @@ func TestStatesFromParentsRejectsNonEdges(t *testing.T) {
 	}
 }
 
+// fieldBitsLoop is the per-bit loop FieldBits replaced, kept as its
+// reference.
+func fieldBitsLoop(x int64) int {
+	if x < 0 {
+		x = -x
+	}
+	n := 1 // sign / presence bit
+	for x > 0 {
+		n++
+		x >>= 1
+	}
+	return n
+}
+
+// TestFieldBits pins FieldBits on zero, ±1, both extremes and every
+// power of two ±1, and holds it to the per-bit loop on random values.
 func TestFieldBits(t *testing.T) {
-	cases := []struct {
+	type fieldCase struct {
 		x    int64
 		want int
-	}{{0, 1}, {1, 2}, {2, 3}, {3, 3}, {255, 9}, {-255, 9}, {1 << 20, 22}}
+	}
+	cases := []fieldCase{{0, 1}, {1, 2}, {-1, 2}, {2, 3}, {3, 3}, {255, 9}, {-255, 9}, {1 << 20, 22},
+		{math.MaxInt64, 64}, {-math.MaxInt64, 64}, {math.MinInt64, 1}}
+	for k := 1; k < 63; k++ {
+		p := int64(1) << k
+		cases = append(cases, fieldCase{p - 1, k + 1}, fieldCase{p, k + 2}, fieldCase{p + 1, k + 2},
+			fieldCase{-p, k + 2}, fieldCase{-p - 1, k + 2})
+	}
 	for _, tc := range cases {
 		if got := FieldBits(tc.x); got != tc.want {
 			t.Errorf("FieldBits(%d) = %d, want %d", tc.x, got, tc.want)
+		}
+		if got := fieldBitsLoop(tc.x); got != tc.want {
+			t.Errorf("fieldBitsLoop(%d) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+	// Random values of every bit length, both signs.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100000; i++ {
+		x := rng.Int63() >> rng.Intn(64)
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		if got, want := FieldBits(x), fieldBitsLoop(x); got != want {
+			t.Fatalf("FieldBits(%d) = %d, the loop gives %d", x, got, want)
 		}
 	}
 }

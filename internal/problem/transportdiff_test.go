@@ -339,3 +339,63 @@ func TestTransportLostFrameAborts(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPAllocationsPerFrame gates what the wire costs per frame: the
+// n = 256 Randomized-MST cell of the benchmark's TCP workload runs in
+// memory and over NewTCP, and the TCP run may allocate at most 2.5
+// objects and 160 bytes per frame beyond the in-memory run; it takes
+// 1.5 objects and 76 bytes, mostly the decoded message each frame
+// boxes. A wire that regrew its queue every round, held two 4 KiB
+// buffers per connection and allocated a body, a Writer and a Reader
+// per frame came to 5.7 objects and 362 bytes. The minimum of three
+// tries discounts allocation by anything else running.
+func TestTCPAllocationsPerFrame(t *testing.T) {
+	p, err := problem.Lookup("mst/randomized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.RandomConnected(256, 512, graph.GenConfig{Seed: 1})
+	// run returns the fewest objects and bytes a run allocated over
+	// three tries, and the frames it shipped.
+	run := func(tcp bool) (objects, bytes uint64, frames int64) {
+		for try := 0; try < 3; try++ {
+			opts := core.Options{Seed: 1}
+			var tx *transport.TCP
+			if tcp {
+				tx = transport.NewTCP(transport.TCPConfig{})
+				opts.Transport = tx
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := p.Run(g, opts)
+			runtime.ReadMemStats(&after)
+			if tx != nil {
+				frames = tx.TransportStats().FramesSent
+				tx.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o := after.Mallocs - before.Mallocs; try == 0 || o < objects {
+				objects = o
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; try == 0 || b < bytes {
+				bytes = b
+			}
+		}
+		return objects, bytes, frames
+	}
+	memObjects, memBytes, _ := run(false)
+	tcpObjects, tcpBytes, frames := run(true)
+	if frames == 0 {
+		t.Fatal("the TCP run shipped no frames")
+	}
+	perObject := (float64(tcpObjects) - float64(memObjects)) / float64(frames)
+	perByte := (float64(tcpBytes) - float64(memBytes)) / float64(frames)
+	t.Logf("%d frames; in memory %d objects, %d bytes; over TCP %d objects, %d bytes: %.2f objects and %.0f bytes per frame beyond",
+		frames, memObjects, memBytes, tcpObjects, tcpBytes, perObject, perByte)
+	if perObject > 2.5 || perByte > 160 {
+		t.Errorf("%.2f objects and %.0f bytes per frame beyond the in-memory run; want at most 2.5 and 160", perObject, perByte)
+	}
+}

@@ -75,7 +75,8 @@ type Config struct {
 	// QueueDepth bounds the admission queue (0 = DefaultQueueDepth).
 	QueueDepth int
 	// DefaultDeadline bounds requests that do not set their own
-	// deadline (0 = DefaultDeadline).
+	// deadline, and caps the deadline a request may set (0 =
+	// DefaultDeadline).
 	DefaultDeadline time.Duration
 	// MaxN caps the per-request node count (0 = DefaultMaxN).
 	MaxN int
@@ -223,6 +224,11 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 	}
 	if req.Deadline < 0 {
 		return nil, fmt.Sprintf("negative deadline %v", req.Deadline)
+	}
+	// The default deadline caps a request's own, so no client decides
+	// how long a drain waits for its request.
+	if req.Deadline > s.cfg.DefaultDeadline {
+		return nil, fmt.Sprintf("deadline %v over the service's cap %v", req.Deadline, s.cfg.DefaultDeadline)
 	}
 	return p, ""
 }

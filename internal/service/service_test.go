@@ -221,6 +221,25 @@ func TestServiceInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestServiceDeadlineCap: the service's default deadline caps the
+// deadline a request may set. A request a nanosecond over it is
+// answered invalid with a detail naming the cap; one at the cap runs.
+func TestServiceDeadlineCap(t *testing.T) {
+	const limit = 3 * time.Second
+	svc := New(Config{Workers: 1, DefaultDeadline: limit})
+	defer svc.Drain()
+	resp := svc.Submit(Request{ID: 1, Problem: "mis", Graph: "ring", N: 8, Deadline: limit + time.Nanosecond})
+	if resp.Status != StatusInvalid {
+		t.Fatalf("a deadline over the cap: status %v (%s), want invalid", resp.Status, resp.Detail)
+	}
+	if !strings.Contains(resp.Detail, limit.String()) {
+		t.Errorf("detail %q does not name the cap %v", resp.Detail, limit)
+	}
+	if resp := svc.Submit(Request{ID: 2, Problem: "mis", Graph: "ring", N: 8, Deadline: limit}); resp.Status != StatusOK {
+		t.Fatalf("a deadline at the cap: status %v (%s), want ok", resp.Status, resp.Detail)
+	}
+}
+
 // TestServiceBuiltGraphCap: a topology whose construction rounds the
 // node count up past the requested N (grid builds rows x cols >= n)
 // is re-checked against MaxN after the build, so the admission cap

@@ -130,7 +130,8 @@ type Request struct {
 	// cap.
 	TraceCap int
 	// Deadline bounds the request end to end (0 = service default); an
-	// expired deadline cancels the running cell at a round barrier.
+	// expired deadline cancels the running cell at a round barrier. A
+	// deadline over the service default is answered StatusInvalid.
 	Deadline time.Duration
 	// WantTrace ships the JSONL event trace in the response, so clients
 	// can re-certify the verdict with conform.CheckTrace.

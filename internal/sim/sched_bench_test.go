@@ -10,8 +10,11 @@ import (
 // BenchmarkScheduler measures pure scheduler overhead per awake
 // node-round — a null program (empty exchanges, no sleeping) on a
 // cycle, so the algorithm contributes nothing and the number is the
-// engine's park/wake/deliver cost — one continuation switch per
-// node-round, flat in n (DESIGN.md §12).
+// engine's park/wake/deliver cost, one continuation switch per
+// node-round (DESIGN.md §12). The cost grows with n as the per-node
+// state and coroutine stacks fall out of cache: on a shared 2-core VM
+// it measured 190–290, 350–570 and 620–810 ns per node-round at n =
+// 256, 4096 and 65536.
 func BenchmarkScheduler(b *testing.B) {
 	const rounds = 50
 	for _, n := range []int{256, 4096, 65536} {

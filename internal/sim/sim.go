@@ -378,14 +378,6 @@ type Node struct {
 
 	out Outbox // staged by Exchange, consumed by the scheduler
 
-	// in is the node's inbox buffer (length Degree): the scheduler
-	// deposits into it while the node is parked, and the program owns
-	// it from Exchange's return until its next Exchange, which clears
-	// it if inUsed. outBuf is the staging buffer Outbox hands out.
-	in     Inbox
-	inUsed bool
-	outBuf Outbox
-
 	// yield parks the node's coroutine inside Exchange; exitErr is the
 	// program's return value, read by the scheduler after the
 	// continuation completes.
@@ -445,8 +437,9 @@ func (nd *Node) Rand() *rand.Rand {
 // node's next Outbox call; a program that must keep a staged outbox
 // across that call makes its own with make(Outbox, nd.Degree()).
 func (nd *Node) Outbox() Outbox {
-	clear(nd.outBuf)
-	return nd.outBuf
+	out := Outbox(nd.rt.slots(nd.rt.outbox, nd.idx))
+	clear(out)
+	return out
 }
 
 // Metrics returns the run's metrics registry. It is nil when the run
@@ -529,9 +522,10 @@ func (nd *Node) Exchange(out Outbox) Inbox {
 	}
 	// The program's lease on the previous inbox ends here, before the
 	// node parks, so the scheduler can refill the buffer.
-	if nd.inUsed {
-		clear(nd.in)
-		nd.inUsed = false
+	rt := nd.rt
+	if s := rt.stamp[nd.idx]; s < 0 {
+		clear(rt.slots(rt.inbox, nd.idx))
+		rt.stamp[nd.idx] = -s
 	}
 	nd.out = out
 	// Suspend the coroutine until the scheduler resumes it; a false
@@ -541,7 +535,20 @@ func (nd *Node) Exchange(out Outbox) Inbox {
 		panic(abortPanic{})
 	}
 	nd.out = nil
-	return nd.in
+	return Inbox(rt.slots(rt.inbox, nd.idx))
+}
+
+// slots returns node v's slots of a per-port table on the port
+// offsets, capped so that an append copies.
+func (rt *runtime) slots(table []interface{}, v int) []interface{} {
+	lo, hi := rt.off[v], rt.off[v+1]
+	return table[lo:hi:hi]
+}
+
+// awake reports whether node v participates in round.
+func (rt *runtime) awake(v int, round int64) bool {
+	s := rt.stamp[v]
+	return s == round || s == -round
 }
 
 // runtime is the scheduler state.
@@ -561,9 +568,17 @@ type runtime struct {
 	delayed delayHeap // in-flight messages postponed by the interceptor
 	seq     int64     // FIFO tiebreak for delayed messages
 
-	// awakeStamp[v] == r iff node v participates in round r; replaces
-	// a per-round map (rounds start at 1, so 0 means "never stamped").
-	awakeStamp []int64
+	// The message plane, laid out on the graph's port offsets off:
+	// inbox[off[v]+p] is what node v received on port p, and
+	// outbox[off[v]+p] the slot Outbox stages for port p.
+	off           []int
+	inbox, outbox []interface{}
+
+	// stamp[v] is r or -r iff node v participates in round r (rounds
+	// start at 1, so 0 means "never stamped"). It turns negative when
+	// deposit fills v's inbox and back when v's next Exchange clears
+	// it, so the mark costs deposit no load beyond the slot it stores.
+	stamp []int64
 
 	// sendOrder/sendPool are chooseSendOrder scratch, reused across
 	// rounds; nil unless a Chooser is configured.
@@ -649,11 +664,15 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
 	n := cfg.Graph.N()
+	off := cfg.Graph.PortOffsets()
 	rt := &runtime{
-		cfg:        cfg,
-		maxID:      cfg.Graph.MaxID(),
-		nodes:      make([]*Node, n),
-		awakeStamp: make([]int64, n),
+		cfg:    cfg,
+		maxID:  cfg.Graph.MaxID(),
+		nodes:  make([]*Node, n),
+		off:    off,
+		inbox:  make([]interface{}, off[n]),
+		outbox: make([]interface{}, off[n]),
+		stamp:  make([]int64, n),
 		res: &Result{
 			AwakePerNode:        make([]int64, n),
 			HaltRound:           make([]int64, n),
@@ -686,19 +705,10 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	}
 	// One contiguous node arena (struct-of-arrays style bookkeeping
 	// lives in rt.res and the engine; the program-facing handles sit
-	// cache-adjacent here instead of n separate heap objects), and one
-	// slot arena backing every node's inbox and outbox buffer.
+	// cache-adjacent here instead of n separate heap objects).
 	arena := make([]Node, n)
-	ports := 0
 	for i := 0; i < n; i++ {
-		ports += cfg.Graph.Degree(i)
-	}
-	slots := make([]interface{}, 2*ports)
-	for i := 0; i < n; i++ {
-		deg := cfg.Graph.Degree(i)
-		in, out := slots[:deg:deg], slots[deg:2*deg:2*deg]
-		slots = slots[2*deg:]
-		arena[i] = Node{rt: rt, idx: i, wake: 1, in: in, outBuf: out}
+		arena[i] = Node{rt: rt, idx: i, wake: 1}
 		rt.nodes[i] = &arena[i]
 	}
 	rt.runEvent(prog)
@@ -800,7 +810,7 @@ func (h *wakeHeap) pop() wakeEntry {
 // fault choice points see a deterministic sequence.
 func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range participants {
-		rt.awakeStamp[idx] = round
+		rt.stamp[idx] = round
 	}
 	itc := rt.cfg.Interceptor
 	ch := rt.cfg.Chooser
@@ -844,7 +854,7 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 			}
 			if itc == nil {
 				// Without an interceptor: clean delivery semantics.
-				if rt.awakeStamp[ports[p].To] != round {
+				if !rt.awake(ports[p].To, round) {
 					rt.res.MessagesLost++
 					if rt.sink != nil {
 						rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
@@ -881,7 +891,7 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 				}
 				at := round + ev.Delay + int64(c)
 				if at == round {
-					if rt.awakeStamp[ports[p].To] != round {
+					if !rt.awake(ports[p].To, round) {
 						rt.res.MessagesLost++
 						if rt.sink != nil {
 							rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
@@ -916,7 +926,7 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 func (rt *runtime) deliverDelayed(round int64) error {
 	for len(rt.delayed) > 0 && rt.delayed[0].round <= round {
 		d := rt.delayed.pop()
-		if d.round < round || rt.awakeStamp[d.to] != round {
+		if d.round < round || !rt.awake(d.to, round) {
 			rt.res.MessagesLost++
 			if rt.sink != nil {
 				rt.traceMsg(trace.KindLost, d.round, d.from, d.fromPort, d.to)
@@ -958,9 +968,8 @@ func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interfa
 	if rt.tally != nil {
 		rt.tally[tallyKeyOf(msg)]++
 	}
-	rcv := rt.nodes[to]
-	rcv.in[rev] = msg
-	rcv.inUsed = true
+	rt.inbox[rt.off[to]+rev] = msg
+	rt.stamp[to] = -round
 	return nil
 }
 

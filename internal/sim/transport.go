@@ -39,7 +39,11 @@ type txState struct {
 	pending []int
 	frames  []transport.Frame     // drain scratch
 	seen    map[frameKey]struct{} // per-drain dedup scratch
-	payload []byte                // encode scratch: Send keeps no payload
+	// enc and dec are the codec's writer and reader, reused for every
+	// frame of the run: Send keeps no payload, and a decoded message
+	// keeps none of the reader.
+	enc transport.Writer
+	dec transport.Reader
 }
 
 // frameKey identifies one routed copy within a (round, receiver)
@@ -73,7 +77,8 @@ func (rt *runtime) route(round, seq int64, from, fromPort, to, rev int, msg inte
 // ship encodes the payload and hands the frame to the backend.
 func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interface{}) (err error) {
 	defer transport.RecoverEncode(&err)
-	if s.payload, err = transport.EncodeMessage(s.payload[:0], msg); err != nil {
+	payload, err := s.enc.Encode(msg)
+	if err != nil {
 		return err
 	}
 	key := int64(from)*int64(s.n) + int64(to)
@@ -88,7 +93,7 @@ func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interf
 		Round: round, Seq: seq,
 		From: int32(from), Port: int32(fromPort),
 		To: int32(to), Rev: int32(rev),
-		Payload: s.payload,
+		Payload: payload,
 	}
 	if err := link.Send(f); err != nil {
 		return err
@@ -161,7 +166,7 @@ func (rt *runtime) txDrain(round int64) error {
 			return cmp.Compare(a.Port, b.Port)
 		})
 		for _, f := range s.frames {
-			msg, err := transport.DecodePayload(f.Payload)
+			msg, err := s.dec.Decode(f.Payload)
 			if err != nil {
 				return fmt.Errorf("sim: transport: node %d round %d: %w (%w)", to, round, err, ErrAborted)
 			}

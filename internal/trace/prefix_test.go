@@ -300,6 +300,15 @@ func TestRecorderCapKeepsCanonicalPrefix(t *testing.T) {
 			j.Begin(whole.N)
 			randomRun(rand.New(rand.NewSource(run)), trace.Tee(rec, ord))
 			j.End(ord.Meta())
+			// WriteJSONL first renders the recording's chunks as they
+			// are; Events then joins them.
+			var w bytes.Buffer
+			if err := rec.WriteJSONL(&w); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), j.Bytes()) {
+				t.Fatalf("run %d, cap %d: WriteJSONL (%d bytes) differs from the JSONL render (%d bytes)", run, c, w.Len(), j.Len())
+			}
 			kept := min(c, len(all))
 			if i := firstDiff(rec.Events(), all[:kept]); i >= 0 {
 				t.Fatalf("run %d, cap %d: kept %d events, want the first %d; first difference at %d", run, c, len(rec.Events()), kept, i)
@@ -308,12 +317,12 @@ func TestRecorderCapKeepsCanonicalPrefix(t *testing.T) {
 			if rec.Meta() != want {
 				t.Fatalf("run %d, cap %d: meta %+v, want %+v", run, c, rec.Meta(), want)
 			}
-			var w bytes.Buffer
+			w.Reset()
 			if err := rec.WriteJSONL(&w); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(w.Bytes(), j.Bytes()) {
-				t.Fatalf("run %d, cap %d: WriteJSONL (%d bytes) differs from the JSONL render (%d bytes)", run, c, w.Len(), j.Len())
+				t.Fatalf("run %d, cap %d: WriteJSONL after Events differs from the JSONL render", run, c)
 			}
 		}
 	}

@@ -205,19 +205,28 @@ type Event struct {
 const DefaultCapacity = 1 << 18
 
 // Recorder is a Sink that keeps the first events of a run in canonical
-// order: an Orderer whose release appends each passed round to one
-// slice until it holds capacity events. Meta counts the events past
-// the cap as dropped, so a capped recording is a prefix of the run's
-// canonical stream, the same prefix a JSONL render with that event cap
-// ships.
+// order: an Orderer whose release appends each passed round to a list
+// of chunks until they hold capacity events. Meta counts the events
+// past the cap as dropped, so a capped recording is a prefix of the
+// run's canonical stream, the same prefix a JSONL render with that
+// event cap ships.
+//
+// A chunk, once full, is never copied again: each new one is as large
+// as the recording so far, so there are few, and Events joins them
+// once. A recording thus writes its events twice at most, where one
+// slice grown by doubling copied them about three times.
 //
 // A Recorder serves one run at a time: sim.Run calls Begin, which
 // resets it. It must not be shared by concurrent runs (give every
 // sweep job its own Recorder).
 type Recorder struct {
 	ord    *Orderer
-	events []Event
+	chunks [][]Event // the kept events in order; only the last has room
+	kept   int
 }
+
+// minChunk is the size, in events, of a recording's first chunk.
+const minChunk = 512
 
 // NewRecorder returns a Recorder that keeps at most capacity events (0
 // means DefaultCapacity).
@@ -227,15 +236,20 @@ func NewRecorder(capacity int) *Recorder {
 	}
 	r := &Recorder{}
 	r.ord = NewOrderer(func(events []Event) {
-		events = events[:min(len(events), capacity-len(r.events))]
-		if n := len(r.events) + len(events); n > cap(r.events) {
-			// Doubling, where append grows a large slice by a quarter,
-			// keeps the copies to about twice the kept events.
-			grown := make([]Event, len(r.events), max(n, min(2*cap(r.events), capacity)))
-			copy(grown, r.events)
-			r.events = grown
+		events = events[:min(len(events), capacity-r.kept)]
+		for len(events) > 0 {
+			last := len(r.chunks) - 1
+			if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+				size := min(max(r.kept, minChunk), capacity-r.kept)
+				r.chunks = append(r.chunks, make([]Event, 0, size))
+				last++
+			}
+			c := r.chunks[last]
+			k := min(len(events), cap(c)-len(c))
+			r.chunks[last] = append(c, events[:k]...)
+			events = events[k:]
+			r.kept += k
 		}
-		r.events = append(r.events, events...)
 	})
 	return r
 }
@@ -244,7 +258,7 @@ func NewRecorder(capacity int) *Recorder {
 // sim.Run; only a caller driving the recorder by hand calls it itself.
 func (r *Recorder) Begin(n int) {
 	r.ord.Begin(n)
-	r.events = nil
+	r.chunks, r.kept = nil, 0
 }
 
 // Event reports one event of the run (see Sink).
@@ -257,8 +271,23 @@ func (r *Recorder) Passed(round int64) { r.ord.Passed(round) }
 // Events returns the kept events in canonical order: ascending (Round,
 // Node, Kind), and events of one (Round, Node, Kind) in the order they
 // were reported. Like Meta it covers the rounds passed so far, which
-// after sim.Run is the whole run.
-func (r *Recorder) Events() []Event { return r.events[:len(r.events):len(r.events)] }
+// after sim.Run is the whole run. The first call joins the chunks into
+// one slice, which the recorder keeps as its one chunk, so later calls
+// return it without copying.
+func (r *Recorder) Events() []Event {
+	if len(r.chunks) > 1 {
+		joined := make([]Event, 0, r.kept)
+		for _, c := range r.chunks {
+			joined = append(joined, c...)
+		}
+		r.chunks = [][]Event{joined}
+	}
+	if len(r.chunks) == 0 {
+		return nil
+	}
+	c := r.chunks[0]
+	return c[:len(c):len(c)]
+}
 
 // Meta is the run-level header/footer information of a JSONL trace.
 type Meta struct {
@@ -278,7 +307,7 @@ type Meta struct {
 // run's other events.
 func (r *Recorder) Meta() Meta {
 	m := r.ord.Meta()
-	m.Dropped, m.Events = m.Events-int64(len(r.events)), int64(len(r.events))
+	m.Dropped, m.Events = m.Events-int64(r.kept), int64(r.kept)
 	return m
 }
 
@@ -288,7 +317,7 @@ func (r *Recorder) Meta() Meta {
 // byte-identical stream. See DESIGN.md §8 for the field-by-field
 // schema.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return WriteEventsJSONL(w, r.Meta(), r.Events())
+	return writeJSONL(w, r.Meta(), r.chunks...)
 }
 
 // WriteEventsJSONL writes a (meta, events) pair in the canonical JSONL
@@ -297,16 +326,24 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // emitting a counterexample, mstbench summarizing a run) write them
 // with it; events must already be in canonical order.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
+	return writeJSONL(w, meta, events)
+}
+
+// writeJSONL writes meta and the events of parts, in order, as one
+// canonical JSONL trace.
+func writeJSONL(w io.Writer, meta Meta, parts ...[]Event) error {
 	var round roundText
 	buf := appendBegin(make([]byte, 0, jsonlChunk), meta)
-	for i := range events {
-		if len(buf) > jsonlChunk-maxLine {
-			if _, err := w.Write(buf); err != nil {
-				return err
+	for _, events := range parts {
+		for i := range events {
+			if len(buf) > jsonlChunk-maxLine {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
-			buf = buf[:0]
+			buf = appendEvent(buf, &events[i], &round)
 		}
-		buf = appendEvent(buf, &events[i], &round)
 	}
 	_, err := w.Write(appendEnd(buf, meta))
 	return err

@@ -86,17 +86,14 @@ func CodecOf(msg interface{}) *Codec {
 // EncodeMessage appends the self-describing encoding of msg (uvarint
 // kind + body) to buf and returns the extended slice. A nil msg
 // encodes as KindNil; an unregistered type is an error — the caller
-// aborts the run rather than ship an inexpressible payload.
+// aborts the run rather than ship an inexpressible payload. A caller
+// encoding many messages reuses one Writer instead (see
+// Writer.Encode).
 func EncodeMessage(buf []byte, msg interface{}) ([]byte, error) {
-	if msg == nil {
-		return binary.AppendUvarint(buf, KindNil), nil
+	w := &Writer{buf: buf}
+	if err := w.message(msg); err != nil {
+		return nil, err
 	}
-	c := CodecOf(msg)
-	if c == nil {
-		return nil, fmt.Errorf("transport: no codec registered for message type %T", msg)
-	}
-	w := Writer{buf: binary.AppendUvarint(buf, uint64(c.Kind))}
-	c.Encode(msg, &w)
 	return w.buf, nil
 }
 
@@ -125,23 +122,45 @@ func DecodeMessage(r *Reader) (interface{}, error) {
 }
 
 // DecodePayload decodes a frame payload produced by EncodeMessage,
-// requiring the body to be consumed exactly.
+// requiring the body to be consumed exactly. A caller decoding many
+// payloads reuses one Reader instead (see Reader.Decode).
 func DecodePayload(payload []byte) (interface{}, error) {
-	r := Reader{buf: payload}
-	msg, err := DecodeMessage(&r)
-	if err != nil {
-		return nil, err
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("transport: %d trailing payload byte(s) after decode", len(r.buf)-r.off)
-	}
-	return msg, nil
+	return new(Reader).Decode(payload)
 }
 
 // Writer appends primitive fields in the canonical wire order. The
 // zero value writes into a fresh buffer.
 type Writer struct {
 	buf []byte
+}
+
+// Encode replaces w's contents with the self-describing encoding of
+// msg, as EncodeMessage would append it, and returns them. The slice
+// is valid until w's next Encode, which reuses its array, so a caller
+// that encodes every frame through one Writer allocates nothing once
+// the array has grown. A nested unregistered payload panics as in
+// Nested; recover it with RecoverEncode.
+func (w *Writer) Encode(msg interface{}) ([]byte, error) {
+	w.buf = w.buf[:0]
+	if err := w.message(msg); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// message appends the kind of msg and its body.
+func (w *Writer) message(msg interface{}) error {
+	if msg == nil {
+		w.Uint(KindNil)
+		return nil
+	}
+	c := CodecOf(msg)
+	if c == nil {
+		return fmt.Errorf("transport: no codec registered for message type %T", msg)
+	}
+	w.Uint(uint64(c.Kind))
+	c.Encode(msg, w)
+	return nil
 }
 
 // Int appends a zig-zag varint.
@@ -167,16 +186,14 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Nested appends a nested self-describing message; an unregistered
-// payload type panics (codecs run inside EncodeMessage, which has no
-// error channel per field — the panic is converted to an error at the
-// frame boundary by the sim shim's send path).
+// Nested appends a nested self-describing message in place; an
+// unregistered payload type panics (codecs run inside EncodeMessage,
+// which has no error channel per field — the panic is converted to an
+// error at the frame boundary by the sim shim's send path).
 func (w *Writer) Nested(msg interface{}) {
-	buf, err := EncodeMessage(w.buf, msg)
-	if err != nil {
+	if err := w.message(msg); err != nil {
 		panic(codecPanic{err})
 	}
-	w.buf = buf
 }
 
 // codecPanic carries a nested-encode error through Encode callbacks.
@@ -206,6 +223,22 @@ type Reader struct {
 
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
+
+// Decode resets r to payload and decodes the one message it holds, as
+// DecodePayload does, requiring the payload to be consumed exactly. A
+// caller that decodes every frame through one Reader allocates only
+// the decoded values.
+func (r *Reader) Decode(payload []byte) (interface{}, error) {
+	*r = Reader{buf: payload}
+	msg, err := DecodeMessage(r)
+	if err != nil {
+		return nil, err
+	}
+	if r.off != len(r.buf) {
+		return nil, fmt.Errorf("transport: %d trailing payload byte(s) after decode", len(r.buf)-r.off)
+	}
+	return msg, nil
+}
 
 // Int reads a zig-zag varint.
 func (r *Reader) Int() int64 {
@@ -306,17 +339,48 @@ func AppendFrame(buf []byte, f Frame) []byte {
 	return append(buf, f.Payload...)
 }
 
-// ReadFrame reads one length-prefixed frame from br.
-func ReadFrame(br *bufio.Reader) (Frame, error) {
-	length, err := binary.ReadUvarint(br)
+// The read loop's buffer sizes. Frames are a few dozen bytes, so a
+// connection reads through a small bufio.Reader and carves its frame
+// bodies out of blocks of bodyBlockBytes.
+const (
+	readBufferBytes = 256
+	bodyBlockBytes  = 1 << 10
+)
+
+// frameReader reads the length-prefixed frames of one connection. It
+// carves each frame's body out of a block it never rewrites, so a
+// returned frame's payload stays valid after later reads and the loop
+// allocates once per block, not once per frame; a body larger than a
+// block gets its own allocation.
+type frameReader struct {
+	br    *bufio.Reader
+	block []byte // the unused tail of the current block
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufferBytes)}
+}
+
+// read reads the next frame.
+func (fr *frameReader) read() (Frame, error) {
+	length, err := binary.ReadUvarint(fr.br)
 	if err != nil {
 		return Frame{}, err
 	}
 	if length > MaxFrameBytes {
 		return Frame{}, fmt.Errorf("transport: frame length %d exceeds cap %d (stream corrupt?)", length, MaxFrameBytes)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(br, body); err != nil {
+	n := int(length)
+	var body []byte
+	if n > bodyBlockBytes {
+		body = make([]byte, n)
+	} else {
+		if n > len(fr.block) {
+			fr.block = make([]byte, bodyBlockBytes)
+		}
+		body, fr.block = fr.block[:n:n], fr.block[n:]
+	}
+	if _, err := io.ReadFull(fr.br, body); err != nil {
 		return Frame{}, fmt.Errorf("transport: truncated frame: %w", err)
 	}
 	r := Reader{buf: body}

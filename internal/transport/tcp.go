@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -135,9 +134,9 @@ func (t *TCP) acceptLoop(node int, ls net.Listener) {
 func (t *TCP) readLoop(node int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	for {
-		f, err := ReadFrame(br)
+		f, err := fr.read()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !t.isClosed() {
 				// A mid-frame failure surfaces as a barrier timeout on
@@ -160,11 +159,12 @@ func (t *TCP) isClosed() bool {
 }
 
 // tcpLink is one directed sender-side connection with redial + retry.
+// It writes each marshaled frame with one conn.Write, so it needs no
+// write buffer of its own.
 type tcpLink struct {
 	t    *TCP
 	addr string
 	conn net.Conn
-	bw   *bufio.Writer
 	buf  []byte // marshal scratch
 }
 
@@ -232,7 +232,6 @@ func (l *tcpLink) connect() error {
 				tc.SetNoDelay(true) // frames are latency-bound round barriers
 			}
 			l.conn = conn
-			l.bw = bufio.NewWriter(conn)
 			l.t.dials.Add(1)
 			return nil
 		}
@@ -265,10 +264,7 @@ func (l *tcpLink) Send(f Frame) error {
 				continue
 			}
 		}
-		if _, err = l.bw.Write(l.buf); err == nil {
-			err = l.bw.Flush()
-		}
-		if err == nil {
+		if _, err = l.conn.Write(l.buf); err == nil {
 			l.t.framesSent.Add(1)
 			l.t.wireBytes.Add(int64(len(l.buf)))
 			return nil

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -116,15 +115,8 @@ func TestFrameRoundTripAndWireBytes(t *testing.T) {
 	// Bodies of 126 to 16,384 bytes straddle the one-, two- and
 	// three-byte length prefixes: the prefix encodes the body length,
 	// so a 127-byte body makes a 128-byte frame.
-	for _, body := range []int64{126, 127, 128, 16383, 16384} {
-		f := Frame{Round: 2, From: 1, Port: 1, To: 3, Payload: bytes.Repeat([]byte{0x5a}, int(body))}
-		for frameBodyBytes(f) > body {
-			f.Payload = f.Payload[1:]
-		}
-		if frameBodyBytes(f) != body {
-			t.Fatalf("no payload gives a %d-byte body", body)
-		}
-		frames = append(frames, f)
+	for _, body := range []int{126, 127, 128, 16383, 16384} {
+		frames = append(frames, frameOfBody(t, body))
 	}
 	var stream []byte
 	for _, f := range frames {
@@ -137,11 +129,11 @@ func TestFrameRoundTripAndWireBytes(t *testing.T) {
 		}
 		stream = append(stream, enc...)
 	}
-	br := bufio.NewReader(bytes.NewReader(stream))
+	fr := newFrameReader(bytes.NewReader(stream))
 	for _, want := range frames {
-		got, err := ReadFrame(br)
+		got, err := fr.read()
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("read: %v", err)
 		}
 		if got.Round != want.Round || got.Seq != want.Seq || got.From != want.From ||
 			got.Port != want.Port || got.To != want.To || got.Rev != want.Rev ||
