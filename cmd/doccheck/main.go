@@ -1,18 +1,17 @@
 // Command doccheck enforces the godoc contract on the audited
 // packages: every exported top-level symbol (and every exported
 // method on an exported type) must carry a doc comment. CI runs it
-// over the facade and the observability packages; it exits non-zero
-// and lists each undocumented symbol otherwise.
+// over the audited package set; it exits non-zero and lists each
+// undocumented symbol otherwise.
 //
 // Usage:
 //
 //	doccheck [dir ...]
 //
-// With no arguments it checks the repository's audited set: the
-// facade package (.), internal/trace, internal/metrics,
-// internal/prof, internal/conform, internal/problem,
-// internal/modelcheck, internal/transport, internal/energy,
-// internal/stats, and internal/lowerbound.
+// With no arguments it checks the repository's audited set,
+// auditedDirs: the facade package (.) and fourteen internal packages,
+// among them the simulator (internal/sim) and its chaos policies
+// (internal/chaos).
 package main
 
 import (
@@ -29,6 +28,7 @@ import (
 // CI doccheck step and DESIGN.md §8.
 var auditedDirs = []string{
 	".",
+	"internal/chaos",
 	"internal/conform",
 	"internal/energy",
 	"internal/lowerbound",
@@ -37,6 +37,7 @@ var auditedDirs = []string{
 	"internal/problem",
 	"internal/prof",
 	"internal/service",
+	"internal/sim",
 	"internal/stats",
 	"internal/sweep",
 	"internal/trace",

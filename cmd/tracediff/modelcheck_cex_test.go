@@ -47,10 +47,10 @@ func (oversleepBugProblem) ConformCheck(g *graph.Graph, r *problem.Result) confo
 
 func (p oversleepBugProblem) Run(g *graph.Graph, opts core.Options) (*problem.Result, error) {
 	res, err := sim.Run(sim.Config{
-		Graph:   g,
-		Seed:    opts.Seed,
-		Chooser: opts.Chooser,
-		Trace:   opts.Trace,
+		Graph:       g,
+		Seed:        opts.Seed,
+		Interceptor: opts.Interceptor,
+		Trace:       opts.Trace,
 	}, func(nd *sim.Node) error {
 		deg := nd.Degree()
 		for r := int64(1); r <= 2; r++ {

@@ -7,9 +7,9 @@
 // awake-round delivery is perfect and nodes never crash. Fragment
 // leaders and members stay consistent only because their wake
 // schedules are exactly synchronized. This package measures how
-// brittle those assumptions are: a Policy perturbs a run at the
-// simulator's two decision points (message delivery and wake
-// scheduling, see sim.Interceptor) with seeded fault processes —
+// brittle those assumptions are: a Policy is the simulator's adversary
+// hook (sim.Interceptor) and perturbs a run at message delivery and
+// wake scheduling with seeded fault processes —
 // i.i.d. message drop, bounded delay, duplication, payload bit-flips,
 // crash-stop, and adversarial oversleep — and the Oracle classifies
 // what came out the other end.

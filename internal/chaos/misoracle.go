@@ -31,6 +31,7 @@ const (
 	NumMISClassifications
 )
 
+// String returns the verdict's name, the key of a sweep cell's counts.
 func (c MISClassification) String() string {
 	switch c {
 	case CorrectMIS:

@@ -35,6 +35,7 @@ const (
 	NumClassifications
 )
 
+// String returns the verdict's name, the key of a sweep cell's counts.
 func (c Classification) String() string {
 	switch c {
 	case CorrectMST:

@@ -15,14 +15,24 @@ import (
 type Fault int
 
 const (
+	// FaultDrop varies Options.DropRate: messages lost although the
+	// receiver is awake.
 	FaultDrop Fault = iota
+	// FaultDelay varies Options.DelayRate: messages delivered late.
 	FaultDelay
+	// FaultDup varies Options.DupRate: extra copies of messages.
 	FaultDup
+	// FaultFlip varies Options.FlipRate: payload bit-flips.
 	FaultFlip
+	// FaultCrash varies Options.CrashFrac: the fraction of nodes
+	// crash-stopped.
 	FaultCrash
+	// FaultOversleep varies Options.OversleepRate: wake rounds pushed
+	// later than the node chose.
 	FaultOversleep
 )
 
+// String returns the fault's CLI name, the one ParseFault accepts.
 func (f Fault) String() string {
 	switch f {
 	case FaultDrop:

@@ -54,14 +54,11 @@ type Options struct {
 	// 0 means the default; values must stay in [1, 3] so the
 	// supergraph degree bound 4 and the 5-color palette still work.
 	AcceptBudget int
-	// Interceptor, if non-nil, is handed to the simulator's fault
-	// injection hook surface (see sim.Interceptor and internal/chaos).
-	// Nil keeps the paper's clean sleeping model.
+	// Interceptor, if non-nil, is handed to the simulator's adversary
+	// hook (see sim.Interceptor): a seeded chaos policy
+	// (internal/chaos) or the model checker's replayer
+	// (internal/modelcheck). Nil keeps the paper's clean sleeping model.
 	Interceptor sim.Interceptor
-	// Chooser, if non-nil, is handed to the simulator's model-checking
-	// branch-point hook (see sim.Chooser and internal/modelcheck). Nil
-	// keeps today's fixed schedule bit-identically.
-	Chooser sim.Chooser
 	// Trace, if non-nil, receives the run's structured events —
 	// scheduler events plus the algorithms' phase/step/merge markers —
 	// as they happen (see trace.Sink): a *trace.Orderer releases them
@@ -96,7 +93,6 @@ func (o Options) SimConfig(g *graph.Graph) sim.Config {
 		RecordAwakeRounds: o.RecordAwakeRounds,
 		AwakeBudget:       o.AwakeBudget,
 		Interceptor:       o.Interceptor,
-		Chooser:           o.Chooser,
 		Trace:             o.Trace,
 		Metrics:           o.Metrics,
 		Transport:         o.Transport,

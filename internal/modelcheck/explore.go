@@ -128,9 +128,9 @@ func (e *explorer) runOne(prefix []int) (*leaf, error) {
 	rec := trace.NewRecorder(0)
 	rp := &replayer{prefix: prefix, oversleep: e.oversleep, faults: e.cfg.Faults}
 	res, runErr := e.cfg.Problem.Run(e.cfg.Graph, core.Options{
-		Seed:    e.cfg.Seed,
-		Chooser: rp,
-		Trace:   rec,
+		Seed:        e.cfg.Seed,
+		Interceptor: rp,
+		Trace:       rec,
 	})
 	if rp.mismatch != nil {
 		return nil, fmt.Errorf("modelcheck: replay diverged from recorded prefix %v: %w", prefix, rp.mismatch)

@@ -7,7 +7,9 @@
 //
 // # Branch model
 //
-// The simulator's nondeterminism surface is the sim.Chooser hook.
+// The simulator's nondeterminism surface is its one adversary hook,
+// sim.Interceptor, which the explorer's replayer implements together
+// with the optional ChooseSender.
 // The clean sleeping model has exactly one admissible nondeterminism:
 // the adversarial message-routing order within a round (any
 // permutation of the round's staged senders) — a node's wake schedule

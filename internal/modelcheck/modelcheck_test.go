@@ -46,10 +46,10 @@ func (p chatterProblem) ConformCheck(g *graph.Graph, r *problem.Result) conform.
 
 func (p chatterProblem) Run(g *graph.Graph, opts core.Options) (*problem.Result, error) {
 	res, err := sim.Run(sim.Config{
-		Graph:   g,
-		Seed:    opts.Seed,
-		Chooser: opts.Chooser,
-		Trace:   opts.Trace,
+		Graph:       g,
+		Seed:        opts.Seed,
+		Interceptor: opts.Interceptor,
+		Trace:       opts.Trace,
 	}, func(nd *sim.Node) error {
 		deg := nd.Degree()
 		for r := int64(1); r <= int64(p.rounds); r++ {

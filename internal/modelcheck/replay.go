@@ -2,9 +2,11 @@ package modelcheck
 
 import (
 	"fmt"
+
+	"sleepmst/internal/sim"
 )
 
-// Choice-point kinds, one per sim.Chooser method.
+// Choice-point kinds, one per hook method the replayer branches in.
 const (
 	kindWake  = byte('w') // oversleep a parking node by 0..Oversleep rounds
 	kindSend  = byte('s') // pick the next sender among the round's staged pool
@@ -19,15 +21,16 @@ type choicePoint struct {
 	taken int
 }
 
-// replayer is the sim.Chooser that makes stateless exploration
+// replayer is the sim.Interceptor that makes stateless exploration
 // possible: node program state cannot be snapshotted, so the
 // explorer re-executes the system from scratch, replaying a recorded
 // choice prefix positionally and taking the production default
 // beyond it, while logging every choice point the execution passes.
 // Positional (sequence-indexed) replay is sound because the
-// simulator guarantees a total order of chooser calls that is a
+// simulator guarantees a total order of hook calls that is a
 // deterministic function of (graph, seed, program, prior choices) —
-// see the sim.Chooser contract.
+// see the sim.Interceptor contract. It has the optional ChooseSender,
+// so the routing order within a round is a choice point too.
 type replayer struct {
 	prefix    []int
 	oversleep int // wake-point span; <= 0 removes wake points entirely
@@ -67,7 +70,13 @@ func (r *replayer) takens() []int {
 	return out
 }
 
-func (r *replayer) ChooseWake(node int, intended int64) int64 {
+// The hook methods: InterceptWake is the oversleep choice point,
+// ChooseSender the routing-order one and InterceptMessage the drop
+// one. A replayer serves one run, and the explorer has no crash branch.
+func (r *replayer) BeginRun(n int)            {}
+func (r *replayer) CrashRound(node int) int64 { return 0 }
+
+func (r *replayer) InterceptWake(node int, intended int64) int64 {
 	if r.oversleep <= 0 {
 		return intended
 	}
@@ -78,9 +87,8 @@ func (r *replayer) ChooseSender(round int64, remaining []int) int {
 	return r.next(kindSend, len(remaining))
 }
 
-func (r *replayer) ChooseFault(round int64, from, port, to int) bool {
-	if !r.faults {
-		return false
+func (r *replayer) InterceptMessage(ev *sim.MessageEvent) {
+	if r.faults {
+		ev.Drop = r.next(kindFault, 2) == 1
 	}
-	return r.next(kindFault, 2) == 1
 }

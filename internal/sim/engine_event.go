@@ -18,9 +18,9 @@ import (
 // n = 10^5 routine and n = 10^6 reachable on one machine.
 //
 // Every park is processed in ascending node index, and every hook the
-// order could reach is order-independent besides: the Interceptor
-// contract requires coordinate-keyed randomness, the trace recorder
-// writes per-node streams, and metrics are additive. The digest tables
+// order could reach depends on it only as documented: the Interceptor
+// contract fixes the order of its calls, the trace recorder writes
+// per-node streams, and metrics are additive. The digest tables
 // (testdata/scheduler_digests.json here, the root
 // testdata/behaviour_digests.json for every registered problem) pin
 // the engine's output byte for byte.
@@ -98,13 +98,6 @@ func (e *eventEngine) step(idx int) {
 			rt.failed = fmt.Errorf("node %d: %w", idx, nd.exitErr)
 		}
 		return
-	}
-	if ch := rt.cfg.Chooser; ch != nil {
-		if w := ch.ChooseWake(idx, nd.wake); w > nd.wake {
-			nd.wake = w
-			nd.perturbed = true
-			rt.res.WakesPerturbed++
-		}
 	}
 	if itc := rt.cfg.Interceptor; itc != nil {
 		if w := itc.InterceptWake(idx, nd.wake); w > nd.wake {

@@ -19,11 +19,12 @@ import (
 )
 
 // The scheduler-digest table pins the low-level surfaces a whole
-// algorithm run may never isolate — the Chooser call sequence, every
-// failure path (awake budget, round cap, bit cap, program error,
-// panic), and the delayed-message machinery — as sha256 digests of
-// each case's trace JSONL, Result JSON and error text (plus the
-// chooser's call log), compared against testdata/scheduler_digests.json.
+// algorithm run may never isolate — the call sequence of a hook that
+// chooses as the model checker does, every failure path (awake budget,
+// round cap, bit cap, program error, panic), and the delayed-message
+// machinery — as sha256 digests of each case's trace JSONL, Result
+// JSON and error text (plus the chooser row's call log), compared
+// against testdata/scheduler_digests.json.
 // Every row was produced identically by the event engine and by the
 // retired goroutine engine. Regenerate it only for an intended
 // behaviour change:
@@ -33,14 +34,18 @@ import (
 // schedulerDigestsPath is the committed table.
 var schedulerDigestsPath = filepath.Join("testdata", "scheduler_digests.json")
 
-// loggingChooser records every hook call in order and perturbs the
-// schedule nontrivially: it oversleeps every third park, routes
-// senders in descending order, and drops one specific message.
+// loggingChooser is the chooser row's hook: it records every wake,
+// sender and message call in order and perturbs the schedule
+// nontrivially — it oversleeps every third park, routes senders in
+// descending order, and drops one specific message.
 type loggingChooser struct {
 	calls []string
 }
 
-func (c *loggingChooser) ChooseWake(node int, intended int64) int64 {
+func (c *loggingChooser) BeginRun(n int)            {}
+func (c *loggingChooser) CrashRound(node int) int64 { return 0 }
+
+func (c *loggingChooser) InterceptWake(node int, intended int64) int64 {
 	c.calls = append(c.calls, fmt.Sprintf("wake %d@%d", node, intended))
 	if node%3 == 2 {
 		return intended + 1
@@ -53,9 +58,9 @@ func (c *loggingChooser) ChooseSender(round int64, remaining []int) int {
 	return len(remaining) - 1
 }
 
-func (c *loggingChooser) ChooseFault(round int64, from, port, to int) bool {
-	c.calls = append(c.calls, fmt.Sprintf("fault r%d %d:%d->%d", round, from, port, to))
-	return round == 2 && from == 1 && port == 0
+func (c *loggingChooser) InterceptMessage(ev *MessageEvent) {
+	c.calls = append(c.calls, fmt.Sprintf("fault r%d %d:%d->%d", ev.Round, ev.From, ev.Port, ev.To))
+	ev.Drop = ev.Round == 2 && ev.From == 1 && ev.Port == 0
 }
 
 // delayingInterceptor exercises the delay/dup machinery with
@@ -167,7 +172,7 @@ func schedulerGroups() []schedulerGroup {
 		}},
 		{name: "chooser", cases: []schedulerCase{
 			{
-				cfg:  func() Config { return Config{Graph: ring6, Seed: 4, Chooser: &loggingChooser{}} },
+				cfg:  func() Config { return Config{Graph: ring6, Seed: 4, Interceptor: &loggingChooser{}} },
 				prog: gossip(8),
 			},
 		}},
@@ -264,7 +269,7 @@ func runSchedulerCase(t *testing.T, tc schedulerCase) schedulerDigest {
 		errText = err.Error()
 	}
 	d := schedulerDigest{Trace: sha(tr.Bytes()), Result: sha(rj), Error: sha([]byte(errText))}
-	if ch, ok := cfg.Chooser.(*loggingChooser); ok {
+	if ch, ok := cfg.Interceptor.(*loggingChooser); ok {
 		d.Calls = sha([]byte(strings.Join(ch.calls, "\n")))
 	}
 	return d

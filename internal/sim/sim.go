@@ -74,24 +74,38 @@ func (k tallyKey) label() string {
 // implement Sizer.
 const DefaultMessageBits = 64
 
-// Interceptor is the chaos hook surface: a fault-injection layer that
-// observes and perturbs the runtime at its two decision points — the
-// message delivery point and wake scheduling — plus a crash-stop
-// schedule. A nil Config.Interceptor keeps the clean-model semantics
-// and costs nothing on the hot path.
+// Interceptor is the adversary hook, the one way a run departs from
+// the paper's clean model: it perturbs wake scheduling and the message
+// delivery point and sets a crash-stop schedule. Seeded chaos policies
+// (internal/chaos) and the model checker's replayer
+// (internal/modelcheck) implement it; a nil Config.Interceptor keeps
+// the clean model at the cost of one nil check per park and per staged
+// message. A hook may also have the optional method
+// ChooseSender(round int64, remaining []int) int, which picks the
+// routing order within a round (see senderChooser); only the model
+// checker needs it, and a run over a Config.Transport rejects a hook
+// that has it.
 //
-// All methods are called from the scheduler goroutine only, never
-// concurrently. Implementations that want deterministic replay must
-// derive their randomness from the event coordinates (round, node,
-// port) rather than from sequential RNG state, or reset that state in
-// BeginRun.
+// Determinism contract: the runtime calls the methods from the
+// scheduler goroutine only, in a total order that is a deterministic
+// function of the run inputs (graph, seed, program) and of the values
+// returned so far — BeginRun once; at every park InterceptWake, then
+// CrashRound, parks in ascending node index within a round; when a
+// round is delivered ChooseSender in routing order, then
+// InterceptMessage per staged message in (routing order, port) order.
+// So a hook may replay recorded choices by position, as the model
+// checker does, or key its randomness on event coordinates, as chaos
+// does. A hook whose every answer is the fixed one (the intended wake,
+// no verdict, no crash, sender 0) leaves the run byte-identical to a
+// run without a hook.
 type Interceptor interface {
 	// BeginRun is called once before round 1 with the network size, so
 	// per-run state (crash tables, first-fault round) can be reset.
 	BeginRun(n int)
 	// InterceptMessage is called once per staged message at the
-	// delivery point, before routing. The implementation may drop,
-	// delay, duplicate, or replace the payload by mutating ev.
+	// delivery point, after the send is metered and before routing.
+	// The implementation may drop, delay, duplicate, or replace the
+	// payload by mutating ev, which it must not keep past the call.
 	InterceptMessage(ev *MessageEvent)
 	// InterceptWake is called when a node parks with the round it
 	// intends to be awake in next; the return value replaces that
@@ -105,13 +119,26 @@ type Interceptor interface {
 	CrashRound(node int) int64
 }
 
+// senderChooser is the optional Interceptor method, detected once per
+// run. ChooseSender picks the next of the remaining staged outboxes to
+// route in round: remaining lists the senders not yet routed, in
+// ascending node index at the first call, and the return value indexes
+// into it (out-of-range values are clamped to 0). It is called only
+// when two or more participants staged messages; composing the picks
+// yields any routing permutation. The slice is owned by the runtime
+// and must not be kept. The fixed choice is 0 (ascending index order).
+type senderChooser interface {
+	ChooseSender(round int64, remaining []int) int
+}
+
 // MessageEvent is one message at the delivery point. The interceptor
 // mutates the verdict fields; the runtime applies them in order: a
 // dropped message is lost outright; otherwise the (possibly replaced)
 // payload is delivered Delay rounds late, plus Duplicate extra copies
 // in the rounds after that. A delayed copy reaches the receiver only
 // if the receiver is awake in the delivery round, exactly like a
-// freshly sent message.
+// freshly sent message. The runtime refills one MessageEvent for every
+// message of a run, so a hook must not keep ev past the call.
 type MessageEvent struct {
 	// Round, From, Port, To identify the send: node From sent Payload
 	// on its port Port (towards node To) in round Round.
@@ -178,15 +205,11 @@ type Config struct {
 	// RecordAwakeRounds records, per node, the exact rounds in which
 	// the node was awake (for traces and schedule tests).
 	RecordAwakeRounds bool
-	// Interceptor, if non-nil, is invoked at the delivery point and at
-	// wake scheduling (fault injection; see Interceptor). Nil keeps
-	// the clean model.
+	// Interceptor, if non-nil, is invoked at wake scheduling and at
+	// the delivery point: seeded fault injection, or the model
+	// checker's branch choices (see Interceptor). Nil keeps the clean
+	// model.
 	Interceptor Interceptor
-	// Chooser, if non-nil, selects among admissible nondeterminism
-	// branches at wake scheduling, message-routing order, and
-	// per-message fault injection (model checking; see Chooser). Nil —
-	// the default — keeps today's fixed choices bit-identically.
-	Chooser Chooser
 	// Trace, if non-nil, receives the run's structured events (awake,
 	// sleep gaps, sends, deliveries, losses, crashes, plus whatever the
 	// node program emits via EmitPhase/EmitStep/EmitMerge/EmitNbrs) as
@@ -207,9 +230,10 @@ type Config struct {
 	// losses to sleeping receivers, the CONGEST bit cap, awake
 	// metering — so the run's traces, verdicts, metrics, and Result
 	// are byte-identical to the in-memory run. Run calls
-	// Transport.Listen; the caller owns Close. Incompatible with
-	// Chooser (model checking stays in-memory). Nil — the default —
-	// keeps delivery entirely in-process with no wire encoding.
+	// Transport.Listen; the caller owns Close. Incompatible with an
+	// Interceptor that chooses the sender order (model checking stays
+	// in-memory). Nil — the default — keeps delivery entirely
+	// in-process with no wire encoding.
 	Transport transport.Transport
 	// Cancel, if non-nil, aborts the run at the next busy-round
 	// barrier once the channel is closed: every node program unwinds,
@@ -254,8 +278,8 @@ type Result struct {
 	// Chaos metering. All fields below stay zero/nil unless
 	// Config.Interceptor was set.
 
-	// MessagesDropped counts messages lost to interceptor or chooser
-	// drops (they are also counted in MessagesLost).
+	// MessagesDropped counts messages lost to interceptor drops (they
+	// are also counted in MessagesLost).
 	MessagesDropped int64
 	// MessagesDelayed counts primary copies postponed by the
 	// interceptor; MessagesDuplicated counts injected extra copies.
@@ -263,8 +287,7 @@ type Result struct {
 	// MessagesCorrupted counts payloads the interceptor marked
 	// Mutated.
 	MessagesCorrupted int64
-	// WakesPerturbed counts wake rounds the interceptor or chooser
-	// moved.
+	// WakesPerturbed counts wake rounds the interceptor moved.
 	WakesPerturbed int64
 	// CrashRound[i] is the round from which node i was crash-stopped
 	// (0 = never). Nil when no interceptor was configured.
@@ -580,8 +603,13 @@ type runtime struct {
 	// it, so the mark costs deposit no load beyond the slot it stores.
 	stamp []int64
 
+	// ev is the one MessageEvent every InterceptMessage call fills.
+	ev MessageEvent
+
+	// order is the Interceptor's ChooseSender, nil unless it has one;
 	// sendOrder/sendPool are chooseSendOrder scratch, reused across
-	// rounds; nil unless a Chooser is configured.
+	// rounds.
+	order               senderChooser
 	sendOrder, sendPool []int
 
 	// tx is the transport shim state; nil unless Config.Transport is
@@ -660,6 +688,10 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("sim: config requires a graph")
 	}
+	order, _ := cfg.Interceptor.(senderChooser)
+	if order != nil && cfg.Transport != nil {
+		return nil, errors.New("sim: config cannot combine Transport with an Interceptor that chooses the sender order (model checking stays in-memory)")
+	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
@@ -673,6 +705,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		inbox:  make([]interface{}, off[n]),
 		outbox: make([]interface{}, off[n]),
 		stamp:  make([]int64, n),
+		order:  order,
 		res: &Result{
 			AwakePerNode:        make([]int64, n),
 			HaltRound:           make([]int64, n),
@@ -687,6 +720,9 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		rt.res.CrashRound = make([]int64, n)
 		cfg.Interceptor.BeginRun(n)
 	}
+	if order != nil {
+		rt.sendOrder, rt.sendPool = make([]int, 0, n), make([]int, 0, n)
+	}
 	if cfg.Trace != nil {
 		rt.sink = cfg.Trace
 		rt.sink.Begin(n)
@@ -695,9 +731,6 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		rt.tally = make(map[tallyKey]int64)
 	}
 	if cfg.Transport != nil {
-		if cfg.Chooser != nil {
-			return nil, errors.New("sim: config cannot combine Transport with Chooser (model checking stays in-memory)")
-		}
 		if err := cfg.Transport.Listen(n); err != nil {
 			return nil, fmt.Errorf("sim: transport listen: %w", err)
 		}
@@ -802,29 +835,26 @@ func (h *wakeHeap) pop() wakeEntry {
 
 // deliver routes the staged outboxes of the round's participants to
 // participants that are awake, metering messages and bits. With an
-// interceptor configured it also applies message verdicts and flushes
-// previously delayed copies; delayed copies land before fresh sends,
-// so a fresh message overwrites a stale replay arriving on the same
-// port in the same round. Ports are walked in ascending order, so a
-// stateful interceptor, the recorder's event stream and the chooser's
-// fault choice points see a deterministic sequence.
+// interceptor configured it also flushes previously delayed copies,
+// lets the interceptor choose the routing order if it has
+// ChooseSender, and applies its message verdicts; delayed copies land
+// before fresh sends, so a fresh message overwrites a stale replay
+// arriving on the same port in the same round. Ports are walked in
+// ascending order, so the interceptor and the recorder's event stream
+// see a deterministic sequence.
 func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range participants {
 		rt.stamp[idx] = round
 	}
 	itc := rt.cfg.Interceptor
-	ch := rt.cfg.Chooser
+	senders := participants
 	if itc != nil {
 		if err := rt.deliverDelayed(round); err != nil {
 			return err
 		}
-	}
-	// The chooser selects the routing order of the round's staged
-	// outboxes (the adversarial within-round delivery order); without
-	// one, ascending node index as before.
-	senders := participants
-	if ch != nil {
-		senders = rt.chooseSendOrder(round, participants)
+		if rt.order != nil {
+			senders = rt.chooseSendOrder(round, participants)
+		}
 	}
 	for _, idx := range senders {
 		nd := rt.nodes[idx]
@@ -844,14 +874,6 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 			if rt.sink != nil {
 				rt.traceMsg(trace.KindSend, round, idx, p, ports[p].To)
 			}
-			if ch != nil && ch.ChooseFault(round, idx, p, ports[p].To) {
-				rt.res.MessagesDropped++
-				rt.res.MessagesLost++
-				if rt.sink != nil {
-					rt.traceMsg(trace.KindLost, round, idx, p, ports[p].To)
-				}
-				continue
-			}
 			if itc == nil {
 				// Without an interceptor: clean delivery semantics.
 				if !rt.awake(ports[p].To, round) {
@@ -866,8 +888,9 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 				}
 				continue
 			}
-			ev := MessageEvent{Round: round, From: idx, Port: p, To: ports[p].To, Payload: msg}
-			itc.InterceptMessage(&ev)
+			ev := &rt.ev
+			*ev = MessageEvent{Round: round, From: idx, Port: p, To: ports[p].To, Payload: msg}
+			itc.InterceptMessage(ev)
 			if ev.Mutated {
 				rt.res.MessagesCorrupted++
 			}
@@ -917,6 +940,38 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 		return rt.txDrain(round)
 	}
 	return nil
+}
+
+// chooseSendOrder returns the order in which the round's staged
+// outboxes are routed, as the interceptor's ChooseSender selects it:
+// repeatedly pick the next sender among the remaining ones.
+// Participants without staged messages are excluded — their routing
+// position is unobservable, so offering it as a branch point would
+// only inflate the explorer's tree with equivalent schedules. The
+// scratch slices are reused across rounds.
+func (rt *runtime) chooseSendOrder(round int64, participants []int) []int {
+	rt.sendOrder = rt.sendOrder[:0]
+	rt.sendPool = rt.sendPool[:0]
+	for _, idx := range participants {
+		if hasMessages(rt.nodes[idx].out) {
+			rt.sendPool = append(rt.sendPool, idx)
+		}
+	}
+	if len(rt.sendPool) <= 1 {
+		return append(rt.sendOrder, rt.sendPool...)
+	}
+	for len(rt.sendPool) > 0 {
+		j := 0
+		if len(rt.sendPool) > 1 { // a single remainder is not a branch
+			j = rt.order.ChooseSender(round, rt.sendPool)
+			if j < 0 || j >= len(rt.sendPool) {
+				j = 0
+			}
+		}
+		rt.sendOrder = append(rt.sendOrder, rt.sendPool[j])
+		rt.sendPool = append(rt.sendPool[:j], rt.sendPool[j+1:]...)
+	}
+	return rt.sendOrder
 }
 
 // deliverDelayed flushes interceptor-postponed copies scheduled for

@@ -9,11 +9,10 @@ import (
 	"sleepmst/internal/trace/tracetest"
 )
 
-// chaosHooks is a stateless interceptor and chooser for the orderer
-// oracle: every decision hashes its coordinates with the seed, so a
-// run is repeatable and every fault path fires somewhere — drops,
-// delays, duplicates, overslept wakes, crash-stops, and reordered and
-// dropped sends.
+// chaosHooks is a stateless interceptor for the orderer oracle: every
+// decision hashes its coordinates with the seed, so a run is
+// repeatable and every fault path fires somewhere — drops, delays,
+// duplicates, overslept wakes and crash-stops.
 type chaosHooks struct{ seed uint64 }
 
 func (h chaosHooks) hash(vals ...int64) uint64 {
@@ -53,16 +52,11 @@ func (h chaosHooks) CrashRound(node int) int64 {
 	return 0
 }
 
-func (h chaosHooks) ChooseWake(node int, intended int64) int64 {
-	return h.InterceptWake(node, intended+1) - 1
-}
+// reorderingHooks adds hashed sender choices to chaosHooks.
+type reorderingHooks struct{ chaosHooks }
 
-func (h chaosHooks) ChooseSender(round int64, remaining []int) int {
+func (h reorderingHooks) ChooseSender(round int64, remaining []int) int {
 	return int(h.hash(4, round, int64(len(remaining))) % uint64(len(remaining)))
-}
-
-func (h chaosHooks) ChooseFault(round int64, from, port, to int) bool {
-	return h.hash(5, round, int64(from), int64(port))%17 == 0
 }
 
 // emittingProgram is a random sleep/exchange program that also emits
@@ -97,11 +91,11 @@ func emittingProgram(steps int) Program {
 }
 
 // TestOrdererMatchesRecorderOnRandomPrograms runs random programs —
-// clean, under a faulting interceptor, and under an adversarial
-// chooser — into an Orderer and a reference sink that sorts the whole
-// run once: the released stream must equal the reference's events and
-// the orderer's meta the reference's, so sim.Run keeps the Sink
-// contract on every path.
+// clean, under a faulting interceptor, and under one that also
+// reorders senders — into an Orderer and a reference sink that sorts
+// the whole run once: the released stream must equal the reference's
+// events and the orderer's meta the reference's, so sim.Run keeps the
+// Sink contract on every path.
 func TestOrdererMatchesRecorderOnRandomPrograms(t *testing.T) {
 	meta := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
@@ -113,7 +107,7 @@ func TestOrdererMatchesRecorderOnRandomPrograms(t *testing.T) {
 		case 1:
 			cfg.Interceptor = hooks
 		case 2:
-			cfg.Chooser = hooks
+			cfg.Interceptor = reorderingHooks{hooks}
 		}
 		var got []trace.Event
 		ord := trace.NewOrderer(func(events []trace.Event) { got = append(got, events...) })

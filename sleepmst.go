@@ -301,7 +301,8 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 
 // Chaos runtime ------------------------------------------------------------
 
-// Interceptor is the simulator's fault-injection hook surface. Set
+// Interceptor is the simulator's one adversary hook: seeded fault
+// injection, or the model checker's branch choices. Set
 // Options.Interceptor to perturb a run; leave it nil for the paper's
 // clean sleeping model.
 type Interceptor = sim.Interceptor
@@ -402,13 +403,6 @@ func ClassifyMISRun(g *Graph, inMIS []bool, err error) MISClassification {
 }
 
 // Model checking ------------------------------------------------------------
-
-// Chooser is the simulator's deterministic branch-point hook: wake
-// scheduling, within-round message-routing order, and per-message
-// fault injection. A nil Options.Chooser (the default) is
-// bit-identical to the production scheduler; the bounded model
-// checker drives a Chooser to explore every admissible branch.
-type Chooser = sim.Chooser
 
 // ModelCheckConfig parameterizes a bounded exhaustive exploration of
 // one problem on one small topology; see ModelCheck.
