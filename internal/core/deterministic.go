@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
@@ -126,28 +127,18 @@ type mergeCmd struct {
 
 func (m mergeCmd) Bits() int { return 1 + ldt.FieldBits(m.hostID) + ldt.FieldBits(int64(m.hostPort)) }
 
-// mergeEntries deduplicates and sorts supergraph entries.
+// mergeEntries sorts and deduplicates supergraph entries. The sort key
+// is the whole entry, so equal neighbours in the sorted list are
+// duplicates.
 func mergeEntries(lists ...[]nbrEntry) nbrList {
-	seen := make(map[nbrEntry]bool)
 	var out nbrList
 	for _, l := range lists {
-		for _, e := range l {
-			if !seen[e] {
-				seen[e] = true
-				out = append(out, e)
-			}
-		}
+		out = append(out, l...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].fragID != out[j].fragID {
-			return out[i].fragID < out[j].fragID
-		}
-		if out[i].hostID != out[j].hostID {
-			return out[i].hostID < out[j].hostID
-		}
-		return out[i].hostPort < out[j].hostPort
+	slices.SortFunc(out, func(a, b nbrEntry) int {
+		return cmp.Or(cmp.Compare(a.fragID, b.fragID), cmp.Compare(a.hostID, b.hostID), cmp.Compare(a.hostPort, b.hostPort))
 	})
-	return out
+	return slices.Compact(out)
 }
 
 // coloring colors this node's fragment in the supergraph G' from the
@@ -228,17 +219,7 @@ func (c *nodeCtx) sparsify(bs func(int64) int64, ph bcastMOEMsg) sparsified {
 	if owner {
 		s.ownerPort = ph.moe.ownerPort
 	}
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := c.nd.Outbox()
-	mark := interface{}(taMOEMsg{fragID: c.st.FragID})
-	for p := range out {
-		out[p] = mark
-	}
-	if owner {
-		out[ph.moe.ownerPort] = taMOEMsg{fragID: c.st.FragID, isMOE: true}
-	}
-	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
+	in := c.markMOE(bs(dbTAMOE), false, s.ownerPort)
 	var incoming []int  // ports carrying another fragment's MOE, ascending
 	var incFrag []int64 // the sending fragment of each incoming port
 	for p, raw := range in {
@@ -347,7 +328,7 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, sp sparsified) Color {
 			stages = append(stages, stage{id: e.fragID})
 		}
 	}
-	sort.Slice(stages, func(i, j int) bool { return stages[i].id < stages[j].id })
+	slices.SortFunc(stages, func(a, b stage) int { return cmp.Compare(a.id, b.id) })
 
 	stageStart := func(id int64, block int64) int64 {
 		return bs(int64(dbColorBase) + stageBlocks*(id-1) + block)

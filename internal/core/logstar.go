@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
@@ -201,9 +202,12 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, sp sparsified) Color {
 	return c.paletteStages(bs, base+3*int64(iters), nbrInfo, hostPorts, cvColor)
 }
 
-// dedupeCV removes duplicate fragment entries from a CV color list.
+// dedupeCV removes duplicate fragment entries from a CV color list,
+// keeping the first of each fragment ID in the sorted order.
+// slices.SortFunc runs the same pattern-defeating quicksort as the
+// sort.Slice it replaced, so it keeps the same entry.
 func dedupeCV(l cvColorList) cvColorList {
-	sort.Slice(l, func(i, j int) bool { return l[i].fragID < l[j].fragID })
+	slices.SortFunc(l, func(a, b cvColorMsg) int { return cmp.Compare(a.fragID, b.fragID) })
 	out := l[:0]
 	for i, m := range l {
 		if i == 0 || m.fragID != out[len(out)-1].fragID {

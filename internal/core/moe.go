@@ -29,6 +29,13 @@ type nodeCtx struct {
 	nbrFragID []int64 // per port, as of the last fragment TA
 	nbrLevel  []int
 	nbrID     []int64 // neighbor node IDs (learned over the wire)
+
+	// One memo per send site whose message changes only when a
+	// fragment merges (see sim.Boxed): the fragment announcement, the
+	// local MOE candidate, and the MOE mark, one per coin value.
+	fragMsg sim.Boxed[taFragMsg]
+	moeMsg  sim.Boxed[moeInfo]
+	marks   [2]sim.Boxed[taMOEMsg]
 }
 
 func newNodeCtx(nd *sim.Node, st *ldt.State) *nodeCtx {
@@ -92,7 +99,7 @@ func (m taFragMsg) Bits() int {
 // refreshes its per-port neighbor knowledge.
 func (c *nodeCtx) taFragment(start int64) {
 	out := c.nd.Outbox()
-	msg := interface{}(taFragMsg{id: c.nd.ID(), fragID: c.st.FragID, level: c.st.Level})
+	msg := c.fragMsg.Of(taFragMsg{id: c.nd.ID(), fragID: c.st.FragID, level: c.st.Level})
 	for p := range out {
 		out[p] = msg
 	}
@@ -148,7 +155,7 @@ func (c *nodeCtx) localMOE() (ldt.MinItem, bool) {
 	}
 	return ldt.MinItem{
 		Key:     bestKey,
-		Payload: moeInfo{key: bestKey, ownerID: c.nd.ID(), ownerPort: best},
+		Payload: c.moeMsg.Of(moeInfo{key: bestKey, ownerID: c.nd.ID(), ownerPort: best}),
 	}, true
 }
 
@@ -201,6 +208,40 @@ func (c *nodeCtx) findMOE(start int64, flip bool) bcastMOEMsg {
 // by info.
 func (c *nodeCtx) isMOEOwner(info *moeInfo) bool {
 	return info != nil && info.ownerID == c.nd.ID()
+}
+
+// taMOEMsg is the MOE mark of the Transmit-Adjacent block after step
+// (i).
+type taMOEMsg struct {
+	fragID int64
+	coin   bool // sender fragment's coin (true = heads)
+	isMOE  bool // this edge is the sender fragment's MOE
+}
+
+func (m taMOEMsg) Bits() int { return ldt.FieldBits(m.fragID) + 2 }
+
+// markMOE runs the Transmit-Adjacent block at start in which every
+// node marks all its ports with its fragment ID and the phase coin
+// (false in the deterministic algorithms), and the MOE owner flags the
+// fragment MOE's port ownerPort (-1 at every other node). It returns
+// the inbox.
+func (c *nodeCtx) markMOE(start int64, coin bool, ownerPort int) sim.Inbox {
+	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
+	memo := &c.marks[0]
+	if coin {
+		memo = &c.marks[1]
+	}
+	out := c.nd.Outbox()
+	mark := memo.Of(taMOEMsg{fragID: c.st.FragID, coin: coin})
+	for p := range out {
+		out[p] = mark
+	}
+	if ownerPort >= 0 {
+		out[ownerPort] = taMOEMsg{fragID: c.st.FragID, coin: coin, isMOE: true}
+	}
+	in := ldt.TransmitAdjacent(c.nd, start, out)
+	c.stepDone(trace.StepMarkMOE)
+	return in
 }
 
 // boolPayload is a Sizer-friendly boolean wire value.

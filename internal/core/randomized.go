@@ -23,15 +23,6 @@ const (
 	randPhaseBlocks = rbMergeStart + ldt.MergeBlocks
 )
 
-// taMOEMsg is exchanged in the rbTAMOE block.
-type taMOEMsg struct {
-	fragID int64
-	coin   bool // sender fragment's coin (true = heads)
-	isMOE  bool // this edge is the sender fragment's MOE
-}
-
-func (m taMOEMsg) Bits() int { return ldt.FieldBits(m.fragID) + 2 }
-
 // randPhase runs one phase from its first round start; done means the
 // fragment spans the graph (no outgoing edge) and the node may halt.
 func (c *nodeCtx) randPhase(start int64) (done bool) {
@@ -44,19 +35,13 @@ func (c *nodeCtx) randPhase(start int64) (done bool) {
 		return true
 	}
 	owner := c.isMOEOwner(&ph.moe)
+	ownerPort := -1
+	if owner {
+		ownerPort = ph.moe.ownerPort
+	}
 
 	// Restrict to valid MOEs: only tails -> heads edges survive.
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := c.nd.Outbox()
-	mark := interface{}(taMOEMsg{fragID: c.st.FragID, coin: ph.coin})
-	for p := range out {
-		out[p] = mark
-	}
-	if owner {
-		out[ph.moe.ownerPort] = taMOEMsg{fragID: c.st.FragID, coin: ph.coin, isMOE: true}
-	}
-	in := ldt.TransmitAdjacent(c.nd, bs(rbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
+	in := c.markMOE(bs(rbTAMOE), ph.coin, ownerPort)
 
 	var validUp interface{}
 	if owner {

@@ -81,6 +81,16 @@ type State struct {
 	ParentPort int
 	// Children lists the ports leading to children, sorted.
 	Children []int
+
+	// Memos of the node's own sends (see sim.Boxed), so a message
+	// whose content did not change since its last send is not boxed
+	// again: the Merging-Fragments advertisement and up wave (⊥ at
+	// every node off the merge path), and the node's own Upcast-Min
+	// item with the envelope that carries it.
+	advert  sim.Boxed[taMergeMsg]
+	upWave  sim.Boxed[waveMsg]
+	ownItem sim.Boxed[MinItem]
+	ownEnv  sim.Boxed[wireMsg]
 }
 
 // NewRootState returns the state of a singleton fragment rooted at a
@@ -282,7 +292,8 @@ func (m MinItem) Bits() int {
 // messages) whose envelopes are reused: a subtree minimum travels in
 // the envelope it arrived in, a subtree without an item sends the
 // shared empty envelope, and only a node whose own item wins boxes a
-// new one.
+// new one, and only when that item differs from the one it boxed
+// last. Items are compared with ==, so a payload must be comparable.
 func UpcastMin(nd *sim.Node, st *State, start int64, mine MinItem, have bool) (MinItem, bool) {
 	sched := ScheduleFor(start, st.Level, nd.N())
 	var in sim.Inbox
@@ -290,7 +301,7 @@ func UpcastMin(nd *sim.Node, st *State, start int64, mine MinItem, have bool) (M
 		nd.SleepUntil(sched.UpReceive)
 		in = nd.Exchange(nil)
 	}
-	env, best, ok := minEnvelope(in, st.Children, mine, have)
+	env, best, ok := minEnvelope(in, st, mine, have)
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.UpSend)
 		out := nd.Outbox()
@@ -301,15 +312,15 @@ func UpcastMin(nd *sim.Node, st *State, start int64, mine MinItem, have bool) (M
 }
 
 // minEnvelope folds the children's envelopes into the node's own item,
-// in children order, keeping the first of equal keys as Up's fold did,
-// and returns the subtree minimum with the envelope that carries it
-// on: the winning child's, unchanged; a new box for the node's own
-// item; or the shared empty envelope. A child envelope whose payload
-// is not a MinItem is skipped.
-func minEnvelope(in sim.Inbox, children []int, mine MinItem, have bool) (env interface{}, best MinItem, ok bool) {
+// in st.Children order, keeping the first of equal keys as Up's fold
+// did, and returns the subtree minimum with the envelope that carries
+// it on: the winning child's, unchanged; the node's own item in its
+// memoized envelope; or the shared empty envelope. A child envelope
+// whose payload is not a MinItem is skipped.
+func minEnvelope(in sim.Inbox, st *State, mine MinItem, have bool) (env interface{}, best MinItem, ok bool) {
 	best, ok = mine, have
 	winner := -1
-	for _, c := range children {
+	for _, c := range st.Children {
 		p, sent := unwrap[interface{}](in[c])
 		if !sent {
 			continue
@@ -322,7 +333,7 @@ func minEnvelope(in sim.Inbox, children []int, mine MinItem, have bool) (env int
 	case winner >= 0:
 		return in[winner], best, true
 	case ok:
-		return wireMsg{payload: best}, best, true
+		return st.ownEnv.Of(wireMsg{payload: st.ownItem.Of(best)}), best, true
 	default:
 		return emptyEnvelope, best, false
 	}

@@ -204,7 +204,8 @@ var envelopeSink interface{}
 // TestMinEnvelopeBoxesOnlyAnOwnWinner pins Upcast-Min's allocation per
 // node: a node whose child's item wins forwards that child's envelope
 // and allocates nothing, and so does a node whose subtree holds no
-// item; only a node whose own item wins boxes it.
+// item; only a node whose own item wins boxes it, and only when the
+// item differs from the one it boxed last.
 func TestMinEnvelopeBoxesOnlyAnOwnWinner(t *testing.T) {
 	win := MinItem{Key: graph.WeightKey{W: 1}, Payload: testPayload{v: 1}}
 	childWins := sim.Inbox{wireMsg{payload: MinItem{Key: graph.WeightKey{W: 9}}}, nil, wireMsg{payload: win}, emptyEnvelope}
@@ -223,20 +224,37 @@ func TestMinEnvelopeBoxesOnlyAnOwnWinner(t *testing.T) {
 		{"leaf without item", nil, MinItem{}, false, emptyEnvelope, 0},
 		{"own item wins", empty, mine, true, wireMsg{payload: mine}, 2},
 	} {
-		children := make([]int, len(c.in))
-		for i := range children {
-			children[i] = i
+		st := &State{Children: make([]int, len(c.in))}
+		for i := range st.Children {
+			st.Children[i] = i
 		}
-		env, _, _ := minEnvelope(c.in, children, c.mine, c.have)
+		env, _, _ := minEnvelope(c.in, st, c.mine, c.have)
 		if env != c.want {
 			t.Errorf("%s: forwards %v, want %v", c.name, env, c.want)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			envelopeSink, _, _ = minEnvelope(c.in, children, c.mine, c.have)
+			*st = State{Children: st.Children} // a node that never sent an item
+			envelopeSink, _, _ = minEnvelope(c.in, st, c.mine, c.have)
 		})
 		if allocs > c.maxAllocs {
 			t.Errorf("%s: %.0f allocations per node, want at most %.0f", c.name, allocs, c.maxAllocs)
 		}
+	}
+
+	// An own item that wins again with equal content goes up in the
+	// envelope boxed for it last time; a changed one gets a new
+	// envelope, and the earlier envelope still carries the old item.
+	st := &State{Children: []int{0, 1}}
+	first, _, _ := minEnvelope(empty, st, mine, true)
+	if again := testing.AllocsPerRun(100, func() { envelopeSink, _, _ = minEnvelope(empty, st, mine, true) }); again != 0 {
+		t.Errorf("own item wins again: %.0f allocations, want 0", again)
+	}
+	moved := MinItem{Key: graph.WeightKey{W: 4}, Payload: testPayload{v: 4}}
+	if env, _, _ := minEnvelope(empty, st, moved, true); env != (wireMsg{payload: moved}) {
+		t.Errorf("changed own item forwards %v, want %v", env, wireMsg{payload: moved})
+	}
+	if first != (wireMsg{payload: mine}) {
+		t.Errorf("the earlier envelope now carries %v, want %v", first, wireMsg{payload: mine})
 	}
 }
 

@@ -63,9 +63,10 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	// Block A: Transmit-Adjacent. Everyone advertises (fragID, level);
 	// the attachment node u_T raises the attach flag on its merge edge.
 	// The advertisement is the same on every port but the merge edge,
-	// so it is boxed once.
+	// and changes only when the fragment merges, so it is boxed once per
+	// content.
 	out := nd.Outbox()
-	adv := interface{}(taMergeMsg{fragID: st.FragID, level: st.Level})
+	adv := st.advert.Of(taMergeMsg{fragID: st.FragID, level: st.Level})
 	for p := range out {
 		out[p] = adv
 	}
@@ -144,7 +145,7 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.UpSend)
 		out := nd.Outbox()
-		out[st.ParentPort] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
+		out[st.ParentPort] = st.upWave.Of(waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0})
 		nd.Exchange(out)
 	}
 

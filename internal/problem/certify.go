@@ -44,6 +44,10 @@ func Certify(p Problem, g *graph.Graph, opts core.Options, jsonl *trace.JSONL) (
 		}
 	}
 	ord := trace.NewOrderer(release)
+	// A clean round reports at most one awake event per node and a send
+	// and a delivery or loss per port; its release adds the round's node
+	// events, one sleep per node, to the same buffer.
+	ord.Reserve(2*g.N() + 4*g.M())
 	if opts.Trace != nil {
 		opts.Trace = trace.Tee(opts.Trace, ord)
 	} else {

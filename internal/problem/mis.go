@@ -3,7 +3,7 @@ package problem
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
@@ -241,7 +241,7 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 					lower = append(lower, m.id)
 				}
 			}
-			sort.Slice(lower, func(i, j int) bool { return lower[i] < lower[j] })
+			slices.Sort(lower)
 			for _, nbr := range lower {
 				nd.SleepUntil(sync + nbr)
 				in := nd.Exchange(nil)

@@ -186,8 +186,10 @@ func TestCertifyAppendsOracleOnlyOnSuccess(t *testing.T) {
 
 // TestCertifyMemoryDoesNotGrowWithTheTrace certifies mst/randomized at
 // n=1024 as the run goes: what it allocates beyond the untraced run
-// must stay under 8 bytes per trace event, where a recorder keeping
+// must stay under 5.5 bytes per trace event, where a recorder keeping
 // the trace would hold 56 bytes per event in its event slice alone.
+// It reads 4.4 to 4.8; an orderer whose round buffer grows by doubling
+// instead of being sized once per run reads 6.2 to 6.7.
 func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
 	p, err := problem.Lookup("mst/randomized")
 	if err != nil {
@@ -216,7 +218,7 @@ func TestCertifyMemoryDoesNotGrowWithTheTrace(t *testing.T) {
 	extra := float64(certified) - float64(plain)
 	perEvent := extra / float64(c.Meta.Events)
 	t.Logf("certifying allocated %.0f bytes beyond the untraced run's %d, %.1f per event of %d", extra, plain, perEvent, c.Meta.Events)
-	if perEvent >= 8 {
-		t.Errorf("%.1f bytes per event; want under 8", perEvent)
+	if perEvent >= 5.5 {
+		t.Errorf("%.1f bytes per event; want under 5.5", perEvent)
 	}
 }

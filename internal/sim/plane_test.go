@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,36 +160,74 @@ func TestInboxLeaseEndsAtNextExchange(t *testing.T) {
 // every port and reads its inbox, then sleeps a round — allocates
 // nothing once the run is set up: forty extra rounds cost zero
 // allocations, with or without a metrics registry tallying the
-// deliveries by label.
+// deliveries by label. Each side is the least of three measurements:
+// the process's first GC cycle starts the runtime's background mark
+// workers, and their goroutines count as allocations of whichever
+// measurement the cycle falls in.
 func TestSteadyStateExchangeAllocatesNothing(t *testing.T) {
 	g := graph.Cycle(64, graph.GenConfig{Seed: 1})
 	for _, reg := range []*metrics.Registry{nil, metrics.New()} {
 		allocs := func(rounds int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				_, err := Run(Config{Graph: g, Seed: 1, Metrics: reg}, func(nd *Node) error {
-					msg := interface{}(kindedMsg{})
-					for r := 0; r < rounds; r++ {
-						out := nd.Outbox()
-						for p := range out {
-							out[p] = msg
-						}
-						for _, got := range nd.Exchange(out) {
-							if got == nil {
-								t.Error("a ring neighbor's message is missing")
+			least := math.Inf(1)
+			for try := 0; try < 3; try++ {
+				least = min(least, testing.AllocsPerRun(5, func() {
+					_, err := Run(Config{Graph: g, Seed: 1, Metrics: reg}, func(nd *Node) error {
+						msg := interface{}(kindedMsg{})
+						for r := 0; r < rounds; r++ {
+							out := nd.Outbox()
+							for p := range out {
+								out[p] = msg
 							}
+							for _, got := range nd.Exchange(out) {
+								if got == nil {
+									t.Error("a ring neighbor's message is missing")
+								}
+							}
+							nd.SleepUntil(nd.Round() + 1)
 						}
-						nd.SleepUntil(nd.Round() + 1)
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
+				}))
+			}
+			return least
 		}
 		if short, long := allocs(10), allocs(50); long != short {
 			t.Errorf("metrics=%t: 50 rounds allocate %.0f, 10 rounds %.0f: %.2f allocations per extra round, want 0",
 				reg != nil, long, short, (long-short)/40)
 		}
+	}
+}
+
+// boxSink keeps Boxed.Of's result alive under AllocsPerRun.
+var boxSink interface{}
+
+// TestBoxedBoxesOncePerContent: a value equal to the last one comes
+// back in the box made for it, without allocating; a changed value
+// gets a fresh box; and a box handed out earlier keeps its old value.
+func TestBoxedBoxesOncePerContent(t *testing.T) {
+	type msg struct{ frag, level int64 }
+	var memo Boxed[msg]
+	first := memo.Of(msg{7, 1})
+	if allocs := testing.AllocsPerRun(100, func() { boxSink = memo.Of(msg{7, 1}) }); allocs != 0 {
+		t.Errorf("an equal value allocates %.0f, want 0", allocs)
+	}
+	if boxSink != first {
+		t.Errorf("an equal value comes back as %v, want %v", boxSink, first)
+	}
+	if got := memo.Of(msg{9, 2}); got != (msg{9, 2}) {
+		t.Errorf("a changed value comes back as %v, want %v", got, msg{9, 2})
+	}
+	if first != (msg{7, 1}) {
+		t.Errorf("the earlier box now holds %v, want %v", first, msg{7, 1})
+	}
+	level := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		level++
+		boxSink = memo.Of(msg{9, level})
+	}); allocs != 1 {
+		t.Errorf("a value that changes every call allocates %.0f per call, want 1", allocs)
 	}
 }

@@ -37,7 +37,8 @@ var schedulerDigestsPath = filepath.Join("testdata", "scheduler_digests.json")
 // loggingChooser is the chooser row's hook: it records every wake,
 // sender and message call in order and perturbs the schedule
 // nontrivially — it oversleeps every third park, routes senders in
-// descending order, and drops one specific message.
+// descending order, and drops one specific message: node 3's to node
+// 2 in round 2 of gossip(8) on ring6, where both are awake.
 type loggingChooser struct {
 	calls []string
 }
@@ -60,7 +61,7 @@ func (c *loggingChooser) ChooseSender(round int64, remaining []int) int {
 
 func (c *loggingChooser) InterceptMessage(ev *MessageEvent) {
 	c.calls = append(c.calls, fmt.Sprintf("fault r%d %d:%d->%d", ev.Round, ev.From, ev.Port, ev.To))
-	ev.Drop = ev.Round == 2 && ev.From == 1 && ev.Port == 0
+	ev.Drop = ev.Round == 2 && ev.From == 3 && ev.Port == 0
 }
 
 // delayingInterceptor exercises the delay/dup machinery with
@@ -271,6 +272,9 @@ func runSchedulerCase(t *testing.T, tc schedulerCase) schedulerDigest {
 	d := schedulerDigest{Trace: sha(tr.Bytes()), Result: sha(rj), Error: sha([]byte(errText))}
 	if ch, ok := cfg.Interceptor.(*loggingChooser); ok {
 		d.Calls = sha([]byte(strings.Join(ch.calls, "\n")))
+		if res.MessagesDropped < 1 {
+			t.Errorf("the chooser dropped %d messages, want at least 1", res.MessagesDropped)
+		}
 	}
 	return d
 }

@@ -166,7 +166,40 @@ type MessageEvent struct {
 // out[p] is the message for port p and a nil slot sends nothing. Ports
 // past the end of a short outbox stay silent; an outbox longer than
 // the node's degree fails the run.
+//
+// A staged payload is shared, never copied: the runtime hands the
+// interface value itself to the receiver, so the ports of one round
+// may share one payload, and a program may stage the same box in many
+// rounds (see Boxed). Nothing after the send mutates a payload: an
+// Interceptor that corrupts one replaces it with a copy, a Transport
+// encodes it by value, and a delayed copy keeps the box it was given.
+// So sharing a box changes no delivered value, trace event, metric or
+// frame. A program in turn must not change what a sent payload refers
+// to (the elements of a slice, say) while a receiver may still read
+// it.
 type Outbox []interface{}
+
+// Boxed is the memo of one send site: it boxes a message once per
+// content instead of once per send. A node whose message changes
+// rarely (an announcement that changes only when its fragment merges)
+// keeps one Boxed per send site and stages Of(msg); the Outbox
+// contract says why the shared box is safe. The zero value is ready to
+// use. Of compares with ==, so T must be comparable at run time too:
+// an interface field holding an uncomparable value panics.
+type Boxed[T comparable] struct {
+	last T
+	box  interface{}
+}
+
+// Of returns msg as an interface value: the one it returned last when
+// msg equals the value boxed then, a fresh box of msg otherwise. A box
+// it returned earlier keeps the value it was made from.
+func (b *Boxed[T]) Of(msg T) interface{} {
+	if b.box == nil || msg != b.last {
+		b.last, b.box = msg, msg
+	}
+	return b.box
+}
 
 // Inbox is what a node received in one Exchange, indexed by port. Its
 // length is always the node's degree; in[p] is nil when nothing

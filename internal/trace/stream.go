@@ -94,6 +94,17 @@ func (o *Orderer) Begin(n int) {
 	o.meta, o.passed, o.cur = Meta{N: n}, math.MinInt64, o.cur[:0]
 }
 
+// Reserve sizes the current round's buffer to hold events events: the
+// round's scheduler events, to which Passed appends the round's node
+// events to sort them. A run whose rounds stay within that never
+// regrows it by copying; Begin keeps the buffer. A larger round still
+// grows it.
+func (o *Orderer) Reserve(events int) {
+	if cap(o.cur) < events {
+		o.cur = make([]Event, 0, events)
+	}
+}
+
 // Event queues ev for the release of its round. An event stamped at or
 // before a passed round breaks the Sink contract and panics.
 func (o *Orderer) Event(ev Event) {
